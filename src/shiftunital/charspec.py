@@ -5,9 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesignError, FieldError, VerificationError
-from .fields import (CharFieldCtx, ThetaSetup, make_char_field, trace,
-                     trace_table)
+from .errors import FieldError, VerificationError
+from .fields import (CharFieldCtx, ThetaSetup, chi_array, make_char_field,
+                     make_field, make_tower, prime_power, trace)
 from .geometry import UnitalDesign, build_unital, circles_of
 from .planar import PlanarSpec, components, is_normal
 
@@ -46,7 +46,7 @@ def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
     base = tower.base
     q = base.n
     cf = make_char_field(base.p)
-    chitab = np.array(cf.eps_pows, dtype=np.int64)[trace_table(base)]
+    chitab = chi_array(cf, base)
     comps = components(f, tower)
     circles = circles_of(setup, comps)
     fj_tab, thj = (comps.f1, setup.theta1) if setup.theta1 != 0 else (comps.f0,
@@ -76,8 +76,12 @@ def _uv_part(ctx: SpectrumCtx, u: int, v: int) -> np.ndarray:
                      base.vmul(np.full(ctx.x1.shape, v, dtype=np.int64), ctx.x1))
 
 
-def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block) -> int:
-    """Sum of chi(u*x0 + v*x1 + w*t) over a punctured block's points."""
+def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block,
+              chitab: np.ndarray | None = None) -> int:
+    """Sum of chi(u*x0 + v*x1 + w*t) over a punctured block's points.
+
+    `chitab` is chi_array of the base field, for callers that scan many blocks.
+    """
     setup = design.setup
     if setup is None:
         raise FieldError("design lacks a live field context")
@@ -90,8 +94,8 @@ def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block) -> int:
         raise FieldError("chi_block requires punctured blocks (no infinity point)")
     xs = pids // q
     ts = pids % q
-    cf = make_char_field(base.p)
-    chitab = np.array(cf.eps_pows, dtype=np.int64)[trace_table(base)]
+    if chitab is None:
+        chitab = chi_array(make_char_field(base.p), base)
     args = base.vadd(
         base.vadd(base.vmul(np.full(xs.shape, u, dtype=np.int64),
                             tower.dec0[xs].astype(np.int64)),
@@ -122,12 +126,16 @@ def s_beta(setup: ThetaSetup, f: PlanarSpec, chi: tuple[int, int, int],
 
 def in_spectrum_by_scan(design: UnitalDesign, chi: tuple[int, int, int]) -> bool:
     """Oracle: scan every block of the punctured design for a nonzero chi sum."""
+    if design.setup is None:
+        raise FieldError("design lacks a live field context")
     q = design.q
+    base = design.setup.tower.base
+    chitab = chi_array(make_char_field(base.p), base)
     for i in range(design.n_blocks):
         block = design.blocks[i]
         if i < q * q:
             block = block[:-1]          # strip (inf) from B_a
-        if chi_block(design, chi, block):
+        if chi_block(design, chi, block, chitab):
             return True
     return False
 
@@ -266,16 +274,8 @@ def verify_trace_criterion(setup: ThetaSetup, f: PlanarSpec) -> dict:
 
 def verify_chi_square_lemma(q: int) -> dict:
     """Sum over c of chi(a*c^2) equals 1 for every a != 0."""
-    from .fields import make_field
-    p = _small_prime_power_base(q)
-    m = 0
-    qq = 1
-    while qq < q:
-        qq *= p
-        m += 1
-    fld = make_field(p, m)
-    cf = make_char_field(p)
-    chitab = np.array(cf.eps_pows, dtype=np.int64)[trace_table(fld)]
+    fld = make_field(*prime_power(q))
+    chitab = chi_array(make_char_field(fld.p), fld)
     sq = fld.vpow(np.arange(q, dtype=np.int64), 2)
     one = 1
     for a in range(1, q):
@@ -288,16 +288,8 @@ def verify_chi_square_lemma(q: int) -> dict:
 
 def verify_orthogonality(q: int) -> dict:
     """Character orthogonality on GF(q) and on F_{q^2} coordinates, exhaustively."""
-    from .fields import make_field, make_tower
-    p = _small_prime_power_base(q)
-    m = 0
-    qq = 1
-    while qq < q:
-        qq *= p
-        m += 1
-    fld = make_field(p, m)
-    cf = make_char_field(p)
-    chitab = np.array(cf.eps_pows, dtype=np.int64)[trace_table(fld)]
+    fld = make_field(*prime_power(q))
+    chitab = chi_array(make_char_field(fld.p), fld)
     idx = np.arange(q, dtype=np.int64)
     for w in range(q):
         s = int(np.bitwise_xor.reduce(
@@ -318,10 +310,3 @@ def verify_orthogonality(q: int) -> dict:
                 raise VerificationError(
                     f"sum_x chi({u}*x0+{v}*x1) = {s}, expected {want}")
     return {"q": q, "pointwise": q, "planewise": q * q, "ok": True}
-
-
-def _small_prime_power_base(q: int) -> int:
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if q % p == 0:
-            return p
-    raise FieldError(f"cannot factor q = {q}")

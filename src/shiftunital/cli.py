@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import DesignError, FieldError, VerificationError
-from .fields import (FieldCtx, ThetaSetup, TowerCtx, construct_theta, make_field,
-                     make_tower, theta_setup)
+from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
+                     prime_power, theta_setup)
 from . import charspec, geometry, planar
 from .kloosterman import count_classes, make_atlas, thm_membership_criterion
 from .gf2rank import rank2_of_unital
@@ -26,16 +26,31 @@ class RunConfig:
     full: bool = False
     out_dir: str = "out"
     cache_dir: str = "cache"
-    threads: int = 1
 
 
-_CONFIG_KEYS = {"p": int, "m": int, "modulus": str, "f": str, "theta": str,
-                "engine": str, "full": lambda s: s.lower() in ("1", "true", "yes"),
-                "out_dir": str, "cache_dir": str, "threads": int}
+def _parse_int(text: str, what: str = "value") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FieldError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _parse_modulus(text: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in text.split(","))
+    return tuple(_parse_int(c, "modulus coefficient") for c in text.split(","))
+
+
+_CONFIG_KEYS = {"p": _parse_int, "m": _parse_int, "modulus": _parse_modulus, "f": str,
+                "theta": str, "engine": str,
+                "full": lambda s: s.lower() in ("1", "true", "yes"),
+                "out_dir": str, "cache_dir": str}
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FieldError(f"{path}: not a text file ({exc.reason})") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -43,23 +58,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if os.environ.get("UNITAL_CACHE_DIR"):
         cfg.cache_dir = os.environ["UNITAL_CACHE_DIR"]
-    if os.environ.get("UNITAL_THREADS"):
-        cfg.threads = int(os.environ["UNITAL_THREADS"])
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, val = line.partition("=")
-                key = key.strip()
-                if not sep or key not in _CONFIG_KEYS:
-                    raise FieldError(f"{args.config}:{lineno}: bad entry {raw!r}")
-                val = _CONFIG_KEYS[key](val.strip())
-                if key == "modulus":
-                    val = _parse_modulus(val)
-                setattr(cfg, key, val)
-    for key in ("p", "m", "f", "theta", "engine", "out_dir", "cache_dir", "threads"):
+        for lineno, raw in enumerate(_read_text(args.config).splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _CONFIG_KEYS:
+                raise FieldError(f"{args.config}:{lineno}: bad entry {raw!r}")
+            setattr(cfg, key, _CONFIG_KEYS[key](val.strip()))
+    for key in ("p", "m", "f", "theta", "engine", "out_dir", "cache_dir"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -80,14 +89,13 @@ def resolve_f(cfg: RunConfig, tower: TowerCtx) -> planar.PlanarSpec:
     if sel == "square":
         return planar.square_spec(tower.ext)
     if sel.startswith("cm:"):
-        spec = planar.coulter_matthews_spec(tower.ext, int(sel[3:]))
+        spec = planar.coulter_matthews_spec(tower.ext, _parse_int(sel[3:], "k in cm:k"))
         w = planar.planarity_witness(spec, sample=None if tower.ext.n <= 3**6 else 100)
         if w is not None:
             raise DesignError(f"{sel} is not planar (witness a = {w})")
         return spec
     if sel.startswith("user:"):
-        with open(sel[5:]) as fh:
-            return planar.do_spec(tower.ext, planar.parse_do_table(fh.read()))
+        return planar.do_spec(tower.ext, planar.parse_do_table(_read_text(sel[5:])))
     raise FieldError(f"unknown planar selector {sel!r} (square | cm:k | user:path)")
 
 
@@ -99,7 +107,7 @@ def resolve_theta(cfg: RunConfig, f: planar.PlanarSpec, tower: TowerCtx) -> Thet
         if not setups:
             raise DesignError(f"no admissible theta for f = {f.name}")
         return setups[0]
-    return theta_setup(tower, int(cfg.theta))
+    return theta_setup(tower, _parse_int(cfg.theta, "theta"))
 
 
 def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool, bool]:
@@ -120,14 +128,17 @@ def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool, bool]:
     raise FieldError(f"unknown engine {engine!r}")
 
 
+def _joined(coeffs: tuple[int, ...]) -> str:
+    return ",".join(str(c) for c in coeffs)
+
+
 def config_header(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec | None,
                   setup: ThetaSetup | None) -> dict:
     head = {"p": cfg.p, "m": cfg.m, "q": tower.base.n,
-            "base_modulus": ",".join(str(c) for c in tower.base.modulus),
-            "modulus": ",".join(str(c) for c in tower.ext.modulus),
+            "base_modulus": _joined(tower.base.modulus),
+            "modulus": _joined(tower.ext.modulus),
             "xi": tower.xi, "alpha": tower.alpha,
-            "engine": cfg.engine, "threads": cfg.threads,
-            "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir}
+            "engine": cfg.engine, "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir}
     if f is not None:
         head["f"] = f.name
     if setup is not None:
@@ -152,64 +163,53 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _cache_dir(cfg: RunConfig, f_name: str, theta_index: int) -> str:
-    return os.path.join(cfg.cache_dir,
-                        f"p{cfg.p}m{cfg.m}f{f_name}t{theta_index}")
-
-
-def _load_cached_design(path: str, q: int, f_name: str,
-                        theta_index: int) -> geometry.UnitalDesign | None:
-    if not os.path.exists(path):
-        return None
-    try:
-        design = geometry.read_design(path)
-        if (design.q, design.f_name, design.theta_index) != (q, f_name, theta_index):
-            return None
-        geometry._basic_design_checks(design)
-        return design
-    except (DesignError, VerificationError, ValueError, OSError):
-        return None
-
-
 _ROW_KEYS = ("q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
              "rank_spectrum", "upper_bound", "lx_bound", "corollary_bound",
              "conjecture_match", "wall_ms")
 
 
+def _cached_row(path: str, config: dict, run_gf2: bool, run_spectrum: bool) -> dict | None:
+    """The row stored at path if it is for this configuration and has the needed ranks."""
+    try:
+        with open(path) as fh:
+            row = json.load(fh)
+    except (ValueError, OSError):
+        return None
+    if (not isinstance(row, dict) or any(k not in row for k in _ROW_KEYS)
+            or any(row[k] != v for k, v in config.items())
+            or (run_gf2 and row["rank_gf2"] is None)
+            or (run_spectrum and row["rank_spectrum"] is None)):
+        return None
+    return {k: row[k] for k in _ROW_KEYS}
+
+
 def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
-                setup: ThetaSetup, run_gf2: bool, run_spectrum: bool,
-                early: bool) -> dict:
-    """One report row, served from the design/result cache when it re-validates."""
+                setup: ThetaSetup, run_gf2: bool, run_spectrum: bool, early: bool,
+                witness_all: bool = False) -> tuple[dict, charspec.SpectrumResult | None]:
+    """One report row, served from the result cache when it matches the configuration.
+
+    Also returns the spectrum_size result if this call evaluated it (None on a
+    cache hit), so a caller that needs it evaluates it at most once.
+    Blocks are built only for the gf2 engine.
+    """
     q = tower.base.n
-    cdir = _cache_dir(cfg, f.name, setup.theta)
-    result_path = os.path.join(cdir, "result.json")
-    design_path = os.path.join(cdir, "design.txt")
-    cached = None
-    if os.path.exists(result_path):
-        try:
-            with open(result_path) as fh:
-                cached = json.load(fh)
-        except (ValueError, OSError):
-            cached = None
+    config = {"q": q, "p": cfg.p, "m": cfg.m, "modulus": _joined(tower.ext.modulus),
+              "f": f.name, "theta_index": setup.theta}
+    key = (f"p{cfg.p}m{cfg.m}_b{_joined(tower.base.modulus)}_e{config['modulus']}"
+           f"_f{f.name}_t{setup.theta}")
+    result_path = os.path.join(cfg.cache_dir, key, "result.json")
+    cached = _cached_row(result_path, config, run_gf2, run_spectrum)
     if cached is not None:
-        usable = (all(k in cached for k in _ROW_KEYS)
-                  and cached["q"] == q and cached["f"] == f.name
-                  and cached["theta_index"] == setup.theta
-                  and (not run_gf2 or cached["rank_gf2"] is not None)
-                  and (not run_spectrum or cached["rank_spectrum"] is not None)
-                  and _load_cached_design(design_path, q, f.name,
-                                          setup.theta) is not None)
-        if usable:
-            return {k: cached[k] for k in _ROW_KEYS}
+        return cached, None
 
     t0 = time.monotonic()
-    design = _load_cached_design(design_path, q, f.name, setup.theta)
-    if design is None:
+    rank_gf2 = rank_spec = spectrum = None
+    if run_gf2:
         design = geometry.build_unital(f, setup, check="auto")
-        os.makedirs(cdir, exist_ok=True)
-        geometry.write_design(design, design_path)
-    rank_gf2 = rank2_of_unital(design, early_stop=early) if run_gf2 else None
-    rank_spec = charspec.spectrum_size(setup, f).size if run_spectrum else None
+        rank_gf2 = rank2_of_unital(design, early_stop=early)
+    if run_spectrum:
+        spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all)
+        rank_spec = spectrum.size
     if rank_gf2 is not None and rank_spec is not None and rank_gf2 != rank_spec:
         raise VerificationError(
             f"engine disagreement at q = {q}, f = {f.name}: "
@@ -217,19 +217,15 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     wall_ms = int((time.monotonic() - t0) * 1000)
     b = charspec.bounds(q, cfg.p, cfg.m)
     rank = rank_spec if rank_spec is not None else rank_gf2
-    row = {"q": q, "p": cfg.p, "m": cfg.m,
-           "modulus": ",".join(str(c) for c in tower.ext.modulus),
-           "f": f.name, "theta_index": setup.theta,
-           "rank_gf2": rank_gf2, "rank_spectrum": rank_spec,
+    row = {**config, "rank_gf2": rank_gf2, "rank_spectrum": rank_spec,
            "upper_bound": b["upper"], "lx_bound": b["leung_xiang"],
            "corollary_bound": b["corollary"],
            "conjecture_match": rank == b["upper"], "wall_ms": wall_ms}
     low = max(row["lx_bound"], row["corollary_bound"] or 0)
     if not low <= rank <= row["upper_bound"]:
         raise VerificationError(f"rank {rank} outside the proven bounds at q = {q}")
-    os.makedirs(cdir, exist_ok=True)
     _write_json(result_path, row)
-    return row
+    return row, spectrum
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -281,9 +277,9 @@ def cmd_build(cfg: RunConfig) -> int:
     setup = resolve_theta(cfg, f, tower)
     _print_header(config_header(cfg, tower, f, setup))
     design = geometry.build_unital(f, setup, check="auto")
-    cdir = _cache_dir(cfg, f.name, setup.theta)
-    os.makedirs(cdir, exist_ok=True)
-    path = os.path.join(cdir, "design.txt")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir,
+                        f"design_q{design.q}_{f.name}_t{setup.theta}.txt")
     geometry.write_design(design, path)
     print(f"2-({design.n_points},{design.q + 1},1) design, "
           f"{design.n_blocks} blocks -> {path}")
@@ -298,7 +294,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     head = config_header(cfg, tower, f, setup)
     _print_header(head)
     run_gf2, run_spectrum, early = resolve_engines(cfg, q)
-    row = compute_row(cfg, tower, f, setup, run_gf2, run_spectrum, early)
+    row, _ = compute_row(cfg, tower, f, setup, run_gf2, run_spectrum, early)
     doc = {"config": head, "rows": [row]}
     path = os.path.join(cfg.out_dir, f"rank_q{q}_{f.name}.json")
     _write_json(path, doc)
@@ -314,8 +310,10 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     setup = resolve_theta(cfg, f, tower)
     head = config_header(cfg, tower, f, setup)
     _print_header(head)
-    result = charspec.spectrum_size(setup, f, witness_all=witness_all)
-    row = compute_row(cfg, tower, f, setup, False, True, False)
+    row, result = compute_row(cfg, tower, f, setup, False, True, False,
+                              witness_all=witness_all)
+    if result is None:
+        result = charspec.spectrum_size(setup, f, witness_all=witness_all)
     bitmap_hex = format(result.bitmap, "x")
     doc = {"config": head, "rows": [row], "bitmap_hex": bitmap_hex}
     path = os.path.join(cfg.out_dir, f"spectrum_q{q}_{f.name}.json")
@@ -339,7 +337,7 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
 def cmd_kloosterman(cfg: RunConfig) -> int:
     fld = make_field(cfg.p, cfg.m)
     head = {"p": cfg.p, "m": cfg.m, "q": fld.n,
-            "modulus": ",".join(str(c) for c in fld.modulus)}
+            "modulus": _joined(fld.modulus)}
     _print_header(head)
     atlas = make_atlas(fld)
     path = os.path.join(cfg.out_dir, f"kloosterman_p{cfg.p}m{cfg.m}.csv")
@@ -352,29 +350,15 @@ def cmd_kloosterman(cfg: RunConfig) -> int:
     return 0
 
 
-def _q_to_pm(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            m = 0
-            qq = 1
-            while qq < q:
-                qq *= p
-                m += 1
-            if qq != q:
-                raise FieldError(f"q = {q} is not a prime power")
-            return p, m
-    raise FieldError(f"q = {q} is not supported")
-
-
 def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
     _print_header({"q_list": ",".join(str(q) for q in q_list),
                    "engine": cfg.engine, "cache_dir": cfg.cache_dir,
-                   "out_dir": cfg.out_dir, "threads": cfg.threads})
+                   "out_dir": cfg.out_dir})
     rows = []
     criterion_checks = []
     kloo = []
     for q in q_list:
-        p, m = _q_to_pm(q)
+        p, m = prime_power(q)
         sub = RunConfig(**{**cfg.__dict__, "p": p, "m": m, "modulus": None})
         tower = make_context(sub)
         run_gf2, run_spectrum, early = resolve_engines(sub, q)
@@ -383,10 +367,11 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
                 setup = construct_theta(tower)
             else:
                 setup = geometry.find_thetas(f, tower)[0]
-            rows.append(compute_row(sub, tower, f, setup, run_gf2, run_spectrum,
-                                    early))
+            row, res = compute_row(sub, tower, f, setup, run_gf2, run_spectrum, early)
+            rows.append(row)
             if p == 3 and f.family == "square" and q >= 9:
-                res = charspec.spectrum_size(setup, f)
+                if res is None:
+                    res = charspec.spectrum_size(setup, f)
                 checked = met = bad = 0
                 for w in range(1, q):
                     for u in range(1, q):
@@ -435,7 +420,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="also run the gf2 engine (early-stopped) for large q")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--cache-dir", dest="cache_dir")
-    sp.add_argument("--threads", type=int)
 
 
 def main(argv=None) -> int:
@@ -466,7 +450,7 @@ def main(argv=None) -> int:
         if args.command == "kloosterman":
             return cmd_kloosterman(cfg)
         if args.command == "report":
-            return cmd_report(cfg, [int(s) for s in args.q.split(",")])
+            return cmd_report(cfg, [_parse_int(s, "q") for s in args.q.split(",")])
     except (DesignError, FieldError, VerificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,18 @@ def _factorize(n: int) -> list[int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m; FieldError unless q is a prime power."""
+    primes = _factorize(q)
+    if len(primes) != 1:
+        raise FieldError(f"q = {q} is not a prime power")
+    p, m = primes[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -178,8 +190,6 @@ class FieldCtx:
         self._zech: np.ndarray | None = None
         if n > _TABLE_LIMIT:
             self._zech = self._build_zech()
-        self._add_rows: list[list[int]] | None = None
-        self._mul_rows: list[list[int]] | None = None
 
     # -- construction internals -------------------------------------------
 
@@ -338,20 +348,9 @@ class FieldCtx:
 
     def vpow(self, a, e: int):
         a = np.asarray(a)
-        out = self.exp[(self.log[a] * e) % (self.n - 1)].astype(np.int32)
+        # reduce e first: a huge exponent, such as a cm:k power, overflows int64
+        out = self.exp[(self.log[a] * (e % (self.n - 1))) % (self.n - 1)].astype(np.int32)
         return np.where(a == 0, 0 if e else 1, out)
-
-    # -- cached python-list tables for tight scalar loops --------------------
-
-    def add_rows(self) -> list[list[int]]:
-        if self._add_rows is None:
-            self._add_rows = [[int(v) for v in row] for row in self._ensure_add_table()]
-        return self._add_rows
-
-    def mul_rows(self) -> list[list[int]]:
-        if self._mul_rows is None:
-            self._mul_rows = [[int(v) for v in row] for row in self._ensure_mul_table()]
-        return self._mul_rows
 
     def __repr__(self) -> str:
         return f"FieldCtx(GF({self.p}^{self.m}), modulus={self.modulus})"
@@ -513,11 +512,6 @@ def _eval_prime_poly(ctx: FieldCtx, poly: list[int], x: int) -> int:
     return acc
 
 
-def decompose(tower: TowerCtx, x: int) -> tuple[int, int]:
-    """Coordinates (x0, x1) of x = x0 + x1*xi as base field indices."""
-    return tower.decompose(x)
-
-
 @dataclass(frozen=True)
 class ThetaSetup:
     """A direction theta = theta0 + theta1*xi defining the unital's t-axis."""
@@ -532,8 +526,8 @@ class ThetaSetup:
 
 def theta_setup(tower: TowerCtx, theta: int) -> ThetaSetup:
     """Wrap an arbitrary nonzero ext element as a ThetaSetup (no admissibility check)."""
-    if theta == 0:
-        raise FieldError("theta must be nonzero")
+    if not 0 < theta < tower.ext.n:
+        raise FieldError(f"theta index {theta} is outside 1..{tower.ext.n - 1}")
     t0, t1 = tower.decompose(theta)
     return ThetaSetup(tower=tower, theta=theta, theta0=t0, theta1=t1,
                       xi=tower.xi, alpha=tower.alpha)
@@ -731,7 +725,11 @@ def chi(cf: CharFieldCtx, fld: FieldCtx, t: int) -> int:
     return cf.eps_pows[trace(fld, t) % fld.p]
 
 
+def chi_array(cf: CharFieldCtx, fld: FieldCtx) -> np.ndarray:
+    """chi over all of GF(q), indexed by element."""
+    return np.array(cf.eps_pows, dtype=np.int64)[trace_table(fld)]
+
+
 def chi_table(cf: CharFieldCtx, fld: FieldCtx) -> list[int]:
     """chi over all of GF(q) as a plain list for tight loops."""
-    tr = trace_table(fld)
-    return [cf.eps_pows[int(v)] for v in tr]
+    return chi_array(cf, fld).tolist()

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignError, FieldError, VerificationError
-from .fields import (FieldCtx, ThetaSetup, TowerCtx, make_field, make_tower,
-                     quadratic_character, theta_setup)
+from .fields import (FieldCtx, ThetaSetup, TowerCtx, quadratic_character,
+                     theta_setup)
 from .planar import (ComponentPair, PlanarSpec, components, is_normal,
                      planarity_witness, square_spec)
 
@@ -62,20 +62,22 @@ def _scalar_mul(ctx: FieldCtx, c: int, arr: np.ndarray) -> np.ndarray:
     return ctx.vmul(np.full(arr.shape, c, dtype=np.int64), arr)
 
 
+def _fiber_form(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
+    """g(x) = theta1*f0(x) - theta0*f1(x) for every x in F_{q^2}, unchecked."""
+    base = setup.tower.base
+    return base.vsub(_scalar_mul(base, setup.theta1, comps.f0),
+                     _scalar_mul(base, setup.theta0, comps.f1))
+
+
 def fiber_counts(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
     """Fiber sizes of g(x) = theta1*f0(x) - theta0*f1(x), indexed by value."""
-    base = setup.tower.base
-    g = base.vsub(_scalar_mul(base, setup.theta1, comps.f0),
-                  _scalar_mul(base, setup.theta0, comps.f1))
-    return np.bincount(g, minlength=base.n)
+    return np.bincount(_fiber_form(setup, comps), minlength=setup.tower.base.n)
 
 
 def fiber_map(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
     """g(x) = theta1*f0(x) - theta0*f1(x); DesignError unless fibers are 1 at 0 and q+1 elsewhere."""
-    base = setup.tower.base
-    q = base.n
-    g = base.vsub(_scalar_mul(base, setup.theta1, comps.f0),
-                  _scalar_mul(base, setup.theta0, comps.f1))
+    q = setup.tower.base.n
+    g = _fiber_form(setup, comps)
     counts = np.bincount(g, minlength=q)
     expected = np.full(q, q + 1, dtype=counts.dtype)
     expected[0] = 1
@@ -100,9 +102,7 @@ def circle(setup: ThetaSetup, f: PlanarSpec, a: int, beta: int) -> Circle:
         raise FieldError("beta must be nonzero")
     tower = setup.tower
     base, ext = tower.base, tower.ext
-    comps = components(f, tower)
-    g = base.vsub(_scalar_mul(base, setup.theta1, comps.f0),
-                  _scalar_mul(base, setup.theta0, comps.f1))
+    g = _fiber_form(setup, components(f, tower))
     xs = np.flatnonzero(g[ext.vadd(np.arange(ext.n), a)] == beta)
     return Circle(a=a, beta=beta, points=tuple(int(x) for x in xs))
 
@@ -152,18 +152,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup, check: str = "auto") -> Unita
     q = base.n
     n = ext.n
     comps = components(f, tower)
-    counts = fiber_counts(setup, comps)
-    expected = np.full(q, q + 1, dtype=counts.dtype)
-    expected[0] = 1
-    bad = np.flatnonzero(counts != expected)
-    if bad.size:
-        c = int(bad[0])
-        raise DesignError(
-            f"design check failed: theta index {setup.theta} gives blocks of size "
-            f"{int(counts[c])} != {q + 1} (fiber of {c})")
-
-    g = base.vsub(_scalar_mul(base, setup.theta1, comps.f0),
-                  _scalar_mul(base, setup.theta0, comps.f1))
+    circles = circles_of(setup, comps)
     betas = beta_of_table(setup)
     valid_b = np.flatnonzero(betas != 0)
     slot_of_b = np.full(n, -1, dtype=np.int64)
@@ -185,7 +174,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup, check: str = "auto") -> Unita
     neg_all = ext.neg_table.astype(np.int64)
     a_stride = n + a_ids * (n - q)
     for beta in range(1, q):
-        ys = np.flatnonzero(g == beta)
+        ys = circles[beta]
         xs = ext.vadd(neg_all[:, None], ys[None, :]).astype(np.int64)  # x = y - a
         fj_y = fj[ys].astype(np.int64)
         for b in np.flatnonzero(betas == beta):
@@ -545,10 +534,6 @@ def verify_transitivity(design: UnitalDesign, sample: int | None = None,
     return {"group_order": q**3, "regular": True, "blocks_closed": mode, "ok": True}
 
 
-def _eval_frac(base: FieldCtx, num: int, den: int) -> int:
-    return base.div(num, den)
-
-
 def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]], str]:
     """The parametrization exactly as printed, before any correction."""
     base = setup.tower.base
@@ -559,16 +544,16 @@ def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]]
         if beta == 1:
             for t in range(1, q):
                 d = base.add(1, base.mul(alpha, base.mul(t, t)))
-                pts.add((_eval_frac(base, base.sub(1, base.mul(alpha, base.mul(t, t))), d),
-                         _eval_frac(base, base.mul(base.element_from_int(2), t), d)))
+                pts.add((base.div(base.sub(1, base.mul(alpha, base.mul(t, t))), d),
+                         base.div(base.mul(base.element_from_int(2), t), d)))
             pts.update({(1, 0), (base.neg(1), 0)})
             desc = "x0 = (1-a*t^2)/(1+a*t^2), x1 = 2t/(1+a*t^2), t in GF(q)*, plus (+-1, 0)"
         else:
             for t in range(1, q):
                 d = base.add(alpha, base.mul(t, t))
-                pts.add((_eval_frac(base, base.mul(base.element_from_int(2),
-                                                   base.mul(alpha, t)), d),
-                         _eval_frac(base, base.sub(alpha, base.mul(t, t)), d)))
+                pts.add((base.div(base.mul(base.element_from_int(2),
+                                           base.mul(alpha, t)), d),
+                         base.div(base.sub(alpha, base.mul(t, t)), d)))
             pts.update({(0, 1), (0, base.neg(1))})
             desc = "x0 = 2a*t/(a+t^2), x1 = (a-t^2)/(a+t^2), t in GF(q)*, plus (0, +-1)"
     else:
@@ -580,8 +565,8 @@ def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]]
                 num = base.sub(base.sub(1, base.mul(base.element_from_int(2),
                                                     base.mul(th0, t))),
                                base.mul(at, base.mul(t, t)))
-                pts.add((_eval_frac(base, num, d),
-                         _eval_frac(base, base.mul(base.element_from_int(2), t), d)))
+                pts.add((base.div(num, d),
+                         base.div(base.mul(base.element_from_int(2), t), d)))
             pts.add((base.neg(1), 0))
             desc = ("x0 = (1-2*th0*t-at*t^2)/(1+at*t^2), x1 = 2t/(1+at*t^2), "
                     "t in GF(q), plus (-1, 0)")
@@ -589,12 +574,12 @@ def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]]
             a2 = base.mul(alpha, alpha)
             for t in range(q):
                 d = base.add(1, base.mul(at, base.mul(t, t)))
-                x0 = _eval_frac(base, base.div(base.mul(base.element_from_int(2), t),
-                                               alpha), d)
+                x0 = base.div(base.div(base.mul(base.element_from_int(2), t),
+                                       alpha), d)
                 num = base.sub(base.sub(1, base.div(base.mul(base.element_from_int(2),
                                                              base.mul(th0, t)), a2)),
                                base.mul(at, base.mul(t, t)))
-                pts.add((x0, _eval_frac(base, num, d)))
+                pts.add((x0, base.div(num, d)))
             pts.add((0, base.neg(1)))
             desc = ("x0 = (2t/a)/(1+at*t^2), x1 = (1-2*th0*t/a^2-at*t^2)/(1+at*t^2), "
                     "t in GF(q), plus (0, -1)")
@@ -615,20 +600,20 @@ def _corrected_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int
             num = base.sub(base.add(1, base.mul(base.element_from_int(2),
                                                 base.mul(th0, t))),
                            base.mul(at, base.mul(t, t)))
-            pts.add((_eval_frac(base, num, d),
-                     _eval_frac(base, base.mul(base.element_from_int(2), t), d)))
+            pts.add((base.div(num, d),
+                     base.div(base.mul(base.element_from_int(2), t), d)))
         pts.add((base.neg(1), 0))
         desc = ("x0 = (1+2*th0*t-at*t^2)/(1+at*t^2), x1 = 2t/(1+at*t^2), "
                 "t in GF(q), plus (-1, 0)")
     else:
         for t in range(q):
             d = base.add(1, base.mul(at, base.mul(t, t)))
-            x0 = _eval_frac(base, base.neg(base.mul(base.element_from_int(2),
-                                                    base.mul(alpha, t))), d)
+            x0 = base.div(base.neg(base.mul(base.element_from_int(2),
+                                            base.mul(alpha, t))), d)
             num = base.sub(base.sub(1, base.mul(base.element_from_int(2),
                                                 base.mul(th0, t))),
                            base.mul(at, base.mul(t, t)))
-            pts.add((x0, _eval_frac(base, num, d)))
+            pts.add((x0, base.div(num, d)))
         pts.add((0, base.neg(1)))
         desc = ("x0 = -2a*t/(1+at*t^2), x1 = (1-2*th0*t-at*t^2)/(1+at*t^2), "
                 "t in GF(q), plus (0, -1)")

@@ -7,6 +7,9 @@ from .errors import FieldError, VerificationError
 from .fields import ThetaSetup
 from .geometry import UnitalDesign
 
+_ORDER_SEED = 0
+
+
 class RankAccumulator:
     """Pivot-keyed forward elimination; bit i of a row is column i."""
 
@@ -59,11 +62,16 @@ def rank2_of_unital(design: UnitalDesign, include_infinity: bool = True,
     bound = q**3 - q + 1
     acc = RankAccumulator(width, early_stop=bound if early_stop else None)
     blocks = design.blocks
+    # The rank does not depend on block order, and elimination never overshoots,
+    # so reaching the proven bound certifies it. A seeded shuffle reaches the
+    # bound after about `bound` blocks (q=27: 19,658 of 551,124); the a-major
+    # order needs far more.
+    order = np.random.default_rng(_ORDER_SEED).permutation(blocks.shape[0])
     nbytes = (width + 7) >> 3
     buf = bytearray(nbytes)
     done = False
     for lo in range(0, blocks.shape[0], 4096):
-        for row in blocks[lo:lo + 4096].tolist():
+        for row in blocks[order[lo:lo + 4096]].tolist():
             if not include_infinity and row[-1] == inf_id:
                 row = row[:-1]
             for p in row:

@@ -8,6 +8,7 @@ from shiftunital import (FieldError, SpectrumResult, bounds, build_unital,
                          s_beta, spectrum_size, square_spec,
                          verify_chi_square_lemma, verify_orthogonality,
                          verify_trace_criterion)
+from shiftunital import charspec
 
 
 def all_chars(q):
@@ -183,3 +184,18 @@ def test_chi_block_zero_char_counts_parity(instances):
     # chi_{0,0,0} sums q+1 ones, and q+1 = 4 is even, so every block cancels
     for blk in design.blocks[9:20]:
         assert chi_block(design, (0, 0, 0), blk) == 0
+
+
+def test_scan_oracle_builds_one_character_table(instances, monkeypatch):
+    tower, f, setup, design = instances[3, "square"]
+    calls = []
+    real = charspec.chi_array
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(charspec, "chi_array", counted)
+    # chi_{0,0,w} is outside the spectrum, so the oracle scans every block
+    assert not in_spectrum_by_scan(design, (0, 0, 1))
+    assert len(calls) == 1

@@ -4,18 +4,20 @@ import os
 
 import pytest
 
+from shiftunital import charspec, geometry
 from shiftunital.cli import main, resolve_config, resolve_engines, RunConfig
 
 ROW_KEYS = ["q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
             "rank_spectrum", "upper_bound", "lx_bound", "corollary_bound",
             "conjecture_match", "wall_ms"]
+# cache key: p, m, base and extension moduli, f name, theta index
+KEY_Q3 = "p3m1_b1,1_e2,1,1_fsquare_t8"
 
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("UNITAL_CACHE_DIR", raising=False)
-    monkeypatch.delenv("UNITAL_THREADS", raising=False)
     return tmp_path
 
 
@@ -38,7 +40,7 @@ def test_rank_warm_cache_byte_identical(workdir):
     first = path.read_bytes()
     assert main(["rank", "--p", "3", "--m", "1"]) == 0
     assert path.read_bytes() == first
-    assert (workdir / "cache" / "p3m1fsquaret8" / "design.txt").exists()
+    assert (workdir / "cache" / KEY_Q3 / "result.json").exists()
 
 
 def test_rank_engine_selection(workdir):
@@ -50,12 +52,20 @@ def test_rank_engine_selection(workdir):
     assert row["rank_spectrum"] == 25 and row["rank_gf2"] is None
 
 
-def test_corrupted_cache_rebuilt(workdir):
+def test_corrupted_cache_rebuilt(workdir, capsys):
     assert main(["rank", "--p", "3", "--m", "1"]) == 0
-    design_path = workdir / "cache" / "p3m1fsquaret8" / "design.txt"
-    design_path.write_text("garbage\n")
-    assert main(["rank", "--p", "3", "--m", "1"]) == 0
-    assert design_path.read_text().startswith("UNITAL v1")
+    result_path = workdir / "cache" / KEY_Q3 / "result.json"
+    good = json.loads(result_path.read_text())
+    other_modulus = {**good, "modulus": "2,2,1", "rank_gf2": 1}
+    for corrupt in ("garbage\n", "3\n", json.dumps(other_modulus) + "\n"):
+        result_path.write_text(corrupt)
+        capsys.readouterr()
+        assert main(["rank", "--p", "3", "--m", "1"]) == 0
+        printed = json.loads(capsys.readouterr().out.splitlines()[1])
+        rewritten = json.loads(result_path.read_text())
+        assert rewritten == printed
+        assert {k: rewritten[k] for k in ROW_KEYS if k != "wall_ms"} == \
+            {k: good[k] for k in ROW_KEYS if k != "wall_ms"}
 
 
 def test_verify_ok(workdir, capsys):
@@ -123,6 +133,13 @@ def test_report_q3(workdir, capsys):
     assert (workdir / "out" / "report.json").read_bytes() == first
 
 
+def test_report_beyond_characteristic_13(workdir):
+    assert main(["report", "--q", "17"]) == 0
+    (row,) = json.loads((workdir / "out" / "report.json").read_text())["rows"]
+    assert (row["q"], row["p"], row["m"]) == (17, 17, 1)
+    assert row["rank_spectrum"] == row["upper_bound"] == 17**3 - 17 + 1
+
+
 def test_report_rejects_non_prime_power(workdir, capsys):
     assert main(["report", "--q", "6"]) == 1
     assert "prime power" in capsys.readouterr().err
@@ -133,12 +150,12 @@ def test_config_file_and_env(workdir, monkeypatch):
     monkeypatch.setenv("UNITAL_CACHE_DIR", str(workdir / "envcache"))
     assert main(["rank", "--config", "run.cfg"]) == 0
     assert (workdir / "alt" / "rank_q3_square.json").exists()
-    assert (workdir / "envcache" / "p3m1fsquaret8" / "design.txt").exists()
+    assert (workdir / "envcache" / KEY_Q3 / "result.json").exists()
     # explicit flags beat the file and the environment
     assert main(["rank", "--config", "run.cfg", "--out-dir", "out",
                  "--cache-dir", "c2"]) == 0
     assert (workdir / "out" / "rank_q3_square.json").exists()
-    assert (workdir / "c2" / "p3m1fsquaret8" / "design.txt").exists()
+    assert (workdir / "c2" / KEY_Q3 / "result.json").exists()
 
 
 def test_config_file_rejects_unknown_key(workdir, capsys):
@@ -169,3 +186,92 @@ def test_modulus_override(workdir, capsys):
     assert main(["rank", "--p", "3", "--m", "1", "--modulus", "2,2,1"]) == 0
     head = capsys.readouterr().out.splitlines()[0]
     assert "modulus=2,2,1" in head
+
+
+def test_cache_key_includes_modulus(workdir, capsys):
+    assert main(["rank", "--p", "3", "--m", "1"]) == 0
+    capsys.readouterr()
+    # theta index 8 is admissible under 2,1,1 but not under 2,2,1
+    assert main(["rank", "--p", "3", "--m", "1", "--modulus", "2,2,1",
+                 "--theta", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert not any(line.startswith("{") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--p", "3", "--m", "1", "--f", "cm:x"],
+    ["rank", "--p", "3", "--m", "1", "--theta", "99"],
+    ["rank", "--p", "3", "--m", "1", "--theta", "0"],
+    ["rank", "--p", "3", "--m", "1", "--theta", "x"],
+    ["rank", "--p", "3", "--m", "1", "--modulus", "2,x,1"],
+    ["report", "--q", "3,x"],
+    ["report", "--q", "1"],
+    ["rank", "--config", "binary.cfg"],
+], ids=["cm-suffix", "theta-range", "theta-zero", "theta-int", "modulus-int",
+        "q-int", "q-one", "config-bytes"])
+def test_bad_input_exits_with_error(workdir, capsys, argv):
+    (workdir / "binary.cfg").write_bytes(b"p=3\xff\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _refuse_blocks(*args, **kwargs):
+    raise AssertionError("build_unital called")
+
+
+def test_spectrum_only_runs_build_no_blocks(workdir, monkeypatch):
+    monkeypatch.setattr(geometry, "build_unital", _refuse_blocks)
+    assert main(["rank", "--p", "3", "--m", "1", "--engine", "spectrum"]) == 0
+    assert main(["spectrum", "--p", "3", "--m", "1", "--cache-dir", "fresh"]) == 0
+
+
+def _count_spectrum_calls(monkeypatch) -> list:
+    calls = []
+    real = charspec.spectrum_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(charspec, "spectrum_size", counted)
+    return calls
+
+
+def test_spectrum_evaluates_once(workdir, monkeypatch):
+    monkeypatch.setattr(geometry, "build_unital", _refuse_blocks)
+    calls = _count_spectrum_calls(monkeypatch)
+    assert main(["spectrum", "--p", "3", "--m", "1"]) == 0
+    assert len(calls) == 1
+    row = json.loads((workdir / "out" / "spectrum_q3_square.json").read_text())["rows"][0]
+    assert row["rank_spectrum"] == 25
+    # a warm run serves the row from the cache and evaluates only for the bitmap
+    assert main(["spectrum", "--p", "3", "--m", "1"]) == 0
+    assert len(calls) == 2
+
+
+def test_report_evaluates_spectrum_once_per_row(workdir, monkeypatch):
+    # the q = 9 square row's criterion cross-check reuses the row's spectrum
+    calls = _count_spectrum_calls(monkeypatch)
+    assert main(["report", "--q", "9"]) == 0
+    rows = json.loads((workdir / "out" / "report.json").read_text())["rows"]
+    assert len(calls) == len(rows)
+    del calls[:]
+    assert main(["report", "--q", "9"]) == 0
+    assert len(calls) == 1
+
+
+def test_only_build_writes_design_files(workdir):
+    for argv in (["verify"], ["find-theta"], ["rank"], ["spectrum"], ["kloosterman"]):
+        assert main([*argv, "--p", "3", "--m", "1"]) == 0
+    assert main(["report", "--q", "3"]) == 0
+
+    def designs():
+        return [p for p in workdir.rglob("*")
+                if p.is_file() and p.read_bytes().startswith(b"UNITAL v1")]
+    assert designs() == []
+    assert main(["build", "--p", "3", "--m", "1"]) == 0
+    (path,) = designs()
+    assert path.parent == workdir / "out"
+    design = geometry.read_design(str(path))
+    assert geometry.verify_design(design)["mode"] == "exhaustive"

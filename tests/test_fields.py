@@ -7,6 +7,7 @@ from shiftunital import (FieldError, VerificationError, chi, chi_table,
                          make_field, make_tower, quadratic_character,
                          quadratic_form_count, square_table, theta_setup, trace,
                          trace_table)
+from shiftunital.fields import prime_power
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
@@ -230,6 +231,18 @@ def test_make_field_rejects_reducible_modulus():
 def test_vpow_matches_pow():
     fld = make_field(3, 2)
     xs = np.arange(fld.n)
-    for e in (0, 1, 2, 3, 7):
+    for e in (0, 1, 2, 3, 7, 8, 2**70 + 3):
         want = np.array([fld.pow(int(x), e) for x in xs])
         assert np.array_equal(fld.vpow(xs, e), want)
+
+
+@pytest.mark.parametrize("q, pm", [(3, (3, 1)), (17, (17, 1)), (25, (5, 2)),
+                                   (243, (3, 5))])
+def test_prime_power_factors_exactly(q, pm):
+    assert prime_power(q) == pm
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, 12])
+def test_prime_power_rejects(q):
+    with pytest.raises(FieldError, match="prime power"):
+        prime_power(q)

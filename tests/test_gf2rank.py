@@ -78,6 +78,14 @@ def test_rank_early_stop_agrees(design3, design5):
     assert rank2_of_unital(design5, early_stop=True) == 121
 
 
+def test_rank_early_stop_shuffled_matches_full(instances):
+    # early stop absorbs blocks in a shuffled order; the rank must not change
+    for (q, name), (tower, f, setup, design) in instances.items():
+        for punct in (True, False):
+            assert rank2_of_unital(design, include_infinity=punct, early_stop=True) \
+                == rank2_of_unital(design, include_infinity=punct)
+
+
 def test_rank_puncturing_invariance(design3, design5):
     for design in (design3, design5):
         assert rank2_of_unital(design, include_infinity=False) == \
