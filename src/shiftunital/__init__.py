@@ -9,11 +9,11 @@ from .fields import (CharFieldCtx, FieldCtx, ThetaSetup, TowerCtx, chi, chi_tabl
 from .planar import (ComponentPair, PlanarSpec, components, coulter_matthews_spec,
                      do_spec, evaluate, is_normal, is_planar, parse_do_table,
                      planarity_witness, registry_list, square_spec)
-from .geometry import (Circle, CircleParam, ShiftPlane, UnitalDesign, build_unital,
-                       circle, circles_of, fiber_counts, fiber_map, find_thetas,
-                       parametrize_circle, read_design, verify_design, verify_ovals,
-                       verify_plane, verify_transitivity, verify_unital_in_plane,
-                       write_design)
+from .geometry import (Circle, CircleParam, ShiftPlane, UnitalDesign, base_blocks,
+                       build_unital, circle, circles_of, fiber_counts, fiber_map,
+                       find_thetas, parametrize_circle, read_design, verify_design,
+                       verify_ovals, verify_plane, verify_transitivity,
+                       verify_unital_in_plane, write_design)
 from .gf2rank import RankAccumulator, rank2_of_unital, verify_dual_ovals
 from .charspec import (SpectrumResult, bounds, chi_block, in_spectrum,
                        in_spectrum_by_scan, make_spectrum_ctx, s_beta,
@@ -34,7 +34,8 @@ __all__ = [
     "ComponentPair", "PlanarSpec", "components", "coulter_matthews_spec", "do_spec",
     "evaluate", "is_normal", "is_planar", "parse_do_table", "planarity_witness",
     "registry_list", "square_spec",
-    "Circle", "CircleParam", "ShiftPlane", "UnitalDesign", "build_unital", "circle",
+    "Circle", "CircleParam", "ShiftPlane", "UnitalDesign", "base_blocks",
+    "build_unital", "circle",
     "circles_of", "fiber_counts", "fiber_map", "find_thetas", "parametrize_circle",
     "read_design", "verify_design", "verify_ovals", "verify_plane",
     "verify_transitivity", "verify_unital_in_plane", "write_design",

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import (CharFieldCtx, ThetaSetup, chi_array, make_char_field,
-                     make_field, make_tower, prime_power, trace)
-from .geometry import UnitalDesign, build_unital, circles_of
+from .fields import (ThetaSetup, chi_array, make_char_field, make_field, make_tower,
+                     prime_power, trace)
+from .geometry import UnitalDesign, base_blocks
 from .planar import PlanarSpec, components, is_normal
 
 @dataclass(eq=False)
@@ -16,58 +16,26 @@ class SpectrumCtx:
     """Shared read-only tables for evaluating characters on blocks of one unital."""
 
     setup: ThetaSetup
-    f: PlanarSpec
-    cf: CharFieldCtx
-    normal: bool
     chitab: np.ndarray = field(repr=False, default=None)  # GF(q) index -> chi value
-    x0: np.ndarray = field(repr=False, default=None)      # (q-1, q+1) circle coords
+    x0: np.ndarray = field(repr=False, default=None)      # (q-1, q+1) base-block coords
     x1: np.ndarray = field(repr=False, default=None)
-    fj: np.ndarray = field(repr=False, default=None)      # f_j on circles
-    wfj: np.ndarray = field(repr=False, default=None)     # (q-1 w's, q-1, q+1) w'*f_j
-    wdiv: int = 0                                         # 1/theta_j
-    _design: UnitalDesign | None = field(default=None, repr=False)
-
-    @property
-    def design(self) -> UnitalDesign:
-        if self._design is None:
-            self._design = build_unital(self.f, self.setup, check="basic")
-        return self._design
-
-
-_CTX_CACHE: dict[tuple[int, int], SpectrumCtx] = {}
+    wfj: np.ndarray = field(repr=False, default=None)     # (q-1 w's, q-1, q+1) w*t
 
 
 def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
-    key = (id(setup), id(f))
-    ctx = _CTX_CACHE.get(key)
-    if ctx is not None:
-        return ctx
     tower = setup.tower
     base = tower.base
-    q = base.n
-    cf = make_char_field(base.p)
-    chitab = chi_array(cf, base)
-    comps = components(f, tower)
-    circles = circles_of(setup, comps)
-    fj_tab, thj = (comps.f1, setup.theta1) if setup.theta1 != 0 else (comps.f0,
-                                                                      setup.theta0)
-    x0 = np.empty((q - 1, q + 1), dtype=np.int64)
-    x1 = np.empty_like(x0)
-    fj = np.empty_like(x0)
-    for beta in range(1, q):
-        ys = circles[beta]
-        x0[beta - 1] = tower.dec0[ys]
-        x1[beta - 1] = tower.dec1[ys]
-        fj[beta - 1] = fj_tab[ys]
-    wdiv = base.inv(thj)
-    wfj = np.empty((q - 1, q - 1, q + 1), dtype=np.int64)
-    for w in range(1, q):
-        wp = base.mul(w, wdiv)
-        wfj[w - 1] = base.vmul(np.full(fj.shape, wp, dtype=np.int64), fj)
-    ctx = SpectrumCtx(setup=setup, f=f, cf=cf, normal=is_normal(f), chitab=chitab,
-                      x0=x0, x1=x1, fj=fj, wfj=wfj, wdiv=wdiv)
-    _CTX_CACHE[key] = ctx
-    return ctx
+    x, t = base_blocks(f, setup)
+    wfj = np.stack([base.vmul(np.full(t.shape, w, dtype=np.int64), t)
+                    for w in range(1, base.n)]).astype(np.int64)
+    return SpectrumCtx(setup=setup, chitab=chi_array(make_char_field(base.p), base),
+                       x0=tower.dec0[x].astype(np.int64),
+                       x1=tower.dec1[x].astype(np.int64), wfj=wfj)
+
+
+def _require_normal(f: PlanarSpec) -> None:
+    if not is_normal(f):
+        raise FieldError("spectrum engine requires a normal f")
 
 
 def _uv_part(ctx: SpectrumCtx, u: int, v: int) -> np.ndarray:
@@ -107,20 +75,14 @@ def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block,
 
 def s_beta(setup: ThetaSetup, f: PlanarSpec, chi: tuple[int, int, int],
            beta: int) -> int:
-    """S(beta) = sum over C_{0,beta} of chi(u*x0 + v*x1 + w'*f_j(x))."""
+    """S(beta) = sum over D_beta of chi(u*x0 + v*x1 + w*t)."""
     if beta == 0:
         raise FieldError("beta must be nonzero")
     ctx = make_spectrum_ctx(setup, f)
-    base = setup.tower.base
     u, v, w = chi
-    row = beta - 1
-    args = base.vadd(
-        base.vadd(base.vmul(np.full(ctx.x0[row].shape, u, dtype=np.int64),
-                            ctx.x0[row]),
-                  base.vmul(np.full(ctx.x1[row].shape, v, dtype=np.int64),
-                            ctx.x1[row])),
-        base.vmul(np.full(ctx.fj[row].shape, base.mul(w, ctx.wdiv), dtype=np.int64),
-                  ctx.fj[row]))
+    args = _uv_part(ctx, u, v)[beta - 1]
+    if w:
+        args = setup.tower.base.vadd(args, ctx.wfj[w - 1, beta - 1])
     return int(np.bitwise_xor.reduce(ctx.chitab[args]))
 
 
@@ -141,15 +103,14 @@ def in_spectrum_by_scan(design: UnitalDesign, chi: tuple[int, int, int]) -> bool
 
 
 def in_spectrum(setup: ThetaSetup, f: PlanarSpec, chi: tuple[int, int, int]) -> bool:
-    """Membership of chi_{u,v,w} in the spectrum K(U_theta)."""
-    ctx = make_spectrum_ctx(setup, f)
+    """Membership of chi_{u,v,w} in the spectrum K(U_theta); f must be normal."""
+    _require_normal(f)
     u, v, w = chi
     if w == 0:
         return True                      # chi(B_a) = chi(u*a0 + v*a1) != 0
-    if not ctx.normal:
-        return in_spectrum_by_scan(ctx.design, chi)
     if u == 0 and v == 0:
         return False                     # B_a sums vanish; S(beta) = 0 for normal f
+    ctx = make_spectrum_ctx(setup, f)
     base = setup.tower.base
     args = base.vadd(_uv_part(ctx, u, v), ctx.wfj[w - 1])
     return bool(np.any(np.bitwise_xor.reduce(ctx.chitab[args], axis=1)))
@@ -170,25 +131,17 @@ class SpectrumResult:
 
 def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
                   witness_all: bool = False) -> SpectrumResult:
-    """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design."""
+    """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design.
+
+    The S(beta) criterion holds for normal f only; FieldError otherwise.
+    """
+    _require_normal(f)
     ctx = make_spectrum_ctx(setup, f)
     base = setup.tower.base
     q = base.n
     nbytes = (q**3 + 7) >> 3
     buf = bytearray(nbytes)
     witnesses: dict[int, object] = {}
-    if not ctx.normal:
-        design = ctx.design
-        for u in range(q):
-            for v in range(q):
-                for w in range(q):
-                    idx = (u * q + v) * q + w
-                    if w == 0 or in_spectrum_by_scan(design, (u, v, w)):
-                        buf[idx >> 3] |= 1 << (idx & 7)
-                        witnesses[idx] = 0 if w == 0 else -1
-        bitmap = int.from_bytes(buf, "little")
-        return SpectrumResult(q=q, bitmap=bitmap, size=bitmap.bit_count(),
-                              witnesses=witnesses)
     for u in range(q):
         for v in range(q):
             uvbase = (u * q + v) * q

@@ -205,7 +205,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     t0 = time.monotonic()
     rank_gf2 = rank_spec = spectrum = None
     if run_gf2:
-        design = geometry.build_unital(f, setup, check="auto")
+        design = geometry.build_unital(f, setup)
         rank_gf2 = rank2_of_unital(design, early_stop=early)
     if run_spectrum:
         spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all)
@@ -244,7 +244,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rep = geometry.verify_plane(f)
     print(f"plane axioms: ok {rep}")
     setup = resolve_theta(cfg, f, tower)
-    design = geometry.build_unital(f, setup, check="full")
+    design = geometry.build_unital(f, setup)
     print(f"design 2-({design.n_points},{design.q + 1},1): ok")
     rep = geometry.verify_unital_in_plane(design, f)
     print(f"lines meet unital in 1 or q+1: ok {rep}")
@@ -276,7 +276,7 @@ def cmd_build(cfg: RunConfig) -> int:
     f = resolve_f(cfg, tower)
     setup = resolve_theta(cfg, f, tower)
     _print_header(config_header(cfg, tower, f, setup))
-    design = geometry.build_unital(f, setup, check="auto")
+    design = geometry.build_unital(f, setup)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir,
                         f"design_q{design.q}_{f.name}_t{setup.theta}.txt")

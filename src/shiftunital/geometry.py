@@ -145,23 +145,69 @@ def beta_of_table(setup: ThetaSetup) -> np.ndarray:
                      _scalar_mul(base, setup.theta0, setup.tower.dec1.astype(np.int64)))
 
 
-def build_unital(f: PlanarSpec, setup: ThetaSetup, check: str = "auto") -> UnitalDesign:
-    """Construct U_theta with blocks B_a (a-major) then B_{a,b} ((a,b)-lexicographic)."""
+def _t_axis(setup: ThetaSetup) -> tuple[int, int]:
+    """(j, theta_j): the coordinate of theta that the t-axis is read from."""
+    return (1, setup.theta1) if setup.theta1 != 0 else (0, setup.theta0)
+
+
+def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, t) of D_beta = {(y, f_j(y)/theta_j) : y in C_{0,beta}}, row beta - 1.
+
+    Both arrays have shape (q - 1, q + 1); x holds GF(q^2) indices (ascending per
+    row), t GF(q) indices. U_theta is the development of the D_beta under
+    G = GF(q^2) x GF(q), plus the short orbit of {(0, t)} + (inf).
+    """
+    tower = setup.tower
+    base = tower.base
+    comps = components(f, tower)
+    circles = circles_of(setup, comps)
+    j, theta_j = _t_axis(setup)
+    x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
+    fj = (comps.f1 if j else comps.f0)[x].astype(np.int64)
+    return x, _scalar_mul(base, base.inv(theta_j), fj).astype(np.int64)
+
+
+def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> None:
+    """The differences inside the base blocks cover G minus {0} x GF(q) exactly once.
+
+    With the short orbit, this is exactly the 2-(q^3+1, q+1, 1) property of the
+    development (a relative difference family; Beth-Jungnickel-Lenz, Design Theory).
+    """
+    tower = setup.tower
+    q = tower.base.n
+    dx = tower.ext.vsub(x[:, :, None], x[:, None, :]).astype(np.int64)
+    dt = tower.base.vsub(t[:, :, None], t[:, None, :])
+    off_diagonal = ~np.eye(q + 1, dtype=bool)
+    counts = np.bincount((dx * q + dt)[:, off_diagonal].ravel(), minlength=q**3)
+    expected = np.ones(q**3, dtype=counts.dtype)
+    expected[:q] = 0
+    bad = np.flatnonzero(counts != expected)
+    if bad.size:
+        c = int(bad[0])
+        raise VerificationError(
+            f"difference ({c // q}, {c % q}) arises {int(counts[c])} times in the "
+            f"base blocks, expected {int(expected[c])}")
+
+
+def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
+    """Construct U_theta with blocks B_a (a-major) then B_{a,b} ((a,b)-lexicographic).
+
+    B_{a,b} is the base block D_beta(b) shifted by (-a, -b_j/theta_j); the base
+    blocks pass the exact difference-family check first.
+    """
     tower = setup.tower
     base, ext = tower.base, tower.ext
     q = base.n
     n = ext.n
-    comps = components(f, tower)
-    circles = circles_of(setup, comps)
+    x, t = base_blocks(f, setup)
+    _check_difference_family(setup, x, t)
     betas = beta_of_table(setup)
     valid_b = np.flatnonzero(betas != 0)
     slot_of_b = np.full(n, -1, dtype=np.int64)
     slot_of_b[valid_b] = np.arange(valid_b.size)
-
-    if setup.theta1 != 0:
-        fj, bj_of, inv_thj = comps.f1, tower.dec1, base.inv(setup.theta1)
-    else:
-        fj, bj_of, inv_thj = comps.f0, tower.dec0, base.inv(setup.theta0)
+    j, theta_j = _t_axis(setup)
+    t_shift = _scalar_mul(base, base.inv(theta_j),
+                          (tower.dec1 if j else tower.dec0).astype(np.int64))
 
     n_blocks = q**4 - q**3 + q**2
     dtype = np.uint16 if q**3 < 2**16 else np.uint32
@@ -171,32 +217,18 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup, check: str = "auto") -> Unita
     blocks[:n, :q] = (a_ids[:, None] * q + np.arange(q)[None, :]).astype(dtype)
     blocks[:n, q] = q**3
 
-    neg_all = ext.neg_table.astype(np.int64)
     a_stride = n + a_ids * (n - q)
     for beta in range(1, q):
-        ys = circles[beta]
-        xs = ext.vadd(neg_all[:, None], ys[None, :]).astype(np.int64)  # x = y - a
-        fj_y = fj[ys].astype(np.int64)
-        for b in np.flatnonzero(betas == beta):
-            t_row = _scalar_mul(base, inv_thj,
-                                base.vsub(fj_y, np.full(q + 1, int(bj_of[b]), dtype=np.int64)))
-            pids = xs * q + t_row[None, :]
-            blocks[a_stride + slot_of_b[b]] = pids.astype(dtype)
-    blocks[n:] = np.sort(blocks[n:], axis=1)
+        bs = np.flatnonzero(betas == beta)
+        xs = ext.vadd(ext.neg_table[:, None], x[beta - 1][None, :]).astype(np.int64)
+        ts = base.vsub(t[beta - 1][None, :], t_shift[bs][:, None])   # (b, point)
+        rows = a_stride[:, None] + slot_of_b[bs][None, :]              # (a, b)
+        blocks[rows] = (xs[:, None, :] * q + ts[None, :, :]).astype(dtype)
+    blocks[n:].sort(axis=1)
     blocks.setflags(write=False)
-
-    design = UnitalDesign(q=q, p=base.p, m=base.m, f_name=f.name,
-                          theta_index=setup.theta, modulus=ext.modulus,
-                          blocks=blocks, setup=setup, f=f)
-    if check == "auto":
-        check = "full" if blocks.size <= 20_000_000 else "basic"
-    if check == "full":
-        verify_design(design)
-    elif check == "basic":
-        _basic_design_checks(design)
-    elif check != "none":
-        raise FieldError(f"unknown check level {check!r}")
-    return design
+    return UnitalDesign(q=q, p=base.p, m=base.m, f_name=f.name,
+                        theta_index=setup.theta, modulus=ext.modulus,
+                        blocks=blocks, setup=setup, f=f)
 
 
 def _cover_exactly_once(rows: np.ndarray, n_items: int, replication: int) -> None:
@@ -492,46 +524,42 @@ def verify_ovals(design: UnitalDesign, f: PlanarSpec, setup: ThetaSetup) -> dict
             "union_is_unital": True, "pairwise_common": "(inf)", "ok": True}
 
 
-def verify_transitivity(design: UnitalDesign, sample: int | None = None,
-                        seed: int = 0) -> dict:
-    """tau_{a,s*theta} maps U-points to U-points and blocks to blocks, regularly."""
+def _row_set(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array as one sorted array of opaque items, for set equality."""
+    rows = np.ascontiguousarray(rows)
+    item = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    return np.sort(rows.view(item).ravel())
+
+
+def verify_transitivity(design: UnitalDesign) -> dict:
+    """G = GF(q^2) x GF(q) acts by shifts (x, t) -> (x + u, t + s) and maps blocks to blocks.
+
+    The shifts act regularly on the affine points by definition. G is generated
+    by the 3m shifts by p^i in GF(q^2) and in GF(q), so closure of the block set
+    under those generators is closure under all of G.
+    """
     setup = design.setup
     if setup is None:
         raise FieldError("design lacks a live field context; rebuild with build_unital")
-    tower = setup.tower
-    base, ext = tower.base, tower.ext
+    base, ext = setup.tower.base, setup.tower.ext
     q = design.q
-    n = ext.n
-    # regularity: (a, s) -> image of (0, 0) is (a, s*theta), a bijection onto affine points
-    images = {(a * q + s) for a in range(n) for s in range(q)}
-    if len(images) != q**3:
-        raise VerificationError("group does not act regularly on affine points")
-
-    block_index = {design.blocks[i].tobytes(): i for i in range(design.n_blocks)}
-    if sample is None:
-        sample = n * q if q <= 5 else 24
-    rng = np.random.default_rng(seed)
-    if sample >= n * q:
-        pairs = [(a, s) for a in range(n) for s in range(q)]
-        mode = "exhaustive"
-    else:
-        pairs = [(int(a), int(s)) for a, s in
-                 zip(rng.integers(0, n, sample), rng.integers(0, q, sample))]
-        mode = f"sampled({sample})"
-    idx = np.arange(n, dtype=np.int64)
-    for a, s in pairs:
-        perm = np.empty(design.n_points, dtype=np.int64)
-        px = ext.vadd(idx, a)
-        pt = base.vadd(np.arange(q, dtype=np.int64), s)
+    blocks = design.blocks
+    want = _row_set(blocks)
+    gens = ([(ext.p**i, 0) for i in range(ext.m)]
+            + [(0, base.p**i) for i in range(base.m)])
+    perm = np.empty(design.n_points, dtype=blocks.dtype)
+    perm[design.inf_id] = design.inf_id
+    for u, s in gens:
+        px = ext.vadd(np.arange(ext.n), u).astype(np.int64)
+        pt = base.vadd(np.arange(q), s)
         perm[:q**3] = (px[:, None] * q + pt[None, :]).ravel()
-        perm[design.inf_id] = design.inf_id
-        images = np.sort(perm[design.blocks.astype(np.int64)], axis=1)
-        images = images.astype(design.blocks.dtype)
-        for i in range(design.n_blocks):
-            if images[i].tobytes() not in block_index:
-                raise VerificationError(
-                    f"tau_({a},{s}*theta) maps block {i} outside the design")
-    return {"group_order": q**3, "regular": True, "blocks_closed": mode, "ok": True}
+        images = perm[blocks]
+        images.sort(axis=1)
+        if not np.array_equal(_row_set(images), want):
+            raise VerificationError(
+                f"the shift by ({u}, {s}) maps a block outside the design")
+    return {"group_order": q**3, "regular": True, "blocks_closed": "exhaustive",
+            "ok": True}
 
 
 def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]], str]:

@@ -68,22 +68,14 @@ def rank2_of_unital(design: UnitalDesign, include_infinity: bool = True,
     # order needs far more.
     order = np.random.default_rng(_ORDER_SEED).permutation(blocks.shape[0])
     nbytes = (width + 7) >> 3
-    buf = bytearray(nbytes)
-    done = False
     for lo in range(0, blocks.shape[0], 4096):
         for row in blocks[order[lo:lo + 4096]].tolist():
             if not include_infinity and row[-1] == inf_id:
                 row = row[:-1]
-            for p in row:
-                buf[p >> 3] |= 1 << (p & 7)
-            r = int.from_bytes(buf, "little")
-            for p in row:
-                buf[p >> 3] = 0
-            acc.absorb(r)
+            acc.absorb(row_int(row, nbytes))
             if acc.saturated:
-                done = True
                 break
-        if done:
+        if acc.saturated:
             break
     if acc.rank > bound:
         raise VerificationError(

@@ -48,11 +48,11 @@ def instances(towers):
     for q, tower in towers.items():
         f = square_spec(tower.ext)
         setup = construct_theta(tower)
-        out[q, "square"] = (tower, f, setup, build_unital(f, setup, check="full"))
+        out[q, "square"] = (tower, f, setup, build_unital(f, setup))
     tower = towers[9]
     f = coulter_matthews_spec(tower.ext, 3)
     setup = find_thetas(f, tower)[0]
-    out[9, "cm3"] = (tower, f, setup, build_unital(f, setup, check="full"))
+    out[9, "cm3"] = (tower, f, setup, build_unital(f, setup))
     return out
 
 

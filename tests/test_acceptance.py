@@ -42,7 +42,7 @@ def both_ranks(computed):
     t0 = time.monotonic()
     rows = []
     for q, name, tower, f, setup in fresh_instances():
-        design = build_unital(f, setup, check="basic")
+        design = build_unital(f, setup)
         rows.append((q, name, design, setup, f,
                      rank2_of_unital(design), spectrum_size(setup, f).size))
     computed["ranks"] = (rows, time.monotonic() - t0)
@@ -55,7 +55,7 @@ def q27_state(computed):
         f = square_spec(tower.ext)
         setup = construct_theta(tower)
         t0 = time.monotonic()
-        design = build_unital(f, setup, check="basic")
+        design = build_unital(f, setup)
         res = spectrum_size(setup, f)
         computed["q27"] = {"tower": tower, "f": f, "setup": setup,
                            "design": design, "spectrum": res,

@@ -1,11 +1,14 @@
 """Character-spectrum engine against the block-scan oracle and closed bounds."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from shiftunital import (FieldError, SpectrumResult, bounds, build_unital,
-                         chi_block, construct_theta, find_thetas, in_spectrum,
-                         in_spectrum_by_scan, make_spectrum_ctx, rank2_of_unital,
-                         s_beta, spectrum_size, square_spec,
+from shiftunital import (FieldError, SpectrumResult, bounds, chi_block,
+                         construct_theta, find_thetas, in_spectrum,
+                         in_spectrum_by_scan, make_field, make_tower,
+                         rank2_of_unital, s_beta, spectrum_size, square_spec,
                          verify_chi_square_lemma, verify_orthogonality,
                          verify_trace_criterion)
 from shiftunital import charspec
@@ -151,18 +154,24 @@ def test_orthogonality(q):
     assert rep["ok"]
 
 
-def test_scan_fallback_path_agrees(instances):
+def test_spectrum_rejects_non_normal_f(instances, monkeypatch):
     tower, f, setup, design = instances[3, "square"]
-    normal_res = spectrum_size(setup, f)
-    ctx = make_spectrum_ctx(setup, f)
-    object.__setattr__(ctx, "normal", False)
-    try:
-        scan_res = spectrum_size(setup, f)
-    finally:
-        object.__setattr__(ctx, "normal", True)
-    assert scan_res.size == normal_res.size == 25
-    assert scan_res.bitmap == normal_res.bitmap
-    assert all(w in (0, -1) for w in scan_res.witnesses.values())
+    monkeypatch.setattr(charspec, "is_normal", lambda spec: False)
+    with pytest.raises(FieldError, match="normal"):
+        spectrum_size(setup, f)
+    with pytest.raises(FieldError, match="normal"):
+        in_spectrum(setup, f, (1, 0, 1))
+
+
+def test_spectrum_keeps_no_reference_to_setup():
+    tower = make_tower(make_field(3, 1))
+    f = square_spec(tower.ext)
+    setup = construct_theta(tower)
+    ref = weakref.ref(setup)
+    assert spectrum_size(setup, f).size == 25
+    del setup
+    gc.collect()
+    assert ref() is None
 
 
 def test_s_beta_rejects_zero_beta(instances):

@@ -7,6 +7,7 @@ from shiftunital import (FieldError, VerificationError, chi, chi_table,
                          make_field, make_tower, quadratic_character,
                          quadratic_form_count, square_table, theta_setup, trace,
                          trace_table)
+from shiftunital import fields
 from shiftunital.fields import prime_power
 
 
@@ -246,3 +247,22 @@ def test_prime_power_factors_exactly(q, pm):
 def test_prime_power_rejects(q):
     with pytest.raises(FieldError, match="prime power"):
         prime_power(q)
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2)])
+def test_zech_path_matches_dense_tables(monkeypatch, p, m):
+    # FieldCtx directly, not make_field: its cache would hand back a dense context
+    modulus = default_modulus(p, m)
+    dense = fields.FieldCtx(p, m, modulus)
+    n = dense.n
+    a, b = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    want_add, want_sub = dense.vadd(a, b), dense.vsub(a, b)
+    monkeypatch.setattr(fields, "_TABLE_LIMIT", 8)
+    zech = fields.FieldCtx(p, m, modulus)
+    assert zech._zech is not None
+    with pytest.raises(FieldError):
+        zech._ensure_add_table()
+    assert np.array_equal(zech.vadd(a, b), want_add)
+    assert np.array_equal(zech.vsub(a, b), want_sub)
+    assert [zech.add(int(x), int(y)) for x, y in zip(a, b)] == want_add.tolist()
+    assert [zech.sub(int(x), int(y)) for x, y in zip(a, b)] == want_sub.tolist()

@@ -1,13 +1,18 @@
 """Unital construction, plane axioms, incidence verifications, file round trips."""
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from shiftunital import (DesignError, FieldError, VerificationError, build_unital,
-                         circle, circles_of, components, construct_theta,
+from shiftunital import (DesignError, FieldError, VerificationError, base_blocks,
+                         build_unital, circle, circles_of, components,
+                         construct_theta, coulter_matthews_spec,
                          fiber_counts, fiber_map, find_thetas, parametrize_circle,
                          quadratic_character, read_design, square_spec,
                          theta_setup, verify_design, verify_ovals, verify_plane,
                          verify_transitivity, verify_unital_in_plane, write_design)
+from shiftunital import geometry
 from shiftunital.geometry import _cover_exactly_once, beta_of_table, theta_multiples
 
 from test_planar import shifted_square_spec
@@ -73,7 +78,7 @@ def test_build_rejects_inadmissible_theta(tower3, tower5):
         good = {s.theta for s in find_thetas(f, tower)}
         bad = next(t for t in range(1, tower.ext.n) if t not in good)
         with pytest.raises(DesignError):
-            build_unital(f, theta_setup(tower, bad), check="full")
+            build_unital(f, theta_setup(tower, bad))
 
 
 def test_design_parameters(instances):
@@ -145,8 +150,71 @@ def test_transitivity(design3, design9):
     rep = verify_transitivity(design3)
     assert rep["ok"] and rep["regular"]
     assert rep["blocks_closed"] == "exhaustive"
-    rep = verify_transitivity(design9, sample=16, seed=1)
+    rep = verify_transitivity(design9)
     assert rep["ok"] and rep["regular"]
+    assert rep["blocks_closed"] == "exhaustive"
+
+
+def test_transitivity_rejects_altered_block(design9):
+    # shift the t coordinates of one B_{a,b}: the row is still a block of U,
+    # but it now appears twice and its preimage is missing
+    base = design9.setup.tower.base
+    q = design9.q
+    blocks = design9.blocks.copy()
+    row = blocks[q * q].astype(np.int64)
+    blocks[q * q] = np.sort(row // q * q + base.vadd(row % q, 1))
+    with pytest.raises(VerificationError):
+        verify_transitivity(dataclasses.replace(design9, blocks=blocks))
+
+
+# sha256 of build_unital(...).blocks.tobytes(); the q=27 square theta=636 array
+# (not run here) has digest 591e3dddb79b5732b7a91d249750f33ec84c0612e2227f4fca2f8a0346a0245a
+BLOCK_DIGESTS = {
+    "q3-square-t8": (3, 1, "square", 8,
+                     "6fc431d794181175d5ea1056cc38c408eb1f14e7598e13544c968a3bb0d89fd4"),
+    "q9-square-t32": (3, 2, "square", 32,
+                      "ea360bcfc6e3d29970ebf9064afc39d28be359abb3797b02b8fd1081855346c7"),
+    "q9-cm3-t3": (3, 2, "cm3", 3,
+                  "e87b58d9e4bd8705e92420e971ca361242534bdf6838d5ba15ca8eca5cbbaa94"),
+}
+
+
+@pytest.mark.parametrize("instance", BLOCK_DIGESTS)
+def test_block_array_is_pinned(towers, instance):
+    p, m, f_name, theta, digest = BLOCK_DIGESTS[instance]
+    tower = towers[p**m]
+    f = square_spec(tower.ext) if f_name == "square" else coulter_matthews_spec(tower.ext, 3)
+    design = build_unital(f, theta_setup(tower, theta))
+    assert hashlib.sha256(design.blocks.tobytes()).hexdigest() == digest
+
+
+def test_base_blocks_develop_to_the_design(instances):
+    for (q, name), (tower, f, setup, design) in instances.items():
+        x, t = base_blocks(f, setup)
+        assert x.shape == t.shape == (q - 1, q + 1)
+        assert sorted(x.ravel().tolist()) == list(range(1, q * q))
+        # every translate of D_beta by G is a block of U
+        rows = {tuple(r) for r in design.blocks[q * q:].tolist()}
+        ext, base = tower.ext, tower.base
+        for u in (0, 1, q * q - 1):
+            for s in (0, q - 1):
+                for xs, ts in zip(x, t):
+                    pids = ext.vadd(xs, u).astype(np.int64) * q + base.vadd(ts, s)
+                    assert tuple(sorted(pids.tolist())) in rows
+
+
+def test_build_rejects_broken_difference_family(setup9, square9, monkeypatch):
+    real = geometry.base_blocks
+
+    def one_t_changed(f, setup):
+        x, t = real(f, setup)
+        t = t.copy()
+        t[0, 0] = setup.tower.base.add(int(t[0, 0]), 1)
+        return x, t
+
+    monkeypatch.setattr(geometry, "base_blocks", one_t_changed)
+    with pytest.raises(VerificationError, match="difference"):
+        build_unital(square9, setup9)
 
 
 def test_shifted_square_has_no_admissible_theta(tower3, tower5):
