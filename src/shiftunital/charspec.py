@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FieldError, VerificationError
 from .fields import (ThetaSetup, chi_array, make_char_field, make_field, make_tower,
-                     prime_power, trace)
-from .geometry import UnitalDesign, base_blocks
+                     prime_power, trace_table)
+from .geometry import UnitalDesign, _check_difference_family, base_blocks
 from .planar import PlanarSpec, components, is_normal
 
 @dataclass(eq=False)
@@ -26,6 +27,7 @@ def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
     tower = setup.tower
     base = tower.base
     x, t = base_blocks(f, setup)
+    _check_difference_family(setup, x, t)
     wfj = np.stack([base.vmul(np.full(t.shape, w, dtype=np.int64), t)
                     for w in range(1, base.n)]).astype(np.int64)
     return SpectrumCtx(setup=setup, chitab=chi_array(make_char_field(base.p), base),
@@ -125,48 +127,81 @@ class SpectrumResult:
     size: int
     witnesses: dict = field(repr=False, default=None)
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The bitmap unpacked once, as a read-only bool array indexed [u, v, w]."""
+        n = self.q**3
+        raw = np.frombuffer(self.bitmap.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+        out = np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+        out.setflags(write=False)
+        return out.reshape(self.q, self.q, self.q)
+
     def member(self, u: int, v: int, w: int) -> bool:
-        return bool((self.bitmap >> ((u * self.q + v) * self.q + w)) & 1)
+        return bool(self.members[u, v, w])
+
+
+# Circles beta = 1.._FIRST_CIRCLES are evaluated for every character of a u-slice
+# in one gather; later circles only for the characters still without a witness.
+_FIRST_CIRCLES = 3
+# Elements in one first-circles gather, above which it is split over v.
+_GATHER_LIMIT = 1 << 22
 
 
 def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
                   witness_all: bool = False) -> SpectrumResult:
     """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design.
 
-    The S(beta) criterion holds for normal f only; FieldError otherwise.
+    chi_{u,v,0} is a member via B_a. For each u, S(beta) of every (v, w != 0) on the
+    first circles comes from one gather; past them, each character still without a
+    witness is evaluated circle by circle up to its first nonzero sum, so its witness
+    is the lowest certifying beta. u = v = 0 is thereby scanned on every circle (the
+    exclusion lemma). witness_all takes every circle as a first circle and records
+    all certifying betas. The S(beta) criterion holds for normal f only; FieldError
+    otherwise.
     """
     _require_normal(f)
     ctx = make_spectrum_ctx(setup, f)
     base = setup.tower.base
     q = base.n
-    nbytes = (q**3 + 7) >> 3
-    buf = bytearray(nbytes)
-    witnesses: dict[int, object] = {}
+    first = q - 1 if witness_all else min(_FIRST_CIRCLES, q - 1)
+    v_step = max(1, _GATHER_LIMIT // ((q - 1) * first * (q + 1)))
+    w_first = ctx.wfj[None, :, :first]
+    vx1 = base.vmul(np.arange(q, dtype=np.int64)[:, None, None], ctx.x1[None])
+    lowest = np.zeros((q, q, q), dtype=np.int32)   # lowest witness beta; 0: none yet
+    certifying = {}
     for u in range(q):
-        for v in range(q):
-            uvbase = (u * q + v) * q
-            idx0 = uvbase
-            buf[idx0 >> 3] |= 1 << (idx0 & 7)   # w = 0 members via B_a
-            witnesses[idx0] = 0
-            args = base.vadd(_uv_part(ctx, u, v)[None, :, :], ctx.wfj)
-            s = np.bitwise_xor.reduce(ctx.chitab[args], axis=2)   # (w, beta)
-            nz = s != 0
-            member_w = np.any(nz, axis=1)
-            if u == 0 and v == 0:
-                if np.any(member_w):
-                    raise VerificationError(
-                        "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
-                continue
-            for w in np.flatnonzero(member_w):
-                idx = uvbase + int(w) + 1
-                buf[idx >> 3] |= 1 << (idx & 7)
-                if witness_all:
-                    witnesses[idx] = tuple(int(b) + 1 for b in np.flatnonzero(nz[w]))
-                else:
-                    witnesses[idx] = int(np.argmax(nz[w])) + 1
-    bitmap = int.from_bytes(buf, "little")
-    return SpectrumResult(q=q, bitmap=bitmap, size=bitmap.bit_count(),
-                          witnesses=witnesses)
+        uv = base.vadd(base.vmul(u, ctx.x0)[None], vx1)               # (v, beta, point)
+        nz = np.concatenate([
+            np.bitwise_xor.reduce(
+                ctx.chitab[base.vadd(uv[v0:v0 + v_step, None, :first], w_first)],
+                axis=3) != 0
+            for v0 in range(0, q, v_step)])                            # (v, w, beta)
+        low = lowest[u, :, 1:]
+        has = nz.any(axis=2)
+        low[has] = nz.argmax(axis=2)[has] + 1
+        pv, pw = np.nonzero(~has)
+        for beta in range(first + 1, q):
+            if not pv.size:
+                break
+            hit = np.bitwise_xor.reduce(
+                ctx.chitab[base.vadd(uv[pv, beta - 1], ctx.wfj[pw, beta - 1])],
+                axis=1) != 0
+            low[pv[hit], pw[hit]] = beta
+            pv, pw = pv[~hit], pw[~hit]
+        if u == 0 and low[0].any():
+            raise VerificationError(
+                "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
+        if witness_all:
+            for v, w in zip(*np.nonzero(has)):
+                certifying[(u * q + v) * q + w + 1] = tuple(
+                    (np.flatnonzero(nz[v, w]) + 1).tolist())
+    member = lowest > 0
+    member[:, :, 0] = True
+    flat = np.flatnonzero(member)
+    witnesses = dict(zip(flat.tolist(), lowest.ravel()[flat].tolist()))
+    witnesses.update(certifying)
+    bitmap = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+    return SpectrumResult(q=q, bitmap=bitmap, size=flat.size, witnesses=witnesses)
 
 
 def bounds(q: int, p: int, m: int) -> dict:
@@ -200,17 +235,13 @@ def verify_trace_criterion(setup: ThetaSetup, f: PlanarSpec) -> dict:
     if not np.array_equal(comps.f1, want_f1):
         raise FieldError("criterion requires the squaring map (f1 = 2*x0*x1)")
     result = spectrum_size(setup, f)
-    qualifying = zero_trace = counterexamples = 0
-    for u in range(q):
-        for v in range(q):
-            uv1 = base.mul(base.mul(u, v), setup.theta1)
-            for w in range(1, q):
-                if trace(base, base.div(uv1, w)) != 0:
-                    qualifying += 1
-                    if not result.member(u, v, w):
-                        counterexamples += 1
-                else:
-                    zero_trace += 1
+    idx = np.arange(q, dtype=np.int64)
+    uv1 = base.vmul(base.vmul(idx[:, None], idx[None, :]), setup.theta1)   # (u, v)
+    ratio = base.vmul(uv1[:, :, None], base.vpow(idx[1:], q - 2))          # / w
+    qualifies = trace_table(base)[ratio] != 0
+    qualifying = int(qualifies.sum())
+    zero_trace = qualifies.size - qualifying
+    counterexamples = int((qualifies & ~result.members[:, :, 1:]).sum())
     if counterexamples:
         raise VerificationError(
             f"{counterexamples} qualifying characters are missing from the spectrum")

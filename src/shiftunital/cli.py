@@ -318,12 +318,13 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     doc = {"config": head, "rows": [row], "bitmap_hex": bitmap_hex}
     path = os.path.join(cfg.out_dir, f"spectrum_q{q}_{f.name}.json")
     _write_json(path, doc)
+    members = result.members.tolist()
     lines = ["u,v,w,member,witness_beta"]
     for u in range(q):
         for v in range(q):
             for w in range(q):
                 idx = (u * q + v) * q + w
-                member = int(result.member(u, v, w))
+                member = int(members[u][v][w])
                 wit = result.witnesses.get(idx, "")
                 if isinstance(wit, tuple):
                     wit = ";".join(str(b) for b in wit)

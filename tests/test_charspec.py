@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from shiftunital import (FieldError, SpectrumResult, bounds, chi_block,
-                         construct_theta, find_thetas, in_spectrum,
+from shiftunital import (FieldError, SpectrumResult, VerificationError, bounds,
+                         chi_block, construct_theta, find_thetas, in_spectrum,
                          in_spectrum_by_scan, make_field, make_tower,
                          rank2_of_unital, s_beta, spectrum_size, square_spec,
                          verify_chi_square_lemma, verify_orthogonality,
@@ -208,3 +208,65 @@ def test_scan_oracle_builds_one_character_table(instances, monkeypatch):
     # chi_{0,0,w} is outside the spectrum, so the oracle scans every block
     assert not in_spectrum_by_scan(design, (0, 0, 1))
     assert len(calls) == 1
+
+
+def _full_scan(setup, f):
+    """S(beta) of every character on every circle, one (u, v) at a time: (u, v, w-1, beta-1)."""
+    ctx = charspec.make_spectrum_ctx(setup, f)
+    base = setup.tower.base
+    q = base.n
+    out = np.empty((q, q, q - 1, q - 1), dtype=np.int64)
+    for u in range(q):
+        for v in range(q):
+            args = base.vadd(charspec._uv_part(ctx, u, v)[None], ctx.wfj)
+            out[u, v] = np.bitwise_xor.reduce(ctx.chitab[args], axis=2)
+    return out
+
+
+def test_witness_is_lowest_certifying_circle_q27(tower27):
+    # at q = 27 the lowest witnesses reach beta 6-7, past the first circles
+    f = square_spec(tower27.ext)
+    setup = construct_theta(tower27)
+    nonzero = _full_scan(setup, f) != 0
+    q = 27
+    res = spectrum_size(setup, f)
+    assert res.size == q**3 - q + 1
+    assert not nonzero[0, 0].any()                     # the exclusion lemma
+    lowest = np.where(nonzero.any(axis=3), nonzero.argmax(axis=3) + 1, 0)
+    assert np.array_equal(res.members[:, :, 1:], lowest > 0)
+    deepest = []
+    for idx, wit in res.witnesses.items():
+        u, rest = divmod(idx, q * q)
+        v, w = divmod(rest, q)
+        if w:
+            assert wit == lowest[u, v, w - 1]
+            if wit >= 6:
+                deepest.append((u, v, w, wit))
+        else:
+            assert wit == 0
+    assert deepest and charspec._FIRST_CIRCLES < 6
+    for u, v, w, b in deepest:                        # the public S(beta), directly
+        assert s_beta(setup, f, (u, v, w), b) != 0
+        assert all(s_beta(setup, f, (u, v, w), b2) == 0 for b2 in range(1, b))
+    full = spectrum_size(setup, f, witness_all=True)
+    assert full.bitmap == res.bitmap
+    for idx, wit in full.witnesses.items():
+        u, rest = divmod(idx, q * q)
+        v, w = divmod(rest, q)
+        if w:
+            assert wit == tuple((np.flatnonzero(nonzero[u, v, w - 1]) + 1).tolist())
+
+
+def test_spectrum_checks_difference_family(instances, monkeypatch):
+    tower, f, setup, design = instances[5, "square"]
+    real = charspec.base_blocks
+
+    def broken(*args):
+        x, t = real(*args)
+        t = t.copy()
+        t[1, 2] = (t[1, 2] + 1) % tower.base.n
+        return x, t
+
+    monkeypatch.setattr(charspec, "base_blocks", broken)
+    with pytest.raises(VerificationError, match="difference"):
+        spectrum_size(setup, f)

@@ -1,4 +1,5 @@
 """End-to-end command-line driver behavior in throwaway directories."""
+import hashlib
 import json
 import os
 
@@ -109,6 +110,35 @@ def test_spectrum_witness_csv(workdir):
         if member == "0":
             assert wit == ""
     assert members == 25
+
+
+# sha256 of the witness CSV (plain, --witness-all) and of bitmap_hex, recorded
+# from the per-(u, v) full-scan engine that the u-slice engine replaced
+SPECTRUM_DIGESTS = {
+    (2, ""): "6a31ac1209916d7d09fc024cb34d0e624407b865fa2f9f87f3b73de5de5301f1",
+    (2, "--witness-all"):
+        "5357d78ec865a3089389914b92cf1cbfbe444a6c4384142ee9bda7491dc9f1d6",
+    (2, "bitmap"): "f253dbd90f3a62b886f4f43f3f2777c9633f57948543eadf32d871cfcf21439e",
+    (3, ""): "8c4321649d5a5d18f6cd5e812d0e9205f17d28f953a68ac3735671d703ffa3eb",
+    (3, "--witness-all"):
+        "5272121aa6e01843a3104f17c45d7eeb2caafc09fe06c8b5a8ed6323aed5f4bc",
+    (3, "bitmap"): "a2ff0eb30c67cc45dd4d5c2a0a093d5ffdca893b070e51075f3a8129d68e2f74",
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_spectrum_artifacts_pinned(workdir, m):
+    q = 3**m
+    for flag in ("", "--witness-all"):
+        out = workdir / f"out{flag}"
+        argv = ["spectrum", "--p", "3", "--m", str(m), "--out-dir", str(out),
+                "--cache-dir", str(workdir / f"cache{flag}")]
+        assert main(argv + ([flag] if flag else [])) == 0
+        csv = (out / f"spectrum_witness_q{q}_square.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == SPECTRUM_DIGESTS[m, flag]
+        doc = json.loads((out / f"spectrum_q{q}_square.json").read_text())
+        digest = hashlib.sha256(doc["bitmap_hex"].encode()).hexdigest()
+        assert digest == SPECTRUM_DIGESTS[m, "bitmap"]
 
 
 def test_kloosterman_command(workdir, capsys):
