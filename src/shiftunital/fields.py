@@ -186,7 +186,6 @@ class FieldCtx:
         self._exp2 = np.concatenate([self.exp, self.exp])
         self.neg_table = self._encode((p - digits) % p)
         self._add_tbl: np.ndarray | None = None
-        self._mul_tbl: np.ndarray | None = None
         self._zech: np.ndarray | None = None
         if n > _TABLE_LIMIT:
             self._zech = self._build_zech()
@@ -258,20 +257,6 @@ class FieldCtx:
                 tbl[lo:hi] = ((d[lo:hi, None, :] + d[None, :, :]) % self.p @ self._pows).astype(dtype)
             self._add_tbl = tbl
         return self._add_tbl
-
-    def _ensure_mul_table(self) -> np.ndarray:
-        if self._mul_tbl is None:
-            if self.n > _TABLE_LIMIT:
-                raise FieldError(f"dense tables disabled for field size {self.n}")
-            n = self.n
-            dtype = np.int16 if n < 2**15 else np.int32
-            tbl = np.zeros((n, n), dtype=dtype)
-            step = max(1, 2**22 // n)
-            for lo in range(1, n, step):
-                hi = min(lo + step, n)
-                tbl[lo:hi, 1:] = self._exp2[self.log[lo:hi, None] + self.log[None, 1:]].astype(dtype)
-            self._mul_tbl = tbl
-        return self._mul_tbl
 
     # -- scalar arithmetic --------------------------------------------------
 

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DesignError, FieldError, VerificationError
 from .fields import (FieldCtx, ThetaSetup, TowerCtx, quadratic_character,
                      theta_setup)
-from .planar import (ComponentPair, PlanarSpec, components, is_normal,
+from .planar import (_GATHER_LIMIT, ComponentPair, PlanarSpec, components, is_normal,
                      planarity_witness, square_spec)
 
 @dataclass(frozen=True, eq=False)
@@ -293,22 +293,6 @@ class ShiftPlane:
         self.n_lines = self.n_points
         self.inf_pid = self.n**2 + self.n
 
-    def line_points(self, lid: int) -> np.ndarray:
-        n = self.n
-        ext = self.ext
-        idx = np.arange(n, dtype=np.int64)
-        if lid < n * n:
-            a, b = divmod(lid, n)
-            ys = ext.vsub(self.spec.table[ext.vadd(idx, a)].astype(np.int64),
-                          np.full(n, b, dtype=np.int64))
-            return np.concatenate([idx * n + ys, [n * n + a]])
-        if lid < n * n + n:
-            a = lid - n * n
-            return np.concatenate([a * n + idx, [self.inf_pid]])
-        if lid == n * n + n:
-            return np.arange(n * n, n * n + n + 1, dtype=np.int64)
-        raise FieldError(f"line index {lid} out of range")
-
     def all_lines(self) -> np.ndarray:
         n = self.n
         ext = self.ext
@@ -351,99 +335,61 @@ class ShiftPlane:
         return lperm
 
 
-def _verify_plane_small(plane: ShiftPlane, rng: np.random.Generator) -> dict:
+def _verify_plane_small(plane: ShiftPlane) -> dict:
+    """Pair-by-pair oracle: both axioms on the full incidence, and every shift (u, v)."""
     n = plane.n
     lines = plane.all_lines()
     _cover_exactly_once(lines, plane.n_points, n + 1)
     order = np.argsort(lines.ravel(), kind="stable")
     pencils = (order // (n + 1)).reshape(plane.n_points, n + 1)
     _cover_exactly_once(pencils, plane.n_lines, n + 1)
-
-    if n <= 25:
-        shift_pairs = [(u, v) for u in range(n) for v in range(n)]
-        shift_mode = "exhaustive"
-    else:
-        shift_pairs = [tuple(int(w) for w in rng.integers(0, n, 2)) for _ in range(64)]
-        shift_mode = "sampled(64)"
-    for u, v in shift_pairs:
-        perm = plane.point_perm(u, v)
-        image = np.sort(perm[lines], axis=1)
-        if not np.array_equal(image, lines[plane.line_perm(u, v)]):
-            raise VerificationError(f"shift map ({u},{v}) does not permute the lines")
+    for u in range(n):
+        for v in range(n):
+            perm = plane.point_perm(u, v)
+            image = np.sort(perm[lines], axis=1)
+            if not np.array_equal(image, lines[plane.line_perm(u, v)]):
+                raise VerificationError(f"shift map ({u},{v}) does not permute the lines")
     return {"axiom_pairs": "exhaustive", "axiom_meets": "exhaustive",
-            "axiom_shifts": shift_mode}
+            "axiom_shifts": "exhaustive"}
 
 
-def _verify_plane_sampled(plane: ShiftPlane, n_pairs: int,
-                          rng: np.random.Generator) -> dict:
-    n = plane.n
-    ext = plane.ext
-    tbl = plane.spec.table.astype(np.int64)
-    idx = np.arange(n, dtype=np.int64)
+def verify_plane(f: PlanarSpec) -> dict:
+    """Check the projective-plane axioms and the shift collineations of Pi(f).
 
-    # point pairs: count common lines by scanning a (and the vertical family)
-    remaining = n_pairs
-    while remaining > 0:
-        chunk = min(remaining, 2048)
-        remaining -= chunk
-        ps = rng.integers(0, n, (chunk, 2))
-        qs = rng.integers(0, n, (chunk, 2))
-        same = np.all(ps == qs, axis=1)
-        ps, qs = ps[~same], qs[~same]
-        if not ps.size:
-            continue
-        fpa = tbl[ext.vadd(ps[:, [0]], idx[None, :])]
-        fqa = tbl[ext.vadd(qs[:, [0]], idx[None, :])]
-        diff = ext.vsub(fpa, fqa)
-        target = ext.vsub(ps[:, 1], qs[:, 1])
-        cnt = (diff == target[:, None]).sum(axis=1) + (ps[:, 0] == qs[:, 0])
-        bad = np.flatnonzero(cnt != 1)
-        if bad.size:
-            i = int(bad[0])
-            raise VerificationError(
-                f"affine points {tuple(ps[i])} and {tuple(qs[i])} lie on "
-                f"{int(cnt[i])} common lines")
-
-    # line pairs: L_{a,b} vs L_{a',b'} meet once (shared infinite point when a = a')
-    lp = rng.integers(0, n, (n_pairs // 8 + 1, 4))
-    lp = lp[~np.all(lp[:, :2] == lp[:, 2:], axis=1)]
-    for a, b, a2, b2 in lp[:2000]:
-        if a == a2:
-            continue                    # distinct parallels share exactly (a)
-        diff = ext.vsub(tbl[ext.vadd(idx, int(a))], tbl[ext.vadd(idx, int(a2))])
-        cnt = int((diff == ext.sub(int(b), int(b2))).sum())
-        if cnt != 1:
-            raise VerificationError(
-                f"lines ({a},{b}) and ({a2},{b2}) meet in {cnt} affine points")
-
-    # shift maps on sampled lines
-    for _ in range(32):
-        u, v = (int(w) for w in rng.integers(0, n, 2))
-        perm = plane.point_perm(u, v)
-        lperm = plane.line_perm(u, v)
-        for lid in rng.integers(0, plane.n_lines, 200):
-            image = np.sort(perm[plane.line_points(int(lid))])
-            if not np.array_equal(image, np.sort(plane.line_points(int(lperm[lid])))):
-                raise VerificationError(f"shift map ({u},{v}) breaks line {int(lid)}")
-    return {"axiom_pairs": f"sampled({n_pairs})", "axiom_meets": "sampled(2000)",
-            "axiom_shifts": "sampled(32x200)"}
-
-
-def verify_plane(f: PlanarSpec, max_pairs: int | None = None, seed: int = 0) -> dict:
-    """Check the projective-plane axioms and the shift collineations of Pi(f)."""
-    w = planarity_witness(f, sample=None if f.field.n <= 3**6 else 200)
+    Pi(f) is a projective plane iff f is planar (Dembowski-Ostrom, Planes of order
+    n with collineation groups of order n^2, 1968), so the exhaustive planarity
+    check covers both axioms. tau_{u,v} maps L_{a,b} onto L_{a-u,b-v} iff
+    f((x+u) + (a-u)) = f(x+a) for all x, a; v cancels, and the shifts by the
+    additive generators u = p^i of GF(q^2) generate the rest.
+    """
+    w = planarity_witness(f)
     if w is not None:
         raise DesignError(f"f is not planar (difference map fails at a = {w})")
-    plane = ShiftPlane(f)
-    rng = np.random.default_rng(seed)
-    if plane.n <= 128:
-        detail = _verify_plane_small(plane, rng)
-    else:
-        detail = _verify_plane_sampled(plane, max_pairs or 100_000, rng)
-    report = {"order": plane.n, "points": plane.n_points, "lines": plane.n_lines,
-              "ok": True}
-    report.update(detail)
-    return report
+    ext = f.field
+    n = ext.n
+    tbl = f.table
+    idx = np.arange(n, dtype=np.int64)
+    step = max(1, _GATHER_LIMIT // n)
+    for lo in range(0, n, step):
+        a = idx[lo:lo + step, None]
+        want = tbl[ext.vadd(a, idx[None, :])]
+        for u in (ext.p**i for i in range(ext.m)):
+            got = tbl[ext.vadd(ext.vadd(idx, u)[None, :], ext.vsub(a, u))]
+            if not np.array_equal(got, want):
+                raise VerificationError(f"shift map ({u},0) does not permute the lines")
+    return {"order": n, "points": n * n + n + 1, "lines": n * n + n + 1, "ok": True,
+            "axiom_pairs": "exhaustive", "axiom_meets": "exhaustive",
+            "axiom_shifts": "exhaustive"}
+
+
+def _lines_through_unital(f: PlanarSpec, setup: ThetaSetup) -> np.ndarray:
+    """b[x, t] = f(x) - t*theta: (x, t*theta) lies on L_{0,b}.
+
+    A shift x -> x + u fixes U and every oval and maps L_{a,b} onto L_{a-u,b},
+    so the meets of the family L_{0,b} are those of every L_{a,b}.
+    """
+    ext = setup.tower.ext
+    return ext.vsub(f.table.astype(np.int64)[:, None], theta_multiples(setup)[None, :])
 
 
 def verify_unital_in_plane(design: UnitalDesign, f: PlanarSpec) -> dict:
@@ -451,72 +397,44 @@ def verify_unital_in_plane(design: UnitalDesign, f: PlanarSpec) -> dict:
     setup = design.setup
     if setup is None:
         raise FieldError("design lacks a live field context; rebuild with build_unital")
-    tower = setup.tower
-    ext = tower.ext
     q = design.q
-    n = ext.n
-    thetas = theta_multiples(setup)
-    betas = beta_of_table(setup)
-    idx = np.arange(n, dtype=np.int64)
-    tangents, secants = 1, 0            # L_inf meets U exactly in (inf)
-    collect = q <= 9
-    tangent_hits = np.zeros(design.n_points, dtype=np.int64)
-    tangent_hits[design.inf_id] = 1
-    for a in range(n):
-        fxa = f.table[ext.vadd(idx, a)].astype(np.int64)
-        bvals = ext.vsub(fxa[:, None], thetas[None, :])     # b with (x,t) on L_{a,b}
-        cnt = np.bincount(bvals.ravel(), minlength=n)
-        ok = (cnt == 1) | (cnt == q + 1)
-        if not np.all(ok):
-            b = int(np.flatnonzero(~ok)[0])
-            raise VerificationError(
-                f"line L_({a},{b}) meets the unital in {int(cnt[b])} points")
-        if not np.array_equal(cnt == 1, betas == 0):
-            raise VerificationError(
-                f"tangency at a = {a} does not align with beta(b) = 0")
-        tangents += int((cnt == 1).sum())
-        secants += int((cnt == q + 1).sum())
-        if collect:
-            mask = cnt[bvals] == 1
-            pids = (idx[:, None] * q + np.arange(q)[None, :])[mask]
-            np.add.at(tangent_hits, pids, 1)
-    secants += n                         # every N_a meets U in B_a
+    n = setup.tower.ext.n
+    bvals = _lines_through_unital(f, setup)
+    cnt = np.bincount(bvals.ravel(), minlength=n)
+    ok = (cnt == 1) | (cnt == q + 1)
+    if not np.all(ok):
+        b = int(np.flatnonzero(~ok)[0])
+        raise VerificationError(f"line L_(0,{b}) meets the unital in {int(cnt[b])} points")
+    if not np.array_equal(cnt == 1, beta_of_table(setup) == 0):
+        raise VerificationError("tangency does not align with beta(b) = 0")
+    tangents = 1 + n * int((cnt == 1).sum())            # L_inf meets U exactly in (inf)
+    secants = n * int((cnt == q + 1).sum()) + n         # every N_a meets U in B_a
     if (tangents, secants) != (q**3 + 1, q**4 - q**3 + q**2):
         raise VerificationError(
             f"tangent/secant totals ({tangents}, {secants}) are off")
-    report = {"lines": n * n + n + 1, "tangents": tangents, "secants": secants,
-              "ok": True}
-    if collect:
-        if not np.all(tangent_hits == 1):
-            p = int(np.flatnonzero(tangent_hits != 1)[0])
-            raise VerificationError(
-                f"point {p} lies on {int(tangent_hits[p])} tangents, expected 1")
-        report["tangents_per_point"] = 1
-    return report
+    # (y, t*theta) lies on L_{x-y, b[x, t]} for every x; N_y is a secant
+    per_point = (cnt[bvals] == 1).sum(axis=0)
+    if not np.all(per_point == 1):
+        t = int(np.flatnonzero(per_point != 1)[0])
+        raise VerificationError(
+            f"points (y, {t}) lie on {int(per_point[t])} tangents, expected 1")
+    return {"lines": n * n + n + 1, "tangents": tangents, "secants": secants,
+            "ok": True, "tangents_per_point": 1}
 
 
 def verify_ovals(design: UnitalDesign, f: PlanarSpec, setup: ThetaSetup) -> dict:
     """U is the union over t of ovals O_{t*theta}, pairwise meeting only at (inf)."""
     if not is_normal(f):
         raise DesignError("oval decomposition requires a normal f")
-    tower = setup.tower
-    ext = tower.ext
     q = design.q
-    n = ext.n
+    n = setup.tower.ext.n
     thetas = theta_multiples(setup)
-    idx = np.arange(n, dtype=np.int64)
-    worst = 0
-    for a in range(n):
-        fxa = f.table[ext.vadd(idx, a)].astype(np.int64)
-        for t in range(q):
-            cnt = np.bincount(ext.vsub(fxa, np.full(n, int(thetas[t]), dtype=np.int64)),
-                              minlength=n)
-            top = int(cnt.max())
-            if top > 2:
-                b = int(cnt.argmax())
-                raise VerificationError(
-                    f"oval t = {t} meets line L_({a},{b}) in {top} points")
-            worst = max(worst, top)
+    bvals = _lines_through_unital(f, setup)
+    meets = np.stack([np.bincount(bvals[:, t], minlength=n) for t in range(q)])
+    worst = int(meets.max())
+    if worst > 2:
+        t, b = np.unravel_index(int(meets.argmax()), meets.shape)
+        raise VerificationError(f"oval t = {t} meets line L_(0,{b}) in {worst} points")
     # N_a meets each oval in {(a, t*theta), (inf)}; L_inf only in (inf); union is U
     if sorted(int(t) for t in thetas) != sorted(set(int(t) for t in thetas)):
         raise VerificationError("theta multiples collide; ovals are not disjoint")

@@ -20,18 +20,33 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_traced_spectrum_run_counts_characters(tmp_path):
+def _traced_spans(tmp_path, *args) -> list[dict]:
+    """Run perfbench/child.py with a span trace in a subprocess; its spans."""
     root = os.path.dirname(TRACER)
     src = os.path.join(os.path.dirname(root), "src")
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     trace = tmp_path / "spans.jsonl"
     subprocess.run([sys.executable, os.path.join(root, "child.py"),
-                    "--trace-out", str(trace), "--trace-id", "t", "--parent", "op",
-                    "spectrum", json.dumps({"p": 3, "m": 1, "f": "square"})],
+                    "--trace-out", str(trace), "--trace-id", "t", "--parent", "op", *args],
                    env=env, cwd=tmp_path, check=True, capture_output=True)
-    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    return [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def test_traced_spectrum_run_counts_characters(tmp_path):
+    spans = _traced_spans(tmp_path, "spectrum", json.dumps({"p": 3, "m": 1, "f": "square"}))
     (spectrum,) = [s for s in spans if s["name"] == "charspec.spectrum_size"]
     assert (spectrum["characters"], spectrum["members"]) == (27, 25)
     ctx = [s for s in spans if s["name"] == "charspec.make_spectrum_ctx"]
     assert [s["parent"] for s in ctx] == [spectrum["id"]]
+
+
+def test_traced_verify_run_checks_planarity_once(tmp_path):
+    spans = _traced_spans(tmp_path, "--spawned", "0", "cli", "verify", "--p", "3", "--m", "1")
+    names = [s["name"] for s in spans]
+    for check in ("verify_plane", "verify_unital_in_plane", "verify_ovals",
+                  "verify_transitivity"):
+        assert names.count(f"geometry.{check}") == 1, check
+    (plane,) = [s for s in spans if s["name"] == "geometry.verify_plane"]
+    witness = [s for s in spans if s["name"] == "planar.planarity_witness"]
+    assert [s["parent"] for s in witness] == [plane["id"]]

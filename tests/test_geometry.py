@@ -12,10 +12,12 @@ from shiftunital import (DesignError, FieldError, VerificationError, base_blocks
                          quadratic_character, read_design, square_spec,
                          theta_setup, verify_design, verify_ovals, verify_plane,
                          verify_transitivity, verify_unital_in_plane, write_design)
-from shiftunital import geometry
-from shiftunital.geometry import _cover_exactly_once, beta_of_table, theta_multiples
+from shiftunital import geometry, planarity_witness
+from shiftunital.fields import FieldCtx
+from shiftunital.geometry import (ShiftPlane, _cover_exactly_once, _verify_plane_small,
+                                  beta_of_table, theta_multiples)
 
-from test_planar import shifted_square_spec
+from test_planar import cube_spec, shifted_square_spec
 
 FANO = np.array([[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5],
                  [1, 4, 6], [2, 3, 6], [2, 4, 5]])
@@ -103,16 +105,20 @@ def test_ba_blocks_contain_infinity(design3):
     assert np.all(ba[:, -1] == design3.inf_id)
 
 
-def test_verify_plane_exhaustive(tower3, tower9):
+AXIOMS_EXHAUSTIVE = {"axiom_pairs": "exhaustive", "axiom_meets": "exhaustive",
+                     "axiom_shifts": "exhaustive"}
+
+
+def test_verify_plane_exhaustive(tower3, tower9, tower27):
     rep = verify_plane(square_spec(tower3.ext))
     assert rep["ok"] and rep["order"] == 9
-    assert rep["axiom_pairs"] == "exhaustive"
-    rep = verify_plane(square_spec(tower9.ext))
-    assert rep["ok"] and rep["order"] == 81
+    for tower in (tower9, tower27):
+        rep = verify_plane(square_spec(tower.ext))
+        assert rep["ok"] and rep["order"] == tower.ext.n
+        assert {k: rep[k] for k in AXIOMS_EXHAUSTIVE} == AXIOMS_EXHAUSTIVE
 
 
 def test_verify_plane_rejects_nonplanar(tower3):
-    from test_planar import cube_spec
     with pytest.raises(DesignError):
         verify_plane(cube_spec(tower3.ext))
 
@@ -122,14 +128,90 @@ def test_verify_plane_shifted_square(tower3):
     assert rep["ok"]
 
 
+def test_verify_plane_rejects_broken_addition(tower3):
+    # one wrong sum in a fresh copy of GF(9): D_1 stays a bijection, but the
+    # shift by u no longer maps L_{a,b} onto L_{a-u,b}
+    ext = tower3.ext
+    broken = FieldCtx(ext.p, ext.m, ext.modulus)
+    table = broken._ensure_add_table()
+    table[5, 7] = table[5, 8]
+    f = square_spec(broken)
+    assert planarity_witness(f) is None
+    with pytest.raises(VerificationError, match="shift map"):
+        verify_plane(f)
+
+
+def test_verify_plane_agrees_with_pair_by_pair_oracle(tower3, tower5):
+    for tower in (tower3, tower5):
+        for f in (square_spec(tower.ext), shifted_square_spec(tower.ext)):
+            rep = verify_plane(f)
+            assert _verify_plane_small(ShiftPlane(f)) == AXIOMS_EXHAUSTIVE
+            assert {k: rep[k] for k in AXIOMS_EXHAUSTIVE} == AXIOMS_EXHAUSTIVE
+        with pytest.raises(DesignError):
+            verify_plane(cube_spec(tower.ext))
+        with pytest.raises(VerificationError):
+            _verify_plane_small(ShiftPlane(cube_spec(tower.ext)))
+
+
+def unital_meets_by_a(design, f):
+    """Tangents, secants and tangents per point, counted for every line L_{a,b}."""
+    setup = design.setup
+    ext = setup.tower.ext
+    q, n = design.q, ext.n
+    thetas = theta_multiples(setup)
+    idx = np.arange(n, dtype=np.int64)
+    tangents, secants = 1, n
+    hits = np.zeros(design.n_points, dtype=np.int64)
+    hits[design.inf_id] = 1
+    for a in range(n):
+        bvals = ext.vsub(f.table[ext.vadd(idx, a)].astype(np.int64)[:, None], thetas[None, :])
+        cnt = np.bincount(bvals.ravel(), minlength=n)
+        assert np.all((cnt == 1) | (cnt == q + 1))
+        tangents += int((cnt == 1).sum())
+        secants += int((cnt == q + 1).sum())
+        np.add.at(hits, (idx[:, None] * q + np.arange(q)[None, :])[cnt[bvals] == 1], 1)
+    per_point = set(hits.tolist())
+    return tangents, secants, per_point.pop() if len(per_point) == 1 else per_point
+
+
+def max_oval_meet_by_a(design, f, setup):
+    ext = setup.tower.ext
+    n = ext.n
+    thetas = theta_multiples(setup)
+    idx = np.arange(n, dtype=np.int64)
+    worst = 0
+    for a in range(n):
+        fxa = f.table[ext.vadd(idx, a)].astype(np.int64)
+        for t in range(design.q):
+            worst = max(worst, int(np.bincount(ext.vsub(fxa, int(thetas[t])),
+                                               minlength=n).max()))
+    return worst
+
+
 def test_unital_in_plane(instances):
     for (q, name), (tower, f, setup, design) in instances.items():
         rep = verify_unital_in_plane(design, f)
         assert rep["ok"]
         assert rep["tangents"] == q**3 + 1
         assert rep["secants"] == rep["lines"] - rep["tangents"]
-        if q <= 9:
-            assert rep["tangents_per_point"] == 1
+        assert rep["tangents_per_point"] == 1
+        assert unital_meets_by_a(design, f) == (rep["tangents"], rep["secants"], 1)
+
+
+def test_unital_in_plane_q27(tower27):
+    f = square_spec(tower27.ext)
+    design = build_unital(f, construct_theta(tower27))
+    rep = verify_unital_in_plane(design, f)
+    assert rep["tangents"] == 27**3 + 1
+    assert rep["tangents_per_point"] == 1
+
+
+def test_unital_in_plane_rejects_a_table_off_the_design(design9, square9):
+    # f moved at one point: some line L_{0,b} now meets U in neither 1 nor q+1 points
+    tbl = square9.table.copy()
+    tbl[5] = square9.field.add(int(tbl[5]), 1)
+    with pytest.raises(VerificationError, match="meets the unital"):
+        verify_unital_in_plane(design9, dataclasses.replace(square9, table=tbl))
 
 
 def test_ovals(instances):
@@ -138,6 +220,7 @@ def test_ovals(instances):
         assert rep["ok"]
         assert rep["ovals"] == q
         assert rep["oval_size"] == q * q + 1
+        assert rep["max_affine_line_meet"] == max_oval_meet_by_a(design, f, setup) == 2
 
 
 def test_ovals_reject_non_normal(tower3, design3, setup3):

@@ -6,6 +6,8 @@ from shiftunital import (DesignError, FieldError, PlanarSpec, components,
                          coulter_matthews_spec, do_spec, evaluate, is_normal,
                          is_planar, make_field, make_tower, parse_do_table,
                          planarity_witness, registry_list, square_spec)
+from shiftunital import planar
+from shiftunital.fields import prime_power
 
 
 def shifted_square_spec(ext):
@@ -73,9 +75,63 @@ def test_planarity_witness_none_for_planar(tower3):
     assert planarity_witness(square_spec(tower3.ext)) is None
 
 
-def test_planarity_witness_sampled(tower9):
+def reference_witness(spec):
+    """Smallest a whose difference map is not a bijection, one a at a time."""
+    ctx = spec.field
+    idx = np.arange(ctx.n)
+    for a in range(1, ctx.n):
+        if len(np.unique(ctx.vsub(spec.table[ctx.vadd(idx, a)], spec.table))) != ctx.n:
+            return a
+    return None
+
+
+def power_spec(ext, d, name):
+    return PlanarSpec(name=name, family="custom", field=ext,
+                      table=ext.vpow(np.arange(ext.n), d), param=None)
+
+
+def corrupted_square_spec(ext, x, delta):
+    """x^2 with f(x) moved by delta: no longer multiplicative, so it takes the scan."""
+    tbl = square_spec(ext).table.copy()
+    tbl[x] = ext.add(int(tbl[x]), delta)
+    return PlanarSpec(name="square-corrupted", family="custom", field=ext,
+                      table=tbl, param=None)
+
+
+def test_planarity_witness_cube_q9(tower9):
     f = cube_spec(tower9.ext)
-    assert planarity_witness(f, sample=5, seed=0) is not None
+    assert planarity_witness(f) == reference_witness(f) == 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_planarity_witness_matches_reference_on_registry(q):
+    p, m = prime_power(q)
+    ext = make_tower(make_field(p, m)).ext
+    for f in registry_list(ext):
+        assert planar._multiplicative(f)
+        assert planarity_witness(f) is None
+        assert reference_witness(f) is None
+
+
+def test_planarity_witness_matches_reference_off_registry(tower3, tower5, tower9):
+    for tower in (tower3, tower5, tower9):
+        ext = tower.ext
+        specs = [cube_spec(ext), power_spec(ext, 4, "x^4"), shifted_square_spec(ext),
+                 corrupted_square_spec(ext, 5, 1), corrupted_square_spec(ext, 7, 2)]
+        assert [planar._multiplicative(f) for f in specs] == [True, True, False, False, False]
+        for f in specs:
+            assert planarity_witness(f) == reference_witness(f), (ext.n, f.name)
+
+
+def test_planarity_scan_finds_a_late_witness(tower9, monkeypatch):
+    # f(x) + 2 at x = c keeps D_a a bijection exactly when 2a^2 = 2, so the
+    # witness is past a = +-1; one row per block makes it a later block
+    ext = tower9.ext
+    f = corrupted_square_spec(ext, 5, 2)
+    want = reference_witness(f)
+    assert want is not None and want > 2
+    monkeypatch.setattr(planar, "_GATHER_LIMIT", 1)
+    assert planarity_witness(f) == want
 
 
 def test_do_spec_square(tower3):
