@@ -9,7 +9,7 @@ import numpy as np
 from .errors import FieldError, VerificationError
 from .fields import (ThetaSetup, chi_array, make_char_field, make_field, make_tower,
                      prime_power, trace_table)
-from .geometry import UnitalDesign, _check_difference_family, base_blocks
+from .geometry import UnitalDesign, base_blocks
 from .planar import PlanarSpec, components, is_normal
 
 @dataclass(eq=False)
@@ -24,20 +24,17 @@ class SpectrumCtx:
 
 
 def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
+    """The tables for a normal f; FieldError otherwise (the S(beta) criterion needs it)."""
+    if not is_normal(f):
+        raise FieldError("spectrum engine requires a normal f")
     tower = setup.tower
     base = tower.base
     x, t = base_blocks(f, setup)
-    _check_difference_family(setup, x, t)
     wfj = np.stack([base.vmul(np.full(t.shape, w, dtype=np.int64), t)
                     for w in range(1, base.n)]).astype(np.int64)
     return SpectrumCtx(setup=setup, chitab=chi_array(make_char_field(base.p), base),
                        x0=tower.dec0[x].astype(np.int64),
                        x1=tower.dec1[x].astype(np.int64), wfj=wfj)
-
-
-def _require_normal(f: PlanarSpec) -> None:
-    if not is_normal(f):
-        raise FieldError("spectrum engine requires a normal f")
 
 
 def _uv_part(ctx: SpectrumCtx, u: int, v: int) -> np.ndarray:
@@ -75,16 +72,14 @@ def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block,
     return int(np.bitwise_xor.reduce(chitab[args]))
 
 
-def s_beta(setup: ThetaSetup, f: PlanarSpec, chi: tuple[int, int, int],
-           beta: int) -> int:
+def s_beta(ctx: SpectrumCtx, chi: tuple[int, int, int], beta: int) -> int:
     """S(beta) = sum over D_beta of chi(u*x0 + v*x1 + w*t)."""
     if beta == 0:
         raise FieldError("beta must be nonzero")
-    ctx = make_spectrum_ctx(setup, f)
     u, v, w = chi
     args = _uv_part(ctx, u, v)[beta - 1]
     if w:
-        args = setup.tower.base.vadd(args, ctx.wfj[w - 1, beta - 1])
+        args = ctx.setup.tower.base.vadd(args, ctx.wfj[w - 1, beta - 1])
     return int(np.bitwise_xor.reduce(ctx.chitab[args]))
 
 
@@ -104,16 +99,14 @@ def in_spectrum_by_scan(design: UnitalDesign, chi: tuple[int, int, int]) -> bool
     return False
 
 
-def in_spectrum(setup: ThetaSetup, f: PlanarSpec, chi: tuple[int, int, int]) -> bool:
-    """Membership of chi_{u,v,w} in the spectrum K(U_theta); f must be normal."""
-    _require_normal(f)
+def in_spectrum(ctx: SpectrumCtx, chi: tuple[int, int, int]) -> bool:
+    """Membership of chi_{u,v,w} in the spectrum K(U_theta)."""
     u, v, w = chi
     if w == 0:
         return True                      # chi(B_a) = chi(u*a0 + v*a1) != 0
     if u == 0 and v == 0:
         return False                     # B_a sums vanish; S(beta) = 0 for normal f
-    ctx = make_spectrum_ctx(setup, f)
-    base = setup.tower.base
+    base = ctx.setup.tower.base
     args = base.vadd(_uv_part(ctx, u, v), ctx.wfj[w - 1])
     return bool(np.any(np.bitwise_xor.reduce(ctx.chitab[args], axis=1)))
 
@@ -159,7 +152,6 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
     all certifying betas. The S(beta) criterion holds for normal f only; FieldError
     otherwise.
     """
-    _require_normal(f)
     ctx = make_spectrum_ctx(setup, f)
     base = setup.tower.base
     q = base.n

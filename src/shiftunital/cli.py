@@ -237,14 +237,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"planarity: ok  normality: {'ok' if normal else 'no (allowed)'}")
     print(f"plane axioms: ok {rep}")
     setup = resolve_theta(cfg, f, tower)
-    design = geometry.build_unital(f, setup)
-    print(f"design 2-({design.n_points},{design.q + 1},1): ok")
-    rep = geometry.verify_unital_in_plane(design, f)
+    x, t = geometry.base_blocks(f, setup)   # VerificationError unless a difference family
+    q = tower.base.n
+    print(f"design 2-({q**3 + 1},{q + 1},1): ok")
+    rep = geometry.verify_unital_in_plane(f, setup)
     print(f"lines meet unital in 1 or q+1: ok {rep}")
     if normal:
-        rep = geometry.verify_ovals(design, f, setup)
+        rep = geometry.verify_ovals(f, setup)
         print(f"oval decomposition: ok {rep}")
-    rep = geometry.verify_transitivity(design)
+    rep = geometry.verify_transitivity(setup, x, t)
     print(f"point-regular shift action: ok {rep}")
     return 0
 

@@ -155,7 +155,8 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
 
     Both arrays have shape (q - 1, q + 1); x holds GF(q^2) indices (ascending per
     row), t GF(q) indices. U_theta is the development of the D_beta under
-    G = GF(q^2) x GF(q), plus the short orbit of {(0, t)} + (inf).
+    G = GF(q^2) x GF(q), plus the short orbit of {(0, t)} + (inf). The blocks pass
+    the exact difference-family check before they are returned.
     """
     tower = setup.tower
     base = tower.base
@@ -164,7 +165,9 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
     j, theta_j = _t_axis(setup)
     x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
     fj = (comps.f1 if j else comps.f0)[x].astype(np.int64)
-    return x, _scalar_mul(base, base.inv(theta_j), fj).astype(np.int64)
+    t = _scalar_mul(base, base.inv(theta_j), fj).astype(np.int64)
+    _check_difference_family(setup, x, t)
+    return x, t
 
 
 def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> None:
@@ -192,15 +195,13 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) ->
 def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     """Construct U_theta with blocks B_a (a-major) then B_{a,b} ((a,b)-lexicographic).
 
-    B_{a,b} is the base block D_beta(b) shifted by (-a, -b_j/theta_j); the base
-    blocks pass the exact difference-family check first.
+    B_{a,b} is the base block D_beta(b) shifted by (-a, -b_j/theta_j).
     """
     tower = setup.tower
     base, ext = tower.base, tower.ext
     q = base.n
     n = ext.n
     x, t = base_blocks(f, setup)
-    _check_difference_family(setup, x, t)
     betas = beta_of_table(setup)
     valid_b = np.flatnonzero(betas != 0)
     slot_of_b = np.full(n, -1, dtype=np.int64)
@@ -392,12 +393,9 @@ def _lines_through_unital(f: PlanarSpec, setup: ThetaSetup) -> np.ndarray:
     return ext.vsub(f.table.astype(np.int64)[:, None], theta_multiples(setup)[None, :])
 
 
-def verify_unital_in_plane(design: UnitalDesign, f: PlanarSpec) -> dict:
+def verify_unital_in_plane(f: PlanarSpec, setup: ThetaSetup) -> dict:
     """Every line of Pi(f) meets U in exactly 1 or q+1 points; tally tangents/secants."""
-    setup = design.setup
-    if setup is None:
-        raise FieldError("design lacks a live field context; rebuild with build_unital")
-    q = design.q
+    q = setup.tower.base.n
     n = setup.tower.ext.n
     bvals = _lines_through_unital(f, setup)
     cnt = np.bincount(bvals.ravel(), minlength=n)
@@ -422,11 +420,11 @@ def verify_unital_in_plane(design: UnitalDesign, f: PlanarSpec) -> dict:
             "ok": True, "tangents_per_point": 1}
 
 
-def verify_ovals(design: UnitalDesign, f: PlanarSpec, setup: ThetaSetup) -> dict:
+def verify_ovals(f: PlanarSpec, setup: ThetaSetup) -> dict:
     """U is the union over t of ovals O_{t*theta}, pairwise meeting only at (inf)."""
     if not is_normal(f):
         raise DesignError("oval decomposition requires a normal f")
-    q = design.q
+    q = setup.tower.base.n
     n = setup.tower.ext.n
     thetas = theta_multiples(setup)
     bvals = _lines_through_unital(f, setup)
@@ -442,40 +440,26 @@ def verify_ovals(design: UnitalDesign, f: PlanarSpec, setup: ThetaSetup) -> dict
             "union_is_unital": True, "pairwise_common": "(inf)", "ok": True}
 
 
-def _row_set(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D array as one sorted array of opaque items, for set equality."""
-    rows = np.ascontiguousarray(rows)
-    item = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-    return np.sort(rows.view(item).ravel())
-
-
-def verify_transitivity(design: UnitalDesign) -> dict:
+def verify_transitivity(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> dict:
     """G = GF(q^2) x GF(q) acts by shifts (x, t) -> (x + u, t + s) and maps blocks to blocks.
 
-    The shifts act regularly on the affine points by definition. G is generated
-    by the 3m shifts by p^i in GF(q^2) and in GF(q), so closure of the block set
-    under those generators is closure under all of G.
+    The shifts act regularly on the affine points by definition, and
+    B_a + (u, s) = B_{a+u}. The other blocks are the translates D_beta + g of the
+    base blocks (x, t from base_blocks), and D_beta + g = D_beta' + g' with
+    (beta, g) != (beta', g') iff two of the q^2 - 1 translates D_beta - P, P in
+    D_beta, are equal. All of them are compared, so G permutes the q^3 (q - 1)
+    distinct translates regularly.
     """
-    setup = design.setup
-    if setup is None:
-        raise FieldError("design lacks a live field context; rebuild with build_unital")
-    base, ext = setup.tower.base, setup.tower.ext
-    q = design.q
-    blocks = design.blocks
-    want = _row_set(blocks)
-    gens = ([(ext.p**i, 0) for i in range(ext.m)]
-            + [(0, base.p**i) for i in range(base.m)])
-    perm = np.empty(design.n_points, dtype=blocks.dtype)
-    perm[design.inf_id] = design.inf_id
-    for u, s in gens:
-        px = ext.vadd(np.arange(ext.n), u).astype(np.int64)
-        pt = base.vadd(np.arange(q), s)
-        perm[:q**3] = (px[:, None] * q + pt[None, :]).ravel()
-        images = perm[blocks]
-        images.sort(axis=1)
-        if not np.array_equal(_row_set(images), want):
-            raise VerificationError(
-                f"the shift by ({u}, {s}) maps a block outside the design")
+    tower = setup.tower
+    q = tower.base.n
+    dx = tower.ext.vsub(x[:, None, :], x[:, :, None]).astype(np.int64)
+    dt = tower.base.vsub(t[:, None, :], t[:, :, None])
+    translates = np.sort((dx * q + dt).reshape(-1, q + 1), axis=1)
+    n_distinct = np.unique(translates, axis=0).shape[0]
+    if n_distinct != translates.shape[0]:
+        raise VerificationError(
+            f"only {n_distinct} of the {translates.shape[0]} base-block translates "
+            f"through the origin are distinct")
     return {"group_order": q**3, "regular": True, "blocks_closed": "exhaustive",
             "ok": True}
 

@@ -47,6 +47,7 @@ def test_traced_verify_run_checks_planarity_once(tmp_path):
     for check in ("verify_plane", "verify_unital_in_plane", "verify_ovals",
                   "verify_transitivity"):
         assert names.count(f"geometry.{check}") == 1, check
+    assert "geometry.build_unital" not in names
     (plane,) = [s for s in spans if s["name"] == "geometry.verify_plane"]
     witness = [s for s in spans if s["name"] == "planar.planarity_witness"]
     assert [s["parent"] for s in witness] == [plane["id"]]

@@ -13,6 +13,8 @@ from shiftunital import (FieldError, SpectrumResult, VerificationError, bounds,
                          verify_trace_criterion)
 from shiftunital import charspec
 
+from test_geometry import swap_one_point
+
 
 def all_chars(q):
     return [(u, v, w) for u in range(q) for v in range(q) for w in range(q)]
@@ -36,18 +38,20 @@ def test_spectrum_equals_rank(instances):
 def test_in_spectrum_matches_scan_exhaustively(instances, q):
     tower, f, setup, design = instances[q, "square"]
     res = spectrum_size(setup, f)
+    ctx = charspec.make_spectrum_ctx(setup, f)
     for ch in all_chars(q):
-        fast = in_spectrum(setup, f, ch)
+        fast = in_spectrum(ctx, ch)
         assert fast == in_spectrum_by_scan(design, ch)
         assert fast == res.member(*ch)
 
 
 def test_in_spectrum_matches_scan_sampled_q9(instances):
     tower, f, setup, design = instances[9, "square"]
+    ctx = charspec.make_spectrum_ctx(setup, f)
     rng = np.random.default_rng(5)
     for _ in range(60):
         ch = tuple(int(x) for x in rng.integers(0, 9, 3))
-        assert in_spectrum(setup, f, ch) == in_spectrum_by_scan(design, ch)
+        assert in_spectrum(ctx, ch) == in_spectrum_by_scan(design, ch)
 
 
 def test_w_zero_always_member_and_uv_zero_never(instances):
@@ -63,6 +67,7 @@ def test_w_zero_always_member_and_uv_zero_never(instances):
 def test_witnesses_certify_membership(instances):
     tower, f, setup, design = instances[3, "square"]
     res = spectrum_size(setup, f)
+    ctx = charspec.make_spectrum_ctx(setup, f)
     q = 3
     for idx, wit in res.witnesses.items():
         u, rest = divmod(idx, q * q)
@@ -71,7 +76,7 @@ def test_witnesses_certify_membership(instances):
             assert wit == 0
             continue
         assert 1 <= wit < q
-        assert s_beta(setup, f, (u, v, w), wit) != 0
+        assert s_beta(ctx, (u, v, w), wit) != 0
     # non-members carry no witness
     for ch in all_chars(q):
         idx = (ch[0] * q + ch[1]) * q + ch[2]
@@ -81,6 +86,7 @@ def test_witnesses_certify_membership(instances):
 def test_witness_all_lists_every_nonzero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
     res = spectrum_size(setup, f, witness_all=True)
+    ctx = charspec.make_spectrum_ctx(setup, f)
     q = 3
     for idx, wit in res.witnesses.items():
         w = idx % q
@@ -89,7 +95,7 @@ def test_witness_all_lists_every_nonzero_beta(instances):
         u, rest = divmod(idx, q * q)
         v = rest // q
         assert isinstance(wit, tuple) and wit
-        nonzero = {b for b in range(1, q) if s_beta(setup, f, (u, v, w), b) != 0}
+        nonzero = {b for b in range(1, q) if s_beta(ctx, (u, v, w), b) != 0}
         assert set(wit) == nonzero
 
 
@@ -160,7 +166,7 @@ def test_spectrum_rejects_non_normal_f(instances, monkeypatch):
     with pytest.raises(FieldError, match="normal"):
         spectrum_size(setup, f)
     with pytest.raises(FieldError, match="normal"):
-        in_spectrum(setup, f, (1, 0, 1))
+        charspec.make_spectrum_ctx(setup, f)
 
 
 def test_spectrum_keeps_no_reference_to_setup():
@@ -177,7 +183,7 @@ def test_spectrum_keeps_no_reference_to_setup():
 def test_s_beta_rejects_zero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
     with pytest.raises(FieldError):
-        s_beta(setup, f, (1, 0, 1), 0)
+        s_beta(charspec.make_spectrum_ctx(setup, f), (1, 0, 1), 0)
 
 
 def test_chi_block_requires_punctured_block(instances):
@@ -234,20 +240,18 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
     assert not nonzero[0, 0].any()                     # the exclusion lemma
     lowest = np.where(nonzero.any(axis=3), nonzero.argmax(axis=3) + 1, 0)
     assert np.array_equal(res.members[:, :, 1:], lowest > 0)
-    deepest = []
+    ctx = charspec.make_spectrum_ctx(setup, f)
     for idx, wit in res.witnesses.items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
         if w:
             assert wit == lowest[u, v, w - 1]
-            if wit >= 6:
-                deepest.append((u, v, w, wit))
+            # the public S(beta), directly
+            assert s_beta(ctx, (u, v, w), wit) != 0
+            assert all(s_beta(ctx, (u, v, w), b) == 0 for b in range(1, wit))
         else:
             assert wit == 0
-    assert deepest and charspec._FIRST_CIRCLES < 6
-    for u, v, w, b in deepest:                        # the public S(beta), directly
-        assert s_beta(setup, f, (u, v, w), b) != 0
-        assert all(s_beta(setup, f, (u, v, w), b2) == 0 for b2 in range(1, b))
+    assert lowest.max() >= 6 and charspec._FIRST_CIRCLES < 6
     full = spectrum_size(setup, f, witness_all=True)
     assert full.bitmap == res.bitmap
     for idx, wit in full.witnesses.items():
@@ -259,14 +263,6 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
 
 def test_spectrum_checks_difference_family(instances, monkeypatch):
     tower, f, setup, design = instances[5, "square"]
-    real = charspec.base_blocks
-
-    def broken(*args):
-        x, t = real(*args)
-        t = t.copy()
-        t[1, 2] = (t[1, 2] + 1) % tower.base.n
-        return x, t
-
-    monkeypatch.setattr(charspec, "base_blocks", broken)
+    swap_one_point(monkeypatch)
     with pytest.raises(VerificationError, match="difference"):
         spectrum_size(setup, f)

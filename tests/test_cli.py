@@ -76,6 +76,36 @@ def test_verify_ok(workdir, capsys):
     assert "design 2-(28,4,1): ok" in out
 
 
+# sha256 of verify's stdout, recorded when verify still checked transitivity on
+# the developed block array
+VERIFY_DIGESTS = {
+    "--p 3 --m 1": "98bbd441270124a160a37ef225d2e98be675c94bd5f9ad021afa7d680995530b",
+    "--p 3 --m 2": "7c73900e46bd15aa284b72533139310fc41c12e835ea59dce7a66e988504eab6",
+    "--p 3 --m 3": "b849d5ddf06892118776dfca185a0ca71295bd4d9625ca634e0cb93913d0a6cd",
+    "--p 5 --m 1": "54d5a2655b84b8ee128fd56fdaff1499d4fd62340c22d4d32b53cefdb2f2dc26",
+    "--p 3 --m 2 --f cm:3":
+        "d87a7795844dd099108b8d2e68155fd3eeef3935dc86951d543ffb2a27684410",
+}
+
+
+@pytest.mark.parametrize("args", VERIFY_DIGESTS)
+def test_verify_stdout_pinned(workdir, capsys, args):
+    assert main(["verify", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[args]
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_verify_builds_no_blocks(workdir, capsys, monkeypatch, m):
+    monkeypatch.setattr(geometry, "build_unital", _refuse_blocks)
+    assert main(["verify", "--p", "3", "--m", m]) == 0
+    q = 3**int(m)
+    checks = [line.partition(": ok")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert checks == ["planarity", "plane axioms", f"design 2-({q**3 + 1},{q + 1},1)",
+                      "lines meet unital in 1 or q+1", "oval decomposition",
+                      "point-regular shift action"]
+
+
 def test_verify_rejects_bad_table(workdir, capsys):
     (workdir / "bad.do").write_text("0 0 0\n0 1 0\n1 0 0\n1 1 0\n")
     assert main(["verify", "--p", "3", "--m", "1", "--f", "user:bad.do"]) == 1

@@ -190,7 +190,7 @@ def max_oval_meet_by_a(design, f, setup):
 
 def test_unital_in_plane(instances):
     for (q, name), (tower, f, setup, design) in instances.items():
-        rep = verify_unital_in_plane(design, f)
+        rep = verify_unital_in_plane(f, setup)
         assert rep["ok"]
         assert rep["tangents"] == q**3 + 1
         assert rep["secants"] == rep["lines"] - rep["tangents"]
@@ -200,54 +200,54 @@ def test_unital_in_plane(instances):
 
 def test_unital_in_plane_q27(tower27):
     f = square_spec(tower27.ext)
-    design = build_unital(f, construct_theta(tower27))
-    rep = verify_unital_in_plane(design, f)
+    rep = verify_unital_in_plane(f, construct_theta(tower27))
     assert rep["tangents"] == 27**3 + 1
     assert rep["tangents_per_point"] == 1
 
 
-def test_unital_in_plane_rejects_a_table_off_the_design(design9, square9):
+def test_unital_in_plane_rejects_a_table_off_the_design(setup9, square9):
     # f moved at one point: some line L_{0,b} now meets U in neither 1 nor q+1 points
     tbl = square9.table.copy()
     tbl[5] = square9.field.add(int(tbl[5]), 1)
     with pytest.raises(VerificationError, match="meets the unital"):
-        verify_unital_in_plane(design9, dataclasses.replace(square9, table=tbl))
+        verify_unital_in_plane(dataclasses.replace(square9, table=tbl), setup9)
 
 
 def test_ovals(instances):
     for (q, name), (tower, f, setup, design) in instances.items():
-        rep = verify_ovals(design, f, setup)
+        rep = verify_ovals(f, setup)
         assert rep["ok"]
         assert rep["ovals"] == q
         assert rep["oval_size"] == q * q + 1
         assert rep["max_affine_line_meet"] == max_oval_meet_by_a(design, f, setup) == 2
 
 
-def test_ovals_reject_non_normal(tower3, design3, setup3):
+def test_ovals_reject_non_normal(tower3, setup3):
     f = shifted_square_spec(tower3.ext)
     with pytest.raises(DesignError):
-        verify_ovals(design3, f, setup3)
+        verify_ovals(f, setup3)
 
 
-def test_transitivity(design3, design9):
-    rep = verify_transitivity(design3)
-    assert rep["ok"] and rep["regular"]
-    assert rep["blocks_closed"] == "exhaustive"
-    rep = verify_transitivity(design9)
-    assert rep["ok"] and rep["regular"]
-    assert rep["blocks_closed"] == "exhaustive"
+def test_transitivity(instances, tower27):
+    setups = [(f, setup) for tower, f, setup, design in instances.values()]
+    setups.append((square_spec(tower27.ext), construct_theta(tower27)))
+    for f, setup in setups:
+        q = setup.tower.base.n
+        rep = verify_transitivity(setup, *base_blocks(f, setup))
+        assert rep == {"group_order": q**3, "regular": True,
+                       "blocks_closed": "exhaustive", "ok": True}
 
 
-def test_transitivity_rejects_altered_block(design9):
-    # shift the t coordinates of one B_{a,b}: the row is still a block of U,
-    # but it now appears twice and its preimage is missing
-    base = design9.setup.tower.base
-    q = design9.q
-    blocks = design9.blocks.copy()
-    row = blocks[q * q].astype(np.int64)
-    blocks[q * q] = np.sort(row // q * q + base.vadd(row % q, 1))
-    with pytest.raises(VerificationError):
-        verify_transitivity(dataclasses.replace(design9, blocks=blocks))
+def test_transitivity_rejects_planted_translate(instances):
+    # D_2 or the last base block replaced by D_1 + (1, 0): the two blocks then
+    # lie in one G-orbit, and the development repeats a block
+    for (q, name), (tower, f, setup, design) in instances.items():
+        for target in (1, q - 2):
+            x, t = (a.copy() for a in base_blocks(f, setup))
+            x[target] = tower.ext.vadd(x[0], 1)
+            t[target] = t[0]
+            with pytest.raises(VerificationError, match="translates"):
+                verify_transitivity(setup, x, t)
 
 
 # sha256 of build_unital(...).blocks.tobytes(); the q=27 square theta=636 array
@@ -286,16 +286,24 @@ def test_base_blocks_develop_to_the_design(instances):
                     assert tuple(sorted(pids.tolist())) in rows
 
 
+def swap_one_point(monkeypatch):
+    """Make circles_of swap one point between C_{0,1} and C_{0,2}."""
+    real = geometry.circles_of
+
+    def swapped(*args):
+        circles = real(*args)
+        one, two = circles[1].copy(), circles[2].copy()
+        one[0], two[0] = two[0], one[0]
+        circles[1], circles[2] = np.sort(one), np.sort(two)
+        return circles
+
+    monkeypatch.setattr(geometry, "circles_of", swapped)
+
+
 def test_build_rejects_broken_difference_family(setup9, square9, monkeypatch):
-    real = geometry.base_blocks
-
-    def one_t_changed(f, setup):
-        x, t = real(f, setup)
-        t = t.copy()
-        t[0, 0] = setup.tower.base.add(int(t[0, 0]), 1)
-        return x, t
-
-    monkeypatch.setattr(geometry, "base_blocks", one_t_changed)
+    swap_one_point(monkeypatch)
+    with pytest.raises(VerificationError, match="difference"):
+        base_blocks(square9, setup9)
     with pytest.raises(VerificationError, match="difference"):
         build_unital(square9, setup9)
 
