@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import FieldError, VerificationError
 
-# Dense n x n add/mul tables are built lazily up to this field size; larger
-# fields fall back to Zech logarithms for addition and log/antilog for products.
+# Sums gather from a dense int16 n x n table, built lazily, up to this field
+# size; larger fields add base-p digit vectors. Products use log/antilog tables.
 _TABLE_LIMIT = 3**8
 
 
@@ -186,9 +186,6 @@ class FieldCtx:
         self._exp2 = np.concatenate([self.exp, self.exp])
         self.neg_table = self._encode((p - digits) % p)
         self._add_tbl: np.ndarray | None = None
-        self._zech: np.ndarray | None = None
-        if n > _TABLE_LIMIT:
-            self._zech = self._build_zech()
 
     # -- construction internals -------------------------------------------
 
@@ -238,40 +235,28 @@ class FieldCtx:
             raise FieldError("primitive element has wrong order")  # pragma: no cover
         return exp, log
 
-    def _build_zech(self) -> np.ndarray:
-        """zech[k] = log(1 + omega^k), or -1 when 1 + omega^k = 0."""
-        succ = self._encode((self._digits[self.exp] + self._digits[1]) % self.p)
-        return self.log[succ].astype(np.int64)
-
     def _ensure_add_table(self) -> np.ndarray:
+        """Dense sum table, one base-p digit per level: with a = a_k p^k + a_low,
+        T_{k+1}[a, b] = ((a_k + b_k) mod p) p^k + T_k[a_low, b_low], one broadcast add.
+        """
         if self._add_tbl is None:
             if self.n > _TABLE_LIMIT:
                 raise FieldError(f"dense tables disabled for field size {self.n}")
-            n = self.n
-            d = self._digits
-            dtype = np.int16 if n < 2**15 else np.int32
-            tbl = np.empty((n, n), dtype=dtype)
-            step = max(1, 2**22 // n)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                tbl[lo:hi] = ((d[lo:hi, None, :] + d[None, :, :]) % self.p @ self._pows).astype(dtype)
+            p = self.p
+            top = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(np.int16)
+            tbl = np.zeros((1, 1), dtype=np.int16)
+            for k in range(self.m):
+                s = p**k
+                level = np.empty((p, s, p, s), dtype=np.int16)
+                np.add((top * s)[:, None, :, None], tbl[None, :, None, :], out=level)
+                tbl = level.reshape(p * s, p * s)
             self._add_tbl = tbl
         return self._add_tbl
 
     # -- scalar arithmetic --------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.n <= _TABLE_LIMIT:
-            return int(self._ensure_add_table()[a, b])
-        if a == 0:
-            return int(b)
-        if b == 0:
-            return int(a)
-        la, lb = int(self.log[a]), int(self.log[b])
-        z = int(self._zech[(lb - la) % (self.n - 1)])
-        if z < 0:
-            return 0
-        return int(self.exp[(la + z) % (self.n - 1)])
+        return int(self.vadd(a, b))
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
@@ -459,11 +444,15 @@ def make_tower(base: FieldCtx, ext_modulus: tuple[int, ...] | None = None) -> To
     q = base.n
     ext = make_field(base.p, 2 * base.m, ext_modulus)
 
-    mu = _minimal_poly(base, base.omega)
-    roots = [x for x in range(ext.n) if _eval_prime_poly(ext, mu, x) == 0]
+    # the roots of omega's minimal polynomial lie in GF(q)* = {omega_ext^((q+1)k)} in GF(q^2)
+    cands = ext.exp[(q + 1) * np.arange(q - 1)]
+    acc = np.zeros(q - 1, dtype=np.int32)
+    for c in reversed(_minimal_poly(base, base.omega)):
+        acc = ext.vadd(ext.vmul(acc, cands), c)
+    roots = cands[acc == 0]
     if len(roots) != base.m:
         raise FieldError("embedding root count mismatch")  # pragma: no cover
-    r = min(roots)
+    r = int(roots.min())
     j = int(ext.log[r])
     embed = np.zeros(q, dtype=np.int32)
     ks = np.arange(q - 1, dtype=np.int64)
@@ -488,13 +477,6 @@ def make_tower(base: FieldCtx, ext_modulus: tuple[int, ...] | None = None) -> To
 
     return TowerCtx(base=base, ext=ext, xi=xi, alpha=alpha,
                     embed=embed, unembed=unembed, dec0=dec0, dec1=dec1)
-
-
-def _eval_prime_poly(ctx: FieldCtx, poly: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
 
 
 @dataclass(frozen=True)

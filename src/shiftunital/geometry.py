@@ -383,21 +383,17 @@ def verify_plane(f: PlanarSpec) -> dict:
             "axiom_shifts": "exhaustive"}
 
 
-def _lines_through_unital(f: PlanarSpec, setup: ThetaSetup) -> np.ndarray:
-    """b[x, t] = f(x) - t*theta: (x, t*theta) lies on L_{0,b}.
-
-    A shift x -> x + u fixes U and every oval and maps L_{a,b} onto L_{a-u,b},
-    so the meets of the family L_{0,b} are those of every L_{a,b}.
-    """
-    ext = setup.tower.ext
-    return ext.vsub(f.table.astype(np.int64)[:, None], theta_multiples(setup)[None, :])
-
-
 def verify_unital_in_plane(f: PlanarSpec, setup: ThetaSetup) -> dict:
-    """Every line of Pi(f) meets U in exactly 1 or q+1 points; tally tangents/secants."""
+    """Every line of Pi(f) meets U in exactly 1 or q+1 points; tally tangents/secants.
+
+    A shift x -> x + u fixes U and maps L_{a,b} onto L_{a-u,b}, so the meets of
+    the family L_{0,b} are those of every L_{a,b}.
+    """
     q = setup.tower.base.n
     n = setup.tower.ext.n
-    bvals = _lines_through_unital(f, setup)
+    # (x, t*theta) lies on L_{0,b} for b = bvals[x, t] = f(x) - t*theta
+    bvals = setup.tower.ext.vsub(f.table.astype(np.int64)[:, None],
+                                 theta_multiples(setup)[None, :])
     cnt = np.bincount(bvals.ravel(), minlength=n)
     ok = (cnt == 1) | (cnt == q + 1)
     if not np.all(ok):
@@ -421,21 +417,19 @@ def verify_unital_in_plane(f: PlanarSpec, setup: ThetaSetup) -> dict:
 
 
 def verify_ovals(f: PlanarSpec, setup: ThetaSetup) -> dict:
-    """U is the union over t of ovals O_{t*theta}, pairwise meeting only at (inf)."""
+    """U is the union over t of ovals O_{t*theta}, pairwise meeting only at (inf).
+
+    Oval t meets L_{0,b} in a fiber of f (the x with f(x) = b + t*theta), and the
+    shifts carry this to every L_{a,b}; a normal f has fibers of size at most 2,
+    so `max_affine_line_meet`, the largest fiber, is reported, not tested. N_a
+    meets each oval in {(a, t*theta), (inf)} and L_inf only in (inf); the t*theta
+    are distinct since theta != 0, so the ovals share only (inf).
+    """
     if not is_normal(f):
         raise DesignError("oval decomposition requires a normal f")
     q = setup.tower.base.n
     n = setup.tower.ext.n
-    thetas = theta_multiples(setup)
-    bvals = _lines_through_unital(f, setup)
-    meets = np.stack([np.bincount(bvals[:, t], minlength=n) for t in range(q)])
-    worst = int(meets.max())
-    if worst > 2:
-        t, b = np.unravel_index(int(meets.argmax()), meets.shape)
-        raise VerificationError(f"oval t = {t} meets line L_(0,{b}) in {worst} points")
-    # N_a meets each oval in {(a, t*theta), (inf)}; L_inf only in (inf); union is U
-    if sorted(int(t) for t in thetas) != sorted(set(int(t) for t in thetas)):
-        raise VerificationError("theta multiples collide; ovals are not disjoint")
+    worst = int(np.bincount(f.table, minlength=n).max())
     return {"ovals": q, "oval_size": n + 1, "max_affine_line_meet": worst,
             "union_is_unital": True, "pairwise_common": "(inf)", "ok": True}
 

@@ -51,3 +51,10 @@ def test_traced_verify_run_checks_planarity_once(tmp_path):
     (plane,) = [s for s in spans if s["name"] == "geometry.verify_plane"]
     witness = [s for s in spans if s["name"] == "planar.planarity_witness"]
     assert [s["parent"] for s in witness] == [plane["id"]]
+
+
+def test_traced_tower_rss(tmp_path):
+    # the spectrum-mid q = 49 instance: the GF(7^4) sum table is 11.5 MB
+    spans = _traced_spans(tmp_path, "spectrum", json.dumps({"p": 7, "m": 2, "f": "square"}))
+    (tower,) = [s for s in spans if s["name"] == "fields.make_tower"]
+    assert tower.get("rss_grew_mb", 0) < 40

@@ -1,4 +1,6 @@
 """Field towers, traces, characters, and quadratic form counts."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -270,7 +272,7 @@ def test_prime_power_rejects(q):
 
 
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2)])
-def test_zech_path_matches_dense_tables(monkeypatch, p, m):
+def test_digit_path_matches_dense_tables(monkeypatch, p, m):
     # FieldCtx directly, not make_field: its cache would hand back a dense context
     modulus = default_modulus(p, m)
     dense = fields.FieldCtx(p, m, modulus)
@@ -278,11 +280,52 @@ def test_zech_path_matches_dense_tables(monkeypatch, p, m):
     a, b = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
     want_add, want_sub = dense.vadd(a, b), dense.vsub(a, b)
     monkeypatch.setattr(fields, "_TABLE_LIMIT", 8)
-    zech = fields.FieldCtx(p, m, modulus)
-    assert zech._zech is not None
+    digit = fields.FieldCtx(p, m, modulus)
     with pytest.raises(FieldError):
-        zech._ensure_add_table()
-    assert np.array_equal(zech.vadd(a, b), want_add)
-    assert np.array_equal(zech.vsub(a, b), want_sub)
-    assert [zech.add(int(x), int(y)) for x, y in zip(a, b)] == want_add.tolist()
-    assert [zech.sub(int(x), int(y)) for x, y in zip(a, b)] == want_sub.tolist()
+        digit._ensure_add_table()
+    assert np.array_equal(digit.vadd(a, b), want_add)
+    assert np.array_equal(digit.vsub(a, b), want_sub)
+    assert [digit.add(int(x), int(y)) for x, y in zip(a, b)] == want_add.tolist()
+    assert [digit.sub(int(x), int(y)) for x, y in zip(a, b)] == want_sub.tolist()
+
+
+# The dense tables that `kloosterman --p 3 --m 7` and the q = 49 and q = 25 towers build.
+@pytest.mark.parametrize("p,m", [(3, 7), (7, 4), (5, 4)])
+def test_dense_add_table_matches_digit_sums(p, m):
+    fld = fields.FieldCtx(p, m, default_modulus(p, m))
+    tbl = fld._ensure_add_table()
+    assert tbl.shape == (fld.n, fld.n)
+    d = fld._digits.astype(np.int64)
+    for a in np.array_split(np.arange(fld.n), 16):
+        sums = (d[a, None, :] + d[None, :, :]) % p @ fld._pows
+        assert np.array_equal(tbl[a], sums)
+
+
+# sha256 over embed, unembed, dec0, dec1 (int32 bytes) and repr((xi, alpha)) for
+# every tower the suite builds, and q = 49 and 81; recorded from the scalar root
+# search over all of GF(q^2) that preceded the vectorized one.
+TOWER_DIGESTS = {
+    (3, 1): "8987b192ab8498a35ad7c3fda02d5758c1d342946c4713889b4f111ccff8d855",
+    (3, 2): "b9e723438685e03725dc75393a9d5af48b733301e3eba24bc935f226d5ef2cd9",
+    (3, 3): "b8185f34c931d17b1457f04c36459de3f701ba326dad5e2acfc56f90ae4477db",
+    (3, 4): "cca2ba7cea79b348f5e91d9a1b8912d3317422adfbf9248ac8a8c1b2671e7655",
+    (5, 1): "e69446d5d746452cb2075810e73a3121f405d644472c8c5349b709649713f260",
+    (5, 2): "d21b90dc6da4a382631c937d59de53d2572dfa8ca818bc43071e8ba840813659",
+    (7, 1): "ce95d42263b7f607cdfd6b0ff0d6544a4869b5aa85da96399f70d17b8f8027f9",
+    (7, 2): "b5c4efd19fd08b5a0b09c45fdc2323605ac5718d7441f369753f3758ca5b62cd",
+    (11, 1): "0c2b4ed23240143fcbb275556f11abb58a3d251dbf083fbe1fad0b97d7eea833",
+    (13, 1): "5774ef6c6343f2942699affe54ccc1771e85c28f9a669bb5ad284a51a51c6d1c",
+    (17, 1): "fadec0da33979b30dfb7bf1c050e1bd74fea4b230046b9812759e66fb48495e1",
+    (19, 1): "2440b1ece730b3828e351f02dff3c19794469915cb7d45fa61d431f93089ea17",
+    (23, 1): "2c1080b4165c95ef521d5da95a345c8b2f44c28a0c7a2a2bcabd7453764032e3",
+}
+
+
+@pytest.mark.parametrize("p,m", TOWER_DIGESTS)
+def test_tower_tables_pinned(p, m):
+    tower = make_tower(make_field(p, m))
+    h = hashlib.sha256()
+    for arr in (tower.embed, tower.unembed, tower.dec0, tower.dec1):
+        h.update(np.ascontiguousarray(arr, dtype=np.int32).tobytes())
+    h.update(repr((tower.xi, tower.alpha)).encode())
+    assert h.hexdigest() == TOWER_DIGESTS[p, m]
