@@ -19,9 +19,9 @@ from .charspec import (SpectrumResult, bounds, chi_block, in_spectrum,
                        in_spectrum_by_scan, make_spectrum_ctx, s_beta,
                        spectrum_size, verify_chi_square_lemma, verify_orthogonality,
                        verify_trace_criterion)
-from .kloosterman import (CyclotomicInt, KloostermanRecord, classify_mod4,
-                          count_classes, kloosterman, lambda_vanishes_mod2,
-                          make_atlas, thm_membership_criterion)
+from .kloosterman import (CyclotomicInt, KloostermanRecord, KloostermanTable,
+                          count_classes, kloosterman, kloosterman_table,
+                          lambda_vanishes_mod2, make_atlas, thm_membership_criterion)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "SpectrumResult", "bounds", "chi_block", "in_spectrum", "in_spectrum_by_scan",
     "make_spectrum_ctx", "s_beta", "spectrum_size", "verify_chi_square_lemma",
     "verify_orthogonality", "verify_trace_criterion",
-    "CyclotomicInt", "KloostermanRecord", "classify_mod4", "count_classes",
-    "kloosterman", "lambda_vanishes_mod2", "make_atlas",
+    "CyclotomicInt", "KloostermanRecord", "KloostermanTable", "count_classes",
+    "kloosterman", "kloosterman_table", "lambda_vanishes_mod2", "make_atlas",
     "thm_membership_criterion",
 ]

@@ -12,7 +12,8 @@ from .errors import DesignError, FieldError, VerificationError
 from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
                      prime_power, theta_setup)
 from . import charspec, geometry, planar
-from .kloosterman import count_classes, make_atlas, thm_membership_criterion
+from .kloosterman import (count_classes, kloosterman_table, make_atlas,
+                          thm_membership_criterion)
 from .gf2rank import rank2_of_unital
 
 @dataclass
@@ -334,11 +335,11 @@ def cmd_kloosterman(cfg: RunConfig) -> int:
     head = {"p": cfg.p, "m": cfg.m, "q": fld.n,
             "modulus": _joined(fld.modulus)}
     _print_header(head)
-    atlas = make_atlas(fld)
+    table = kloosterman_table(fld)
     path = os.path.join(cfg.out_dir, f"kloosterman_p{cfg.p}m{cfg.m}.csv")
-    _atomic_write(path, atlas)
+    _atomic_write(path, make_atlas(table))
     if cfg.p == 3:
-        counts = count_classes(cfg.m)
+        counts = count_classes(table)
         print(f"{fld.n} rows, class counts {counts} -> {path}")
     else:
         print(f"{fld.n} rows (no p = {cfg.p} classification) -> {path}")
@@ -383,7 +384,7 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
                 criterion_checks.append({"q": q, "checked": checked, "met": met,
                                          "counterexamples": 0})
         if p == 3:
-            kloo.append({"m": m, **count_classes(m)})
+            kloo.append({"m": m, **count_classes(kloosterman_table(tower.base))})
     doc = {"config": {"q_list": q_list, "engine": cfg.engine,
                       "cache_dir": cfg.cache_dir},
            "rows": rows, "criterion_checks": criterion_checks,

@@ -133,21 +133,26 @@ def _root_is_primitive(poly: list[int], p: int) -> bool:
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p) whose root is primitive.
 
-    Coefficients are compared low-degree-first; falls back to the smallest
-    irreducible if no candidate has a primitive root (cannot happen for prime p).
+    Coefficients are compared low-degree-first. A primitive root y has norm
+    (-1)^m f(0), which must generate GF(p)*, so candidates are drawn only with
+    such a constant term f(0). Primitive polynomials exist in every degree, so
+    the search always succeeds.
     """
-    fallback = None
-    for tail in itertools.product(range(p), repeat=m):
-        poly = list(tail) + [1]
-        if not _is_irreducible(poly, p):
-            continue
-        if fallback is None:
-            fallback = poly
-        if _root_is_primitive(poly, p):
-            return tuple(poly)
-    if fallback is None:
-        raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
-    return tuple(fallback)
+    primes = _factorize(p - 1)
+    consts = sorted((-1)**m * g % p for g in range(1, p)
+                    if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+    candidates = ([c0, *tail, 1] for c0 in consts
+                  for tail in itertools.product(range(p), repeat=m - 1))
+    return next(tuple(f) for f in candidates
+                if _is_irreducible(f, p) and _root_is_primitive(f, p))
+
+
+def _check_degree(p: int, m: int) -> None:
+    """FieldError unless p is an odd prime and m >= 1."""
+    if not _is_prime(p) or p == 2:
+        raise FieldError(f"p must be an odd prime, got {p}")
+    if m < 1:
+        raise FieldError(f"extension degree must be positive, got {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +163,7 @@ class FieldCtx:
     """Tables and scalar/vector arithmetic for GF(p^m) on integer element indices."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        if not _is_prime(p) or p == 2:
-            raise FieldError(f"p must be an odd prime, got {p}")
-        if m < 1:
-            raise FieldError(f"extension degree must be positive, got {m}")
+        _check_degree(p, m)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldError(f"modulus must be monic of degree {m}, got {modulus}")
@@ -331,6 +333,7 @@ _FIELD_CACHE: dict[tuple, FieldCtx] = {}
 
 def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> FieldCtx:
     """Shared immutable context for GF(p^m); default modulus per default_modulus."""
+    _check_degree(p, m)
     if modulus is None:
         key = (p, m, None)
         ctx = _FIELD_CACHE.get(key)
@@ -347,30 +350,23 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> FieldC
     return ctx
 
 
-def trace(ctx: FieldCtx, x: int, sub_degree: int = 1) -> int:
-    """Trace of x from GF(p^m) onto GF(p^sub_degree), returned as an element index."""
-    if ctx.m % sub_degree:
-        raise FieldError(f"subfield degree {sub_degree} does not divide {ctx.m}")
-    step = ctx.p**sub_degree
+def trace(ctx: FieldCtx, x: int) -> int:
+    """Trace of x from GF(p^m) onto GF(p), returned as an element index."""
     acc = 0
     y = x
-    for _ in range(ctx.m // sub_degree):
+    for _ in range(ctx.m):
         acc = ctx.add(acc, y)
-        y = ctx.pow(y, step)
+        y = ctx.pow(y, ctx.p)
     return acc
 
 
-def trace_table(ctx: FieldCtx, sub_degree: int = 1) -> np.ndarray:
-    """Vectorized trace of every element onto GF(p^sub_degree)."""
-    if ctx.m % sub_degree:
-        raise FieldError(f"subfield degree {sub_degree} does not divide {ctx.m}")
-    step = ctx.p**sub_degree
-    idx = np.arange(ctx.n)
+def trace_table(ctx: FieldCtx) -> np.ndarray:
+    """Vectorized trace of every element onto GF(p)."""
     acc = np.zeros(ctx.n, dtype=np.int32)
-    y = idx
-    for _ in range(ctx.m // sub_degree):
+    y = np.arange(ctx.n)
+    for _ in range(ctx.m):
         acc = ctx.vadd(acc, y)
-        y = ctx.vpow(y, step)
+        y = ctx.vpow(y, ctx.p)
     return acc
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import (FieldCtx, ThetaSetup, make_char_field, quadratic_character,
-                     trace_table)
+from .fields import FieldCtx, ThetaSetup, quadratic_character, trace_table
+from .planar import _GATHER_LIMIT
 
 class CyclotomicInt:
     """Sum of N_j * zeta_p^j with integer counts; canonical form has N_{p-1} = 0."""
@@ -69,114 +69,139 @@ class KloostermanRecord:
     value: object                 # int for p = 3, CyclotomicInt otherwise
     cyclotomic: CyclotomicInt
     mod4: int | None = None
-    case_tag: str | None = None
-    t_witness: int | None = None
+
+
+def _trace_counts(fld: FieldCtx, a) -> np.ndarray:
+    """The (len(a), p) histogram N_j(a) = #{x != 0 : Tr(1/x + a*x) = j} for an int array a.
+
+    Tr is additive, and at x = omega^k, a = omega^j the term Tr(a*x) is entry j + k
+    of the trace sequence of omega, so each row is one gather from that sequence,
+    a block of rows at a time. Raises VerificationError at the first a whose sum
+    is not real or, for p = 3, breaks the Weil bound K(a)^2 <= 4q.
+    """
+    p, n = fld.p, fld.n
+    a = np.asarray(a, dtype=np.int64)
+    seq = np.tile(trace_table(fld)[fld.exp].astype(np.int16), 2)
+    win = np.lib.stride_tricks.sliding_window_view(seq, n - 1)   # win[j, k] = Tr(omega^(j+k))
+    inv_tr = seq[(-np.arange(n - 1)) % (n - 1)]                  # Tr(1/x) at x = omega^k
+    counts = np.empty((len(a), p), dtype=np.int64)
+    step = max(1, _GATHER_LIMIT // (n - 1))
+    for lo in range(0, len(a), step):
+        rows = a[lo:lo + step]
+        tr = win[fld.log[rows]]
+        tr[rows == 0] = 0
+        tr += inv_tr
+        tr %= p
+        for j in range(p):
+            counts[lo:lo + step, j] = np.count_nonzero(tr == j, axis=1)
+    bad = (counts != counts[:, (-np.arange(p)) % p]).any(axis=1)
+    if p == 3:
+        bad |= (counts[:, 0] - counts[:, 1]) ** 2 > 4 * n
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VerificationError(f"K({int(a[i])}) with counts {tuple(counts[i].tolist())} "
+                                f"is not real or breaks the Weil bound for q = {n}")
+    return counts
 
 
 def kloosterman(fld: FieldCtx, a: int) -> KloostermanRecord:
     """K(a) = sum over x != 0 of lambda(1/x + a*x), exactly."""
-    n = fld.n
-    xs = np.arange(1, n, dtype=np.int64)
-    invs = fld.exp[(-fld.log[xs]) % (n - 1)].astype(np.int64)
-    args = fld.vadd(invs, fld.vmul(np.full(n - 1, a, dtype=np.int64), xs))
-    counts = np.bincount(trace_table(fld)[args], minlength=fld.p)
-    cyc = CyclotomicInt(fld.p, counts.tolist())
-    if not cyc.is_real():
-        raise VerificationError(f"K({a}) is not real: counts {cyc.counts}")
+    counts = _trace_counts(fld, [a])[0].tolist()
+    cyc = CyclotomicInt(fld.p, counts)
     if fld.p != 3:
         return KloostermanRecord(a=a, value=cyc, cyclotomic=cyc)
-    value = int(counts[0] - counts[1])
-    if value * value > 4 * n:
-        raise VerificationError(f"K({a}) = {value} violates the Weil bound for q = {n}")
+    value = counts[0] - counts[1]
     return KloostermanRecord(a=a, value=value, cyclotomic=cyc, mod4=value % 4)
 
 
-def _cubic_roots(fld: FieldCtx, a: int) -> list[int]:
-    """All t with t^2 - t^3 = a, by exhaustive scan."""
-    ts = np.arange(fld.n, dtype=np.int64)
-    lhs = fld.vsub(fld.vpow(ts, 2), fld.vpow(ts, 3))
-    return [int(t) for t in np.flatnonzero(lhs == a)]
+CASES = ("odd_square_trace", "case_b", "case_c")
 
 
-def classify_mod4(fld: FieldCtx, a: int) -> tuple[str, int, int | None]:
-    """The p = 3 case tag and predicted K(a) mod 4, asserted against the exact value."""
+@dataclass(frozen=True, eq=False)
+class KloostermanTable:
+    """K(a) for every a of one field; for p = 3 also each a's case and lowest witness."""
+
+    fld: FieldCtx
+    counts: np.ndarray                   # (q, p): the histogram N_j(a) of _trace_counts
+    value: np.ndarray | None = None      # p = 3: K(a) = N_0(a) - N_1(a)
+    case: np.ndarray | None = None       # p = 3: index into CASES
+    t_witness: np.ndarray | None = None  # p = 3: least t not in {0, 1} with t^2 - t^3 = a, or -1
+
+
+def kloosterman_table(fld: FieldCtx) -> KloostermanTable:
+    """Every K(a) in one pass; for p = 3 each a's mod-4 case, asserted against K.
+
+    The cases: odd_square_trace when a = 0 or a = r^2 with Tr(r) != 0 (Tr(-r) =
+    -Tr(r), so either root answers); case_b when a = t^2 - t^3 for some t not in
+    {0, 1} with eta(t) = 1 or eta(1 - t) = 1; case_c for the other such a. Each a
+    must fall in exactly one case, and K(a) must be odd, = 2m + 2 or = 2m mod 4
+    in the three cases; VerificationError names the first a that does not.
+    """
+    n, m = fld.n, fld.m
+    counts = _trace_counts(fld, np.arange(n))
     if fld.p != 3:
+        return KloostermanTable(fld=fld, counts=counts)
+    value = counts[:, 0] - counts[:, 1]
+    log = fld.log
+    tr = trace_table(fld)
+    in_case = np.zeros((len(CASES), n), dtype=bool)
+    in_case[0, 0] = True
+    in_case[0, 1:] = (log[1:] % 2 == 0) & (tr[fld.exp[log[1:] // 2]] != 0)
+    ts = np.arange(2, n)
+    one_minus_t = fld.vsub(1, ts)
+    a_t = fld.vmul(fld.vmul(ts, ts), one_minus_t)                # t^2 - t^3
+    case_t = np.where((log[ts] % 2 == 0) | (log[one_minus_t] % 2 == 0), 1, 2)
+    in_case[case_t, a_t] = True
+    bad = in_case.sum(axis=0) != 1
+    if bad.any():
+        a = int(np.argmax(bad))
+        tags = [CASES[c] for c in np.flatnonzero(in_case[:, a])]
+        raise VerificationError(f"a = {a} falls in cases {tags}, expected exactly one")
+    case = in_case.argmax(axis=0)
+    # an a with a root t lies in that root's case only, so its least root is its witness
+    t_witness = np.full(n, n, dtype=np.int64)
+    np.minimum.at(t_witness, a_t, ts)
+    t_witness[t_witness == n] = -1
+    bad = np.where(case == 0, value % 2 == 0, value % 4 != (2 * m + 4 - 2 * case) % 4)
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise VerificationError(f"a = {a}: K = {int(value[a])} breaks the K mod 4 "
+                                f"congruence of case {CASES[case[a]]} at m = {m}")
+    return KloostermanTable(fld=fld, counts=counts, value=value, case=case,
+                            t_witness=t_witness)
+
+
+def count_classes(table: KloostermanTable) -> dict:
+    """Tallies of the cases over GF(3^m)*, asserted against the closed-form counts."""
+    if table.case is None:
         raise FieldError("classification requires characteristic 3")
-    m = fld.m
-    tags = []
-    if a == 0:
-        tags.append("odd_square_trace")
-    elif quadratic_character(fld, a) == 1:
-        root = next(x for x in range(1, fld.n) if fld.mul(x, x) == a)
-        if trace_table(fld)[root] != 0:
-            tags.append("odd_square_trace")
-    root_tags = []
-    for t in _cubic_roots(fld, a):
-        if t in (0, 1):
-            continue
-        square_part = (quadratic_character(fld, t) == 1
-                       or quadratic_character(fld, fld.sub(1, t)) == 1)
-        root_tags.append((t, "case_b" if square_part else "case_c"))
-    for _, tag in root_tags:
-        if tag not in tags:
-            tags.append(tag)
-    if len(tags) != 1:
-        raise VerificationError(
-            f"a = {a} falls in {len(tags)} cases {tags}, expected exactly one")
-    tag = tags[0]
-    t_witness = min((t for t, tg in root_tags if tg == tag), default=None)
-    rec = kloosterman(fld, a)
-    if tag == "odd_square_trace":
-        ok = rec.value % 2 == 1
-        predicted = rec.value % 4 if ok else None
-    elif tag == "case_b":
-        predicted = (2 * m + 2) % 4
-        ok = rec.mod4 == predicted
-    else:
-        predicted = (2 * m) % 4
-        ok = rec.mod4 == predicted
-    if not ok:
-        raise VerificationError(
-            f"a = {a}: case {tag} predicts K mod 4 = {predicted}, got {rec.mod4}")
-    return tag, rec.mod4, t_witness
-
-
-def count_classes(m: int) -> dict:
-    """Tallies over GF(3^m)*, asserted against the closed-form counts."""
-    from .fields import make_field
-    fld = make_field(3, m)
-    q = fld.n
-    tally = {"odd_square_trace": 0, "case_b": 0, "case_c": 0}
-    for a in range(1, q):
-        tag, _, _ = classify_mod4(fld, a)
-        tally[tag] += 1
+    m, q = table.fld.m, table.fld.n
+    count_a, count_b, count_c = np.bincount(table.case[1:], minlength=len(CASES)).tolist()
     if m % 2:
         want_b = Fraction(5, 12) * q - Fraction(5, 4)
         want_c = Fraction(q + 1, 4)
     else:
         want_b = Fraction(5, 12) * q - Fraction(3, 4)
         want_c = Fraction(q - 1, 4)
-    if tally["case_b"] != want_b or tally["case_c"] != want_c:
+    if count_b != want_b or count_c != want_c:
         raise VerificationError(
-            f"m = {m}: tallies (b, c) = ({tally['case_b']}, {tally['case_c']}), "
+            f"m = {m}: tallies (b, c) = ({count_b}, {count_c}), "
             f"formulas give ({want_b}, {want_c})")
-    return {"count_a": tally["odd_square_trace"], "count_b": tally["case_b"],
-            "count_c": tally["case_c"]}
+    return {"count_a": count_a, "count_b": count_b, "count_c": count_c}
 
 
-def make_atlas(fld: FieldCtx) -> str:
+def make_atlas(table: KloostermanTable) -> str:
     """CSV `a_index,K,K_mod4,case,t_witness`; classification columns only for p = 3."""
+    fld = table.fld
     lines = [f"# p={fld.p} m={fld.m} modulus={','.join(str(c) for c in fld.modulus)}",
              "a_index,K,K_mod4,case,t_witness"]
-    for a in range(fld.n):
-        rec = kloosterman(fld, a)
-        if fld.p == 3:
-            tag, mod4, t_wit = classify_mod4(fld, a)
-            t_str = "" if t_wit is None else str(t_wit)
-            lines.append(f"{a},{rec.value},{mod4},{tag},{t_str}")
-        else:
-            k_str = ":".join(str(c) for c in rec.cyclotomic.canonical())
-            lines.append(f"{a},{k_str},,,")
+    if table.case is None:
+        canonical = (table.counts - table.counts[:, -1:]).tolist()
+        lines += [f"{a},{':'.join(map(str, row))},,," for a, row in enumerate(canonical)]
+    else:
+        for a, (k, c, t) in enumerate(zip(table.value.tolist(), table.case.tolist(),
+                                          table.t_witness.tolist())):
+            lines.append(f"{a},{k},{k % 4},{CASES[c]},{'' if t < 0 else t}")
     return "\n".join(lines) + "\n"
 
 

@@ -58,3 +58,12 @@ def test_traced_tower_rss(tmp_path):
     spans = _traced_spans(tmp_path, "spectrum", json.dumps({"p": 7, "m": 2, "f": "square"}))
     (tower,) = [s for s in spans if s["name"] == "fields.make_tower"]
     assert tower.get("rss_grew_mb", 0) < 40
+
+
+def test_traced_kloosterman_run_has_no_per_a_sums(tmp_path):
+    spans = _traced_spans(tmp_path, "--spawned", "0", "cli", "kloosterman", "--p", "3",
+                          "--m", "4")
+    names = [s["name"] for s in spans]
+    assert names.count("kloosterman.kloosterman") == 0
+    assert names.count("kloosterman.make_atlas") == 1
+    assert names.count("kloosterman.count_classes") == 1

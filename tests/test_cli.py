@@ -268,8 +268,9 @@ def test_cache_key_includes_modulus(workdir, capsys):
     ["report", "--q", "3,x"],
     ["report", "--q", "1"],
     ["rank", "--config", "binary.cfg"],
+    ["verify", "--p", "3", "--m", "-1"],
 ], ids=["cm-suffix", "theta-range", "theta-zero", "theta-int", "modulus-int",
-        "q-int", "q-one", "config-bytes"])
+        "q-int", "q-one", "config-bytes", "m-negative"])
 def test_bad_input_exits_with_error(workdir, capsys, argv):
     (workdir / "binary.cfg").write_bytes(b"p=3\xff\n")
     assert main(argv) == 1

@@ -57,14 +57,16 @@ def test_default_modulus_is_primitive():
         assert len(seen) == fld.n - 1
 
 
-# Every (p, m) whose default modulus the suite builds, plus 3^1 .. 3^8, as found by
-# the trial-division search (coefficients low degree first). Any other irreducibility
+# Every (p, m) whose default modulus the suite builds, plus 3^1 .. 3^10, as found by
+# the exhaustive trial-division search without the norm filter (coefficients low
+# degree first). Any other irreducibility
 # test must return exactly these: the moduli enter cache keys and every artifact.
 DEFAULT_MODULI = {
     (3, 1): (1, 1), (3, 2): (2, 1, 1), (3, 3): (1, 0, 2, 1),
     (3, 4): (2, 0, 0, 1, 1), (3, 5): (1, 0, 0, 0, 2, 1),
     (3, 6): (2, 0, 0, 0, 0, 1, 1), (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
-    (3, 8): (2, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 8): (2, 0, 0, 0, 0, 1, 0, 0, 1), (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1),
     (5, 1): (2, 1), (5, 2): (2, 1, 1), (5, 4): (2, 0, 2, 1, 1),
     (7, 1): (2, 1), (7, 2): (3, 1, 1), (11, 1): (3, 1), (11, 2): (2, 4, 1),
     (13, 1): (2, 1), (13, 2): (2, 1, 1), (17, 1): (3, 1), (17, 2): (3, 1, 1),
@@ -75,6 +77,16 @@ DEFAULT_MODULI = {
 @pytest.mark.parametrize("p,m", DEFAULT_MODULI)
 def test_default_modulus_is_pinned(p, m):
     assert default_modulus(p, m) == DEFAULT_MODULI[p, m]
+
+
+@pytest.mark.parametrize("p,m", [(25, 4), (2, 3), (3, 0), (3, -1)])
+def test_make_field_checks_p_and_m_before_the_modulus_search(p, m, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("default_modulus called")
+
+    monkeypatch.setattr(fields, "default_modulus", no_search)
+    with pytest.raises(FieldError):
+        make_field(p, m)
 
 
 def test_exp_log_roundtrip():

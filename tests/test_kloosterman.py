@@ -1,14 +1,17 @@
 """Kloosterman sums, mod-4 classification, and the membership criterion."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftunital import (CyclotomicInt, FieldError, VerificationError,
-                         classify_mod4, count_classes, kloosterman,
+                         count_classes, kloosterman, kloosterman_table,
                          lambda_vanishes_mod2, make_atlas, make_char_field,
-                         make_field, spectrum_size, square_spec,
-                         thm_membership_criterion, trace)
+                         make_field, quadratic_character, spectrum_size,
+                         square_spec, thm_membership_criterion, trace)
+from shiftunital.kloosterman import CASES
 
 
 def slow_kloosterman_counts(fld, a):
@@ -56,35 +59,92 @@ def test_exchange_of_sums(m):
 
 
 @pytest.mark.parametrize("m,counts", [(1, (0, 1)), (2, (3, 2)), (3, (10, 7)),
-                                      (4, (33, 20))])
+                                      (4, (33, 20)), (5, (100, 61)), (6, (303, 182)),
+                                      (7, (910, 547)), (8, (2733, 1640))])
 def test_class_counts(m, counts):
-    got = count_classes(m)
+    got = count_classes(kloosterman_table(make_field(3, m)))
     assert (got["count_b"], got["count_c"]) == counts
     assert got["count_a"] == 3**m - counts[0] - counts[1] - 1
+
+
+def test_count_classes_requires_characteristic_3():
+    with pytest.raises(FieldError):
+        count_classes(kloosterman_table(make_field(5, 1)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_classification_congruences(m):
     fld = make_field(3, m)
+    table = kloosterman_table(fld)
     tally = {"odd_square_trace": 0, "case_b": 0, "case_c": 0}
     for a in range(1, fld.n):
-        tag, mod4, t = classify_mod4(fld, a)
+        tag, t = CASES[table.case[a]], int(table.t_witness[a])
         tally[tag] += 1
         k = kloosterman(fld, a).value
-        assert k % 4 == mod4
+        assert k == table.value[a]
         if tag == "odd_square_trace":
             assert k % 2 == 1
-            assert t is None
+            assert t == -1
         else:
-            assert k % 2 == 0
+            assert k % 4 == (2 * m + 2 if tag == "case_b" else 2 * m) % 4
             # the witness is a nontrivial root of t^2 - t^3 = a
             assert t not in (0, 1)
             t2 = fld.mul(t, t)
             assert fld.sub(t2, fld.mul(t2, t)) == a
-    counts = count_classes(m)
+    counts = count_classes(table)
     assert tally["case_b"] == counts["count_b"]
     assert tally["case_c"] == counts["count_c"]
     assert tally["odd_square_trace"] == counts["count_a"]
+
+
+def slow_case(fld, a):
+    """The case of a and its least witness t (or -1), by scalar scans over GF(q)."""
+    tags = []
+    if a == 0:
+        tags.append("odd_square_trace")
+    else:
+        roots = [x for x in range(1, fld.n) if fld.mul(x, x) == a]
+        if roots and trace(fld, roots[0]) != 0:
+            tags.append("odd_square_trace")
+    witness = {}
+    for t in range(2, fld.n):
+        t2 = fld.mul(t, t)
+        if fld.sub(t2, fld.mul(t2, t)) != a:
+            continue
+        square_part = (quadratic_character(fld, t) == 1
+                       or quadratic_character(fld, fld.sub(1, t)) == 1)
+        witness.setdefault("case_b" if square_part else "case_c", t)
+    tags += list(witness)
+    assert len(tags) == 1, (a, tags)
+    return tags[0], witness.get(tags[0], -1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_table_matches_scalar_scans(m):
+    fld = make_field(3, m)
+    table = kloosterman_table(fld)
+    got = [(CASES[c], t) for c, t in zip(table.case.tolist(), table.t_witness.tolist())]
+    assert got == [slow_case(fld, a) for a in range(fld.n)]
+
+
+# sha256 of make_atlas text, recorded from the per-a classifier that preceded the table.
+ATLAS_DIGESTS = {
+    (3, 1): "e96e85a39092f38a2a6b5fcf6d04191737a2a422224e37e39a291d7b27c892c9",
+    (3, 2): "6704fd688f96e5070d19dd997446d1c27ecc001cd8d4886a9620beb29195944f",
+    (3, 3): "9543a4bb3781557158608cf06777ce8dc98e73d64c372457df4ef0a84eababd6",
+    (3, 4): "8ce9bdb765c1e88c92669f3bc7963cc362a623a96ed138fcba667d56c004192f",
+    (3, 5): "55844e26efe3241e46b20181218909aadb3dd03863e66193b3494e96545de0db",
+    (3, 6): "ca82aebbebed7875f036af16e85a1bf7479b5c7b584fc6cd9b9c5db83dfdce1e",
+    (3, 7): "910373b83700565ac6a9b639448ec4f81aac957fb16f14c1c7094315f556f150",
+    (5, 2): "aa22fe4137de0a4ff10ba69408f5b7433d013ce1b4248d02b3b27c13cc8541c0",
+    (7, 2): "a21de42348a02a67b27612c259d25c7564dd35dfe842400cf00daa3b3db898cf",
+}
+
+
+@pytest.mark.parametrize("p,m", ATLAS_DIGESTS)
+def test_atlas_pinned(p, m):
+    atlas = make_atlas(kloosterman_table(make_field(p, m)))
+    assert hashlib.sha256(atlas.encode()).hexdigest() == ATLAS_DIGESTS[p, m]
 
 
 def test_cyclotomic_int_identities():
@@ -123,13 +183,13 @@ def test_lambda_vanishes_mod2_matches_gf4_sum():
 
 def test_atlas_format():
     fld = make_field(3, 2)
-    atlas = make_atlas(fld)
+    atlas = make_atlas(kloosterman_table(fld))
     lines = atlas.splitlines()
     assert lines[0] == "# p=3 m=2 modulus=2,1,1"
     assert lines[1] == "a_index,K,K_mod4,case,t_witness"
     assert len(lines) == 2 + fld.n
     assert lines[2].startswith("0,-1,3,odd_square_trace,")
-    assert make_atlas(fld) == atlas
+    assert make_atlas(kloosterman_table(fld)) == atlas
 
 
 def test_atlas_p5_degrades_gracefully():
@@ -137,8 +197,8 @@ def test_atlas_p5_degrades_gracefully():
     rec = kloosterman(fld, 2)
     assert isinstance(rec.value, CyclotomicInt)
     assert rec.value.is_real()
-    assert rec.mod4 is None and rec.case_tag is None
-    atlas = make_atlas(fld)
+    assert rec.mod4 is None
+    atlas = make_atlas(kloosterman_table(fld))
     for line in atlas.splitlines()[2:]:
         fields = line.split(",")
         assert fields[2] == fields[3] == fields[4] == ""
