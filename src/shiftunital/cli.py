@@ -14,7 +14,7 @@ from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tow
 from . import charspec, geometry, planar
 from .kloosterman import (count_classes, kloosterman_table, make_atlas,
                           thm_membership_criterion)
-from .gf2rank import rank2_of_unital
+from .gf2rank import rank2_by_characters
 
 @dataclass
 class RunConfig:
@@ -190,8 +190,8 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     """One report row, served from the result cache when it matches the configuration.
 
     Also returns the spectrum_size result if this call evaluated it (None on a
-    cache hit), so a caller that needs it evaluates it at most once.
-    Blocks are built only for the gf2 engine.
+    cache hit), so a caller that needs it evaluates it at most once. Both engines
+    read the checked base blocks; neither builds the block array.
     """
     q = tower.base.n
     config = {"q": q, "p": cfg.p, "m": cfg.m, "modulus": _joined(tower.ext.modulus),
@@ -206,8 +206,8 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     t0 = time.monotonic()
     rank_gf2 = rank_spec = spectrum = None
     if run_gf2:
-        design = geometry.build_unital(f, setup)
-        rank_gf2 = rank2_of_unital(design, early_stop=early)
+        x, t = geometry.base_blocks(f, setup)
+        rank_gf2 = rank2_by_characters(setup, x, t, early_stop=early)
     if run_spectrum:
         spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all)
         rank_spec = spectrum.size

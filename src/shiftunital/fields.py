@@ -672,7 +672,10 @@ def make_char_field(p: int) -> CharFieldCtx:
         e += 1
     poly = next((1 << e) | low for low in range(1 << e) if _gf2_irreducible((1 << e) | low))
     tmp = CharFieldCtx(p=p, e=e, poly=poly, eps=0, eps_pows=())
-    eps = next(z for z in range(2, 1 << e) if tmp.pow(z, p) == 1)
+    # the order-p elements are the powers z0^k, k = 1..p-1, of any one of them
+    z0 = next(z for z in (tmp.pow(g, ((1 << e) - 1) // p) for g in range(2, 1 << e))
+              if z != 1)
+    eps = min(tmp.pow(z0, k) for k in range(1, p))
     pows = []
     acc = 1
     for _ in range(p):

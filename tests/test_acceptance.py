@@ -4,13 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from shiftunital import (build_unital, bounds, construct_theta,
+from shiftunital import (base_blocks, build_unital, bounds, construct_theta,
                          coulter_matthews_spec, count_classes, find_thetas,
                          kloosterman, kloosterman_table, make_field, make_tower,
                          parametrize_circle, quadratic_character, quadratic_form_count,
                          rank2_of_unital, spectrum_size, square_spec,
                          thm_membership_criterion, verify_chi_square_lemma,
                          verify_dual_ovals, verify_orthogonality)
+from shiftunital.gf2rank import rank2_by_characters
 
 QS = (3, 5, 7, 9)
 EXPECTED_RANK = {3: 25, 5: 121, 7: 337, 9: 721}
@@ -55,10 +56,8 @@ def q27_state(computed):
         f = square_spec(tower.ext)
         setup = construct_theta(tower)
         t0 = time.monotonic()
-        design = build_unital(f, setup)
         res = spectrum_size(setup, f)
-        computed["q27"] = {"tower": tower, "f": f, "setup": setup,
-                           "design": design, "spectrum": res,
+        computed["q27"] = {"tower": tower, "f": f, "setup": setup, "spectrum": res,
                            "spectrum_secs": time.monotonic() - t0}
     return computed["q27"]
 
@@ -109,7 +108,8 @@ def test_criterion_04_q27_engines(computed, capsys):
     res, secs = st["spectrum"], st["spectrum_secs"]
     ok = 13625 <= res.size <= 19657 and secs < 600
     t0 = time.monotonic()
-    r2 = rank2_of_unital(st["design"], early_stop=True)
+    r2 = rank2_by_characters(st["setup"], *base_blocks(st["f"], st["setup"]),
+                             early_stop=True)
     gf2_secs = time.monotonic() - t0
     ok = ok and r2 == res.size and gf2_secs < 1800
     match = "matches" if res.size == 19657 else "does not match"

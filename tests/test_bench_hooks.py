@@ -67,3 +67,12 @@ def test_traced_kloosterman_run_has_no_per_a_sums(tmp_path):
     assert names.count("kloosterman.kloosterman") == 0
     assert names.count("kloosterman.make_atlas") == 1
     assert names.count("kloosterman.count_classes") == 1
+
+
+def test_traced_gf2_rank_reads_base_blocks_only(tmp_path):
+    spans = _traced_spans(tmp_path, "--spawned", "0", "cli", "rank", "--p", "3", "--m", "2",
+                          "--engine", "gf2")
+    names = [s["name"] for s in spans]
+    assert names.count("cli.compute_row") == 1
+    assert "geometry.build_unital" not in names
+    assert "gf2rank.rank2_of_unital" not in names

@@ -287,6 +287,16 @@ def test_spectrum_only_runs_build_no_blocks(workdir, monkeypatch):
     assert main(["spectrum", "--p", "3", "--m", "1", "--cache-dir", "fresh"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["rank", "--p", "3", "--m", "2", "--engine", "gf2"],
+                                  ["report", "--q", "3,5"]])
+def test_gf2_runs_build_no_blocks(workdir, monkeypatch, argv):
+    monkeypatch.setattr(geometry, "build_unital", _refuse_blocks)
+    assert main(argv) == 0
+    name = "rank_q9_square.json" if argv[0] == "rank" else "report.json"
+    rows = json.loads((workdir / "out" / name).read_text())["rows"]
+    assert [r["rank_gf2"] for r in rows] == [r["upper_bound"] for r in rows]
+
+
 def _count_spectrum_calls(monkeypatch) -> list:
     calls = []
     real = charspec.spectrum_size

@@ -209,6 +209,26 @@ def test_char_field_gf4():
         make_char_field(2)
 
 
+# (e, poly, eps) for every odd prime p <= 19, recorded from the scan of all of
+# GF(2^e) for the smallest z != 1 with z^p = 1
+CHAR_FIELDS = {3: (2, 7, 2), 5: (4, 19, 8), 7: (3, 11, 2), 11: (10, 1033, 138),
+               13: (12, 4105, 541), 17: (8, 283, 8), 19: (18, 262153, 52434)}
+
+
+@pytest.mark.parametrize("p", sorted(CHAR_FIELDS))
+def test_char_field_pinned(p):
+    cf = make_char_field(p)
+    assert (cf.e, cf.poly, cf.eps) == CHAR_FIELDS[p]
+    assert cf.eps_pows[1] == cf.eps and cf.mul(cf.eps_pows[-1], cf.eps) == 1
+
+
+def test_char_field_without_a_full_scan():
+    # e = 28: a scan of GF(2^28) for eps would not finish
+    cf = make_char_field(29)
+    assert cf.e == 28 and cf.eps != 1 and cf.pow(cf.eps, 29) == 1
+    assert min(cf.pow(cf.eps, k) for k in range(1, 29)) == cf.eps
+
+
 def test_chi_is_multiplicative_character_of_addition():
     cf = make_char_field(3)
     fld = make_field(3, 2)

@@ -1,12 +1,13 @@
-"""Bit-packed GF(2) rank accumulation against dense oracles."""
+"""GF(2) ranks: the per-character engine and the row accumulator against dense oracles."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftunital import (FieldError, RankAccumulator, rank2_of_unital,
-                         verify_dual_ovals)
-from shiftunital.gf2rank import row_int
+from shiftunital import (FieldError, RankAccumulator, VerificationError, base_blocks,
+                         build_unital, construct_theta, make_field, make_tower,
+                         rank2_of_unital, square_spec, verify_dual_ovals)
+from shiftunital.gf2rank import _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
 
@@ -97,3 +98,84 @@ def test_dual_ovals(instances):
         rep = verify_dual_ovals(design, setup)
         assert rep["ok"]
         assert rep["oval_rank"] == q
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 90), st.integers(1, 150), st.integers(0, 3),
+       st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_eliminate_matches_dense_oracle(n_rows, n_cols, sparsity, seed, stop):
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(0, 2, size=(n_rows, n_cols), dtype=np.uint8)
+    for _ in range(sparsity):                    # sparser rows, and some repeats
+        dense &= rng.integers(0, 2, size=dense.shape, dtype=np.uint8)
+    dense[rng.integers(0, n_rows, n_rows // 3)] = dense[rng.integers(0, n_rows, n_rows // 3)]
+    want = gf2_rank_dense([set(np.flatnonzero(row).tolist()) for row in dense], n_cols)
+    width = -(-n_cols // 64)
+    padded = np.zeros((n_rows, 64 * width), dtype=np.uint8)
+    padded[:, :n_cols] = dense
+    rows = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    assert _eliminate(rows.copy(), n_cols + 1) == want
+    got = _eliminate(rows.copy(), stop)
+    assert min(stop, want) <= got <= want
+
+
+def _characters(setup, f, early):
+    x, t = base_blocks(f, setup)
+    return rank2_by_characters(setup, x, t, early_stop=early)
+
+
+def test_characters_match_row_oracle(instances):
+    for (q, name), (tower, f, setup, design) in instances.items():
+        for early in (True, False):
+            got = _characters(setup, f, early)
+            for punct in (True, False):
+                want = rank2_of_unital(design, include_infinity=punct, early_stop=early)
+                assert got == want, (q, name, early, punct)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_characters_match_row_oracle_early_stop(p):
+    # one component each (e = q - 1), stopped at e(q^2 - 1) from a seeded batch
+    tower = make_tower(make_field(p, 1))
+    f = square_spec(tower.ext)
+    setup = construct_theta(tower)
+    got = _characters(setup, f, True)
+    assert got == rank2_of_unital(build_unital(f, setup), early_stop=True) == p**3 - p + 1
+
+
+def _developed_rank(setup, x, t) -> int:
+    """Row oracle for any base blocks: every D_beta + (a, s), then the B_a."""
+    tower = setup.tower
+    base, ext = tower.base, tower.ext
+    q = base.n
+    acc = RankAccumulator(q**3 + 1)
+    nbytes = (q**3 + 8) // 8
+    for a in range(ext.n):
+        for s in range(q):
+            for xs, ts in zip(x.tolist(), t.tolist()):
+                acc.absorb(row_int([ext.add(xv, a) * q + base.add(tv, s)
+                                    for xv, tv in zip(xs, ts)], nbytes))
+        acc.absorb(row_int([a * q + s for s in range(q)] + [q**3], nbytes))
+    return acc.rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5]), st.data())
+def test_characters_match_developed_rows_for_any_blocks(q, data):
+    # the splitting needs only distinct x in each base block; other blocks break
+    # the even meets (no cap then) and the proven bound alike
+    tower = make_tower(make_field(q, 1))
+    setup = construct_theta(tower)
+    x, t = base_blocks(square_spec(tower.ext), setup)
+    if data.draw(st.booleans(), label="redraw x"):
+        x = np.array([data.draw(st.permutations(range(q * q)))[:q + 1]
+                      for _ in range(q - 1)])
+    t = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=t.size,
+                                    max_size=t.size), label="t")).reshape(t.shape)
+    want = _developed_rank(setup, x, t)
+    for early in (True, False):
+        if want > q**3 - q + 1:
+            with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
+                rank2_by_characters(setup, x, t, early_stop=early)
+        else:
+            assert rank2_by_characters(setup, x, t, early_stop=early) == want
