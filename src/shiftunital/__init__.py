@@ -5,7 +5,7 @@ from .fields import (CharFieldCtx, FieldCtx, ThetaSetup, TowerCtx, chi, chi_tabl
                      construct_theta, default_modulus, make_char_field, make_field,
                      make_tower, quadratic_character, quadratic_form_count,
                      quadratic_form_values, square_table, theta_setup, trace,
-                     trace_table)
+                     trace_form_table, trace_table)
 from .planar import (ComponentPair, PlanarSpec, components, coulter_matthews_spec,
                      do_spec, evaluate, is_normal, is_planar, parse_do_table,
                      planarity_witness, registry_list, square_spec)
@@ -30,7 +30,8 @@ __all__ = [
     "CharFieldCtx", "FieldCtx", "ThetaSetup", "TowerCtx", "chi", "chi_table",
     "construct_theta", "default_modulus", "make_char_field", "make_field",
     "make_tower", "quadratic_character", "quadratic_form_count",
-    "quadratic_form_values", "square_table", "theta_setup", "trace", "trace_table",
+    "quadratic_form_values", "square_table", "theta_setup", "trace", "trace_form_table",
+    "trace_table",
     "ComponentPair", "PlanarSpec", "components", "coulter_matthews_spec", "do_spec",
     "evaluate", "is_normal", "is_planar", "parse_do_table", "planarity_witness",
     "registry_list", "square_spec",

@@ -8,39 +8,43 @@ import numpy as np
 
 from .errors import FieldError, VerificationError
 from .fields import (ThetaSetup, chi_array, make_char_field, make_field, make_tower,
-                     prime_power, trace_table)
+                     prime_power, trace_form_table, trace_table)
 from .geometry import UnitalDesign, base_blocks
 from .planar import PlanarSpec, components, is_normal
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpectrumCtx:
-    """Shared read-only tables for evaluating characters on blocks of one unital."""
+    """Trace values of the character arguments on the base blocks of one unital.
 
-    setup: ThetaSetup
-    chitab: np.ndarray = field(repr=False, default=None)  # GF(q) index -> chi value
-    x0: np.ndarray = field(repr=False, default=None)      # (q-1, q+1) base-block coords
-    x1: np.ndarray = field(repr=False, default=None)
-    wfj: np.ndarray = field(repr=False, default=None)     # (q-1 w's, q-1, q+1) w*t
+    Tr is additive, so chi_{u,v,w}(x, t) = eps^(Tr(u*x0) + Tr(v*x1) + Tr(w*t)).
+    Each trace array is indexed [u | v | w - 1, beta - 1, point], and epsx is
+    eps_pows tiled three times, so a sum of three traces indexes it directly.
+    """
+
+    tr_ux0: np.ndarray = field(repr=False)    # (q, q - 1, q + 1) Tr(u*x0)
+    tr_vx1: np.ndarray = field(repr=False)    # (q, q - 1, q + 1) Tr(v*x1)
+    tr_wt: np.ndarray = field(repr=False)     # (q - 1, q - 1, q + 1) Tr(w*t), w != 0
+    epsx: np.ndarray = field(repr=False)      # (3p,) eps^(k mod p)
 
 
 def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
-    """The tables for a normal f; FieldError otherwise (the S(beta) criterion needs it)."""
+    """The tables for a normal f; FieldError otherwise (the S(beta) criterion needs it).
+
+    FieldError too when a character value needs more than 64 bits (e > 64).
+    """
     if not is_normal(f):
         raise FieldError("spectrum engine requires a normal f")
     tower = setup.tower
     base = tower.base
+    cf = make_char_field(base.p)
+    if cf.e > 64:
+        raise FieldError(f"character values of GF(2^{cf.e}) do not fit in 64 bits")
     x, t = base_blocks(f, setup)
-    wfj = np.stack([base.vmul(np.full(t.shape, w, dtype=np.int64), t)
-                    for w in range(1, base.n)]).astype(np.int64)
-    return SpectrumCtx(setup=setup, chitab=chi_array(make_char_field(base.p), base),
-                       x0=tower.dec0[x].astype(np.int64),
-                       x1=tower.dec1[x].astype(np.int64), wfj=wfj)
-
-
-def _uv_part(ctx: SpectrumCtx, u: int, v: int) -> np.ndarray:
-    base = ctx.setup.tower.base
-    return base.vadd(base.vmul(np.full(ctx.x0.shape, u, dtype=np.int64), ctx.x0),
-                     base.vmul(np.full(ctx.x1.shape, v, dtype=np.int64), ctx.x1))
+    trace_form = trace_form_table(base)
+    eps = np.array(cf.eps_pows, dtype=np.min_scalar_type((1 << cf.e) - 1))
+    return SpectrumCtx(tr_ux0=trace_form[:, tower.dec0[x]],
+                       tr_vx1=trace_form[:, tower.dec1[x]],
+                       tr_wt=trace_form[1:, t], epsx=np.tile(eps, 3))
 
 
 def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block,
@@ -77,10 +81,10 @@ def s_beta(ctx: SpectrumCtx, chi: tuple[int, int, int], beta: int) -> int:
     if beta == 0:
         raise FieldError("beta must be nonzero")
     u, v, w = chi
-    args = _uv_part(ctx, u, v)[beta - 1]
+    k = ctx.tr_ux0[u, beta - 1] + ctx.tr_vx1[v, beta - 1]
     if w:
-        args = ctx.setup.tower.base.vadd(args, ctx.wfj[w - 1, beta - 1])
-    return int(np.bitwise_xor.reduce(ctx.chitab[args]))
+        k = k + ctx.tr_wt[w - 1, beta - 1]
+    return int(np.bitwise_xor.reduce(ctx.epsx[k]))
 
 
 def in_spectrum_by_scan(design: UnitalDesign, chi: tuple[int, int, int]) -> bool:
@@ -106,31 +110,76 @@ def in_spectrum(ctx: SpectrumCtx, chi: tuple[int, int, int]) -> bool:
         return True                      # chi(B_a) = chi(u*a0 + v*a1) != 0
     if u == 0 and v == 0:
         return False                     # B_a sums vanish; S(beta) = 0 for normal f
-    base = ctx.setup.tower.base
-    args = base.vadd(_uv_part(ctx, u, v), ctx.wfj[w - 1])
-    return bool(np.any(np.bitwise_xor.reduce(ctx.chitab[args], axis=1)))
+    k = ctx.tr_ux0[u] + ctx.tr_vx1[v] + ctx.tr_wt[w - 1]
+    return bool(np.any(np.bitwise_xor.reduce(ctx.epsx[k], axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Membership bitmap over all q^3 characters in (u, v, w) index order."""
+    """Witness arrays over all q^3 characters, indexed [u, v, w].
+
+    lowest holds the lowest certifying beta of each member with w != 0 and 0
+    elsewhere. With witness_all, certifying holds every certifying beta of each
+    character as little-endian bits, bit beta - 1 of its last axis; else None.
+    """
 
     q: int
-    bitmap: int
-    size: int
-    witnesses: dict = field(repr=False, default=None)
+    lowest: np.ndarray = field(repr=False)
+    certifying: np.ndarray | None = field(repr=False, default=None)
 
     @cached_property
     def members(self) -> np.ndarray:
-        """The bitmap unpacked once, as a read-only bool array indexed [u, v, w]."""
-        n = self.q**3
-        raw = np.frombuffer(self.bitmap.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
-        out = np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+        """Membership as a read-only bool array indexed [u, v, w]."""
+        out = self.lowest > 0
+        out[:, :, 0] = True
         out.setflags(write=False)
-        return out.reshape(self.q, self.q, self.q)
+        return out
+
+    @cached_property
+    def size(self) -> int:
+        return int(np.count_nonzero(self.members))
+
+    @cached_property
+    def bitmap(self) -> int:
+        """Membership as an int, bit (u*q + v)*q + w per character."""
+        return int.from_bytes(
+            np.packbits(self.members, bitorder="little").tobytes(), "little")
 
     def member(self, u: int, v: int, w: int) -> bool:
         return bool(self.members[u, v, w])
+
+    def certifying_sets(self, u: int) -> list[tuple[int, ...]]:
+        """Every certifying beta of each chi_{u,v,w}, ascending, in (v, w) order.
+
+        Needs a witness_all result; FieldError otherwise.
+        """
+        if self.certifying is None:
+            raise FieldError("certifying sets need a witness_all spectrum")
+        q = self.q
+        bits = np.unpackbits(self.certifying[u], axis=-1, count=q - 1, bitorder="little")
+        rows, cols = np.nonzero(bits.reshape(q * q, q - 1))
+        betas = (cols + 1).tolist()
+        ends = np.searchsorted(rows, np.arange(q * q + 1)).tolist()
+        return [tuple(betas[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """Character index (u*q + v)*q + w -> witness, for every member in index order.
+
+        The witness is the lowest certifying beta, 0 for w = 0; with witness_all,
+        members with w != 0 map to the tuple of every certifying beta. One entry
+        per member: q^3 - q + 1 of them when the upper bound is met.
+        """
+        q = self.q
+        out = {}
+        for u in range(q):
+            idx = np.flatnonzero(self.members[u])
+            vals = self.lowest[u].ravel()[idx].tolist()
+            if self.certifying is not None:
+                sets = self.certifying_sets(u)
+                vals = [sets[i] or low for i, low in zip(idx.tolist(), vals)]
+            out.update(zip((idx + u * q * q).tolist(), vals))
+        return out
 
 
 # Circles beta = 1.._FIRST_CIRCLES are evaluated for every character of a u-slice
@@ -149,23 +198,23 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
     witness is evaluated circle by circle up to its first nonzero sum, so its witness
     is the lowest certifying beta. u = v = 0 is thereby scanned on every circle (the
     exclusion lemma). witness_all takes every circle as a first circle and records
-    all certifying betas. The S(beta) criterion holds for normal f only; FieldError
-    otherwise.
+    all certifying betas. Every sum is a sum of three trace values looked up in
+    epsx, then xor-reduced. The S(beta) criterion holds for normal f only;
+    FieldError otherwise.
     """
     ctx = make_spectrum_ctx(setup, f)
-    base = setup.tower.base
-    q = base.n
+    q = setup.tower.base.n
     first = q - 1 if witness_all else min(_FIRST_CIRCLES, q - 1)
     v_step = max(1, _GATHER_LIMIT // ((q - 1) * first * (q + 1)))
-    w_first = ctx.wfj[None, :, :first]
-    vx1 = base.vmul(np.arange(q, dtype=np.int64)[:, None, None], ctx.x1[None])
-    lowest = np.zeros((q, q, q), dtype=np.int32)   # lowest witness beta; 0: none yet
-    certifying = {}
+    w_first = ctx.tr_wt[None, :, :first]
+    lowest = np.zeros((q, q, q), dtype=np.uint16)   # lowest witness beta; 0: none yet
+    certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
+                  if witness_all else None)
     for u in range(q):
-        uv = base.vadd(base.vmul(u, ctx.x0)[None], vx1)               # (v, beta, point)
+        uv = ctx.tr_ux0[u] + ctx.tr_vx1                                # (v, beta, point)
         nz = np.concatenate([
             np.bitwise_xor.reduce(
-                ctx.chitab[base.vadd(uv[v0:v0 + v_step, None, :first], w_first)],
+                np.take(ctx.epsx, uv[v0:v0 + v_step, None, :first] + w_first),
                 axis=3) != 0
             for v0 in range(0, q, v_step)])                            # (v, w, beta)
         low = lowest[u, :, 1:]
@@ -176,7 +225,7 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
             if not pv.size:
                 break
             hit = np.bitwise_xor.reduce(
-                ctx.chitab[base.vadd(uv[pv, beta - 1], ctx.wfj[pw, beta - 1])],
+                np.take(ctx.epsx, uv[pv, beta - 1] + ctx.tr_wt[pw, beta - 1]),
                 axis=1) != 0
             low[pv[hit], pw[hit]] = beta
             pv, pw = pv[~hit], pw[~hit]
@@ -184,16 +233,8 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
             raise VerificationError(
                 "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
         if witness_all:
-            for v, w in zip(*np.nonzero(has)):
-                certifying[(u * q + v) * q + w + 1] = tuple(
-                    (np.flatnonzero(nz[v, w]) + 1).tolist())
-    member = lowest > 0
-    member[:, :, 0] = True
-    flat = np.flatnonzero(member)
-    witnesses = dict(zip(flat.tolist(), lowest.ravel()[flat].tolist()))
-    witnesses.update(certifying)
-    bitmap = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
-    return SpectrumResult(q=q, bitmap=bitmap, size=flat.size, witnesses=witnesses)
+            certifying[u, :, 1:] = np.packbits(nz, axis=2, bitorder="little")
+    return SpectrumResult(q=q, lowest=lowest, certifying=certifying)
 
 
 def bounds(q: int, p: int, m: int) -> dict:

@@ -8,6 +8,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DesignError, FieldError, VerificationError
 from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
                      prime_power, theta_setup)
@@ -152,12 +154,17 @@ def _print_header(head: dict) -> None:
     print("# " + " ".join(f"{k}={v}" for k, v in head.items()))
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write_chunks(path: str, chunks) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
+
+
+def _atomic_write(path: str, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -298,6 +305,23 @@ def cmd_rank(cfg: RunConfig) -> int:
     return 0
 
 
+def _witness_csv(result: charspec.SpectrumResult):
+    """The witness CSV, one u-slice of q^2 lines per chunk."""
+    q = result.q
+    vw = [f"{v},{w}," for v in range(q) for w in range(q)]
+    tail = [f"1,{b}\n" for b in range(q)] + ["0,\n"]      # by lowest beta; q: no member
+    yield "u,v,w,member,witness_beta\n"
+    for u in range(q):
+        code = np.where(result.members[u], result.lowest[u], q).ravel().tolist()
+        tails = [tail[c] for c in code]
+        if result.certifying is not None:
+            for i, betas in enumerate(result.certifying_sets(u)):
+                if betas:
+                    tails[i] = f"1,{';'.join(map(str, betas))}\n"
+        head = f"{u},"
+        yield head + head.join(map(str.__add__, vw, tails))
+
+
 def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     tower = make_context(cfg)
     q = tower.base.n
@@ -313,19 +337,8 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     doc = {"config": head, "rows": [row], "bitmap_hex": bitmap_hex}
     path = os.path.join(cfg.out_dir, f"spectrum_q{q}_{f.name}.json")
     _write_json(path, doc)
-    members = result.members.tolist()
-    lines = ["u,v,w,member,witness_beta"]
-    for u in range(q):
-        for v in range(q):
-            for w in range(q):
-                idx = (u * q + v) * q + w
-                member = int(members[u][v][w])
-                wit = result.witnesses.get(idx, "")
-                if isinstance(wit, tuple):
-                    wit = ";".join(str(b) for b in wit)
-                lines.append(f"{u},{v},{w},{member},{wit}")
     csv_path = os.path.join(cfg.out_dir, f"spectrum_witness_q{q}_{f.name}.csv")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write_chunks(csv_path, _witness_csv(result))
     print(f"spectrum size {result.size} -> {path}, {csv_path}")
     return 0
 

@@ -361,13 +361,27 @@ def trace(ctx: FieldCtx, x: int) -> int:
 
 
 def trace_table(ctx: FieldCtx) -> np.ndarray:
-    """Vectorized trace of every element onto GF(p)."""
-    acc = np.zeros(ctx.n, dtype=np.int32)
+    """Vectorized trace of every element onto GF(p): the digit sum of its m conjugates."""
+    acc = np.zeros((ctx.n, ctx.m), dtype=np.int32)
     y = np.arange(ctx.n)
     for _ in range(ctx.m):
-        acc = ctx.vadd(acc, y)
+        acc += ctx._digits[y]
         y = ctx.vpow(y, ctx.p)
-    return acc
+    acc %= ctx.p
+    if acc[:, 1:].any():
+        raise FieldError("a trace left the prime field")  # pragma: no cover
+    return acc[:, 0].copy()
+
+
+def trace_form_table(ctx: FieldCtx) -> np.ndarray:
+    """Tr(a*b) for every pair of elements, shape (n, n).
+
+    Stored in the smallest unsigned dtype that holds 3(p - 1), so a sum of three
+    entries, the trace of a sum of three products, does not overflow.
+    """
+    tr = trace_table(ctx).astype(np.min_scalar_type(3 * (ctx.p - 1)))
+    idx = np.arange(ctx.n)
+    return tr[ctx.vmul(idx[:, None], idx[None, :])]
 
 
 def quadratic_character(ctx: FieldCtx, x: int) -> int:
@@ -614,13 +628,36 @@ def _gf2_polymod(a: int, b: int) -> int:
     return a
 
 
-def _gf2_irreducible(poly: int) -> bool:
+def _gf2_mulmod(a: int, b: int, poly: int) -> int:
+    """a*b modulo poly over GF(2), polynomials held as bitmasks; a must be reduced."""
     deg = poly.bit_length() - 1
-    for d in range(1, deg // 2 + 1):
-        for low in range(1 << d):
-            if _gf2_polymod(poly, (1 << d) | low) == 0:
-                return False
-    return True
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> deg) & 1:
+            a ^= poly
+    return r
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_polymod(a, b)
+    return a
+
+
+def _gf2_irreducible(poly: int) -> bool:
+    """Rabin's test: poly of degree n is irreducible over GF(2) iff x^(2^n) = x mod poly
+    and gcd(x^(2^(n/r)) - x, poly) = 1 for every prime r dividing n."""
+    n = poly.bit_length() - 1
+    x = _gf2_polymod(2, poly)
+    frob = [x]                                   # frob[k] = x^(2^k) mod poly
+    for _ in range(n):
+        frob.append(_gf2_mulmod(frob[-1], frob[-1], poly))
+    return frob[n] == x and all(_gf2_gcd(poly, frob[n // r] ^ x) == 1
+                                for r in _factorize(n))
 
 
 @dataclass(frozen=True)
@@ -634,17 +671,7 @@ class CharFieldCtx:
     eps_pows: tuple[int, ...]
 
     def mul(self, a: int, b: int) -> int:
-        r = 0
-        e = self.e
-        poly = self.poly
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> e) & 1:
-                a ^= poly
-        return r
+        return _gf2_mulmod(a, b, self.poly)
 
     def pow(self, a: int, k: int) -> int:
         r = 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import ThetaSetup, make_char_field, trace_table
+from .fields import ThetaSetup, make_char_field, trace_form_table
 from .geometry import UnitalDesign
 
 _ORDER_SEED = 0
@@ -205,7 +205,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
     meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)
     stop = e * (n - 1) if early_stop and not np.any(meets & 1) else e * n
     width = -(-e * n // 64)
-    tr = trace_table(base)
+    trace_form = trace_form_table(base)
     eps = np.array(cf.eps_pows, dtype=np.int64)
     shifts = np.arange(e)
     two = base.element_from_int(2)
@@ -218,7 +218,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
         while not seen[v]:
             seen[v] = True
             v = base.mul(v, two)
-        k = tr[base.vmul(np.full(t.shape, w, dtype=np.int64), t)]
+        k = trace_form[w, t]
         powers = eps[(k[:, None, :] + shifts[None, :, None]) % base.p]
         bits = ((powers[..., None] >> shifts) & 1).astype(bool)
         size = n - 1 + _SLACK if early_stop else n_pairs

@@ -1,17 +1,19 @@
 """Character-spectrum engine against the block-scan oracle and closed bounds."""
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from shiftunital import (FieldError, SpectrumResult, VerificationError, bounds,
-                         chi_block, construct_theta, find_thetas, in_spectrum,
-                         in_spectrum_by_scan, make_field, make_tower,
-                         rank2_of_unital, s_beta, spectrum_size, square_spec,
-                         verify_chi_square_lemma, verify_orthogonality,
+from shiftunital import (FieldCtx, FieldError, SpectrumResult, VerificationError,
+                         base_blocks, bounds, chi_block, construct_theta, find_thetas,
+                         in_spectrum, in_spectrum_by_scan, make_char_field, make_field,
+                         make_tower, rank2_of_unital, s_beta, spectrum_size,
+                         square_spec, verify_chi_square_lemma, verify_orthogonality,
                          verify_trace_criterion)
 from shiftunital import charspec
+from shiftunital.fields import chi_array
 
 from test_geometry import swap_one_point
 
@@ -81,6 +83,8 @@ def test_witnesses_certify_membership(instances):
     for ch in all_chars(q):
         idx = (ch[0] * q + ch[1]) * q + ch[2]
         assert (idx in res.witnesses) == res.member(*ch)
+    with pytest.raises(FieldError, match="witness_all"):
+        res.certifying_sets(0)
 
 
 def test_witness_all_lists_every_nonzero_beta(instances):
@@ -217,29 +221,54 @@ def test_scan_oracle_builds_one_character_table(instances, monkeypatch):
 
 
 def _full_scan(setup, f):
-    """S(beta) of every character on every circle, one (u, v) at a time: (u, v, w-1, beta-1)."""
-    ctx = charspec.make_spectrum_ctx(setup, f)
-    base = setup.tower.base
+    """S(beta) of every character on every circle, one (u, v) at a time: (u, v, w-1, beta-1).
+
+    Built from chi_array and field arithmetic on the base blocks, independent of
+    the engine's trace tables.
+    """
+    tower = setup.tower
+    base = tower.base
     q = base.n
+    chitab = chi_array(make_char_field(base.p), base)
+    x, t = base_blocks(f, setup)
+    x0 = tower.dec0[x].astype(np.int64)
+    x1 = tower.dec1[x].astype(np.int64)
+    wt = base.vmul(np.arange(1, q)[:, None, None], t[None])        # (w-1, beta-1, point)
     out = np.empty((q, q, q - 1, q - 1), dtype=np.int64)
     for u in range(q):
         for v in range(q):
-            args = base.vadd(charspec._uv_part(ctx, u, v)[None], ctx.wfj)
-            out[u, v] = np.bitwise_xor.reduce(ctx.chitab[args], axis=2)
+            uv = base.vadd(base.vmul(u, x0), base.vmul(v, x1))
+            out[u, v] = np.bitwise_xor.reduce(chitab[base.vadd(uv[None], wt)], axis=2)
     return out
+
+
+def _check_against_full_scan(setup, f):
+    nonzero = _full_scan(setup, f) != 0
+    assert not nonzero[0, 0].any()                     # the exclusion lemma
+    lowest = np.where(nonzero.any(axis=3), nonzero.argmax(axis=3) + 1, 0)
+    res = spectrum_size(setup, f)
+    assert np.array_equal(res.members[:, :, 1:], lowest > 0)
+    assert np.array_equal(res.lowest[:, :, 1:], lowest)
+    full = spectrum_size(setup, f, witness_all=True)
+    assert full.bitmap == res.bitmap
+    q = setup.tower.base.n
+    for u in range(q):
+        sets = full.certifying_sets(u)
+        for v in range(q):
+            assert sets[v * q] == ()
+            for w in range(1, q):
+                assert sets[v * q + w] == tuple(
+                    (np.flatnonzero(nonzero[u, v, w - 1]) + 1).tolist())
+    return nonzero, lowest, res, full
 
 
 def test_witness_is_lowest_certifying_circle_q27(tower27):
     # at q = 27 the lowest witnesses reach beta 6-7, past the first circles
     f = square_spec(tower27.ext)
     setup = construct_theta(tower27)
-    nonzero = _full_scan(setup, f) != 0
+    nonzero, lowest, res, full = _check_against_full_scan(setup, f)
     q = 27
-    res = spectrum_size(setup, f)
     assert res.size == q**3 - q + 1
-    assert not nonzero[0, 0].any()                     # the exclusion lemma
-    lowest = np.where(nonzero.any(axis=3), nonzero.argmax(axis=3) + 1, 0)
-    assert np.array_equal(res.members[:, :, 1:], lowest > 0)
     ctx = charspec.make_spectrum_ctx(setup, f)
     for idx, wit in res.witnesses.items():
         u, rest = divmod(idx, q * q)
@@ -252,13 +281,82 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
         else:
             assert wit == 0
     assert lowest.max() >= 6 and charspec._FIRST_CIRCLES < 6
-    full = spectrum_size(setup, f, witness_all=True)
-    assert full.bitmap == res.bitmap
     for idx, wit in full.witnesses.items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
         if w:
             assert wit == tuple((np.flatnonzero(nonzero[u, v, w - 1]) + 1).tolist())
+
+
+@pytest.mark.parametrize("p", [11, 13, 19])
+def test_wide_character_values_match_full_scan(p):
+    # e = 10, 12, 18: character values need 16 or 32 bits
+    tower = make_tower(make_field(p, 1))
+    f = square_spec(tower.ext)
+    setup = construct_theta(tower)
+    ctx = charspec.make_spectrum_ctx(setup, f)
+    e = make_char_field(p).e
+    assert e > 8 and ctx.epsx.dtype.itemsize * 8 >= e
+    assert int(ctx.epsx.max()) >= 1 << 8
+    _check_against_full_scan(setup, f)
+
+
+def test_wide_trace_sums_q89():
+    # p = 89 is the first prime with 3(p - 1) >= 256: trace sums need 16 bits
+    tower = make_tower(make_field(89, 1))
+    base = tower.base
+    q = base.n
+    f = square_spec(tower.ext)
+    setup = construct_theta(tower)
+    ctx = charspec.make_spectrum_ctx(setup, f)
+    assert ctx.tr_ux0.dtype == np.uint16
+    chitab = chi_array(make_char_field(base.p), base)
+    x, t = base_blocks(f, setup)
+    x0 = tower.dec0[x].astype(np.int64)
+    x1 = tower.dec1[x].astype(np.int64)
+
+    def direct(u, v, w, beta):
+        args = base.vadd(base.vadd(base.vmul(u, x0[beta - 1]), base.vmul(v, x1[beta - 1])),
+                         base.vmul(w, t[beta - 1]))
+        return int(np.bitwise_xor.reduce(chitab[args]))
+
+    rng = np.random.default_rng(89)
+    sums = set()
+    for u, v, w, beta in rng.integers(1, q, (200, 4)).tolist():
+        sums.add(s_beta(ctx, (u, v, w), beta))
+        assert s_beta(ctx, (u, v, w), beta) == direct(u, v, w, beta)
+    assert len(sums) > 2
+    res = spectrum_size(setup, f)
+    assert res.size == q**3 - q + 1
+    for u, v, w in rng.integers(1, q, (40, 3)).tolist():
+        wit = int(res.lowest[u, v, w])
+        assert direct(u, v, w, wit) != 0
+        assert all(direct(u, v, w, b) == 0 for b in range(1, wit))
+
+
+def test_spectrum_makes_no_field_additions_per_u(monkeypatch):
+    instances = []
+    for m in (2, 3):
+        tower = make_tower(make_field(3, m))
+        instances.append((construct_theta(tower), square_spec(tower.ext)))
+    calls = []
+    real = FieldCtx.vadd
+    monkeypatch.setattr(FieldCtx, "vadd", lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for setup, f in instances:
+        calls.clear()
+        spectrum_size(setup, f)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_character_values_beyond_64_bits_are_refused(instances, monkeypatch):
+    tower, f, setup, design = instances[3, "square"]
+    wide = charspec.make_char_field(3)
+    monkeypatch.setattr(charspec, "make_char_field",
+                        lambda p: dataclasses.replace(wide, e=65))
+    with pytest.raises(FieldError, match="64 bits"):
+        spectrum_size(setup, f)
 
 
 def test_spectrum_checks_difference_family(instances, monkeypatch):

@@ -1,5 +1,6 @@
 """Field towers, traces, characters, and quadratic form counts."""
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from shiftunital import (FieldError, VerificationError, chi, chi_table,
                          construct_theta, default_modulus, make_char_field,
                          make_field, make_tower, quadratic_character,
                          quadratic_form_count, square_table, theta_setup, trace,
-                         trace_table)
+                         trace_form_table, trace_table)
 from shiftunital import fields
 from shiftunital.fields import prime_power
 
@@ -227,6 +228,43 @@ def test_char_field_without_a_full_scan():
     cf = make_char_field(29)
     assert cf.e == 28 and cf.eps != 1 and cf.pow(cf.eps, 29) == 1
     assert min(cf.pow(cf.eps, k) for k in range(1, 29)) == cf.eps
+
+
+def test_trace_form_table():
+    fld = make_field(3, 2)
+    tab = trace_form_table(fld)
+    assert tab.shape == (9, 9) and tab.dtype == np.uint8
+    for a in range(9):
+        for b in range(9):
+            assert tab[a, b] == trace(fld, fld.mul(a, b))
+    # three entries must sum without wrapping: 3 * 82 fits a byte, 3 * 88 does not
+    assert trace_form_table(make_field(83, 1)).dtype == np.uint8
+    assert trace_form_table(make_field(89, 1)).dtype == np.uint16
+
+
+# (e, poly, eps) for 23 <= p <= 47, recorded from the trial-division modulus
+# search that Rabin's test replaced (p = 37 took 1.35 s there)
+CHAR_FIELDS_RABIN = {23: (11, 2053, 167), 29: (28, 268435459, 148472980),
+                     31: (5, 37, 2), 37: (36, 68719476789, 3653604221),
+                     41: (20, 1048585, 9677), 43: (14, 16417, 1357),
+                     47: (23, 8388641, 594110)}
+
+
+@pytest.mark.parametrize("p", sorted(CHAR_FIELDS_RABIN))
+def test_char_field_rabin_matches_trial_division(p):
+    cf = make_char_field(p)
+    assert (cf.e, cf.poly, cf.eps) == CHAR_FIELDS_RABIN[p]
+
+
+def test_char_field_e52_in_under_a_second():
+    # trial division by every polynomial of degree <= 26 stalled here
+    start = time.perf_counter()
+    cf = make_char_field(53)
+    assert time.perf_counter() - start < 1.0
+    assert cf.e == 52 and cf.poly >> 52 == 1
+    assert cf.eps != 1 and cf.pow(cf.eps, 53) == 1
+    # no factor of degree <= 10, by direct division
+    assert all(fields._gf2_polymod(cf.poly, div) for div in range(2, 1 << 11))
 
 
 def test_chi_is_multiplicative_character_of_addition():

@@ -286,15 +286,15 @@ def test_base_blocks_develop_to_the_design(instances):
                     assert tuple(sorted(pids.tolist())) in rows
 
 
-def swap_one_point(monkeypatch):
-    """Make circles_of swap one point between C_{0,1} and C_{0,2}."""
+def swap_one_point(monkeypatch, b1=1, b2=2):
+    """Make circles_of swap one point between C_{0,b1} and C_{0,b2}."""
     real = geometry.circles_of
 
     def swapped(*args):
         circles = real(*args)
-        one, two = circles[1].copy(), circles[2].copy()
+        one, two = circles[b1].copy(), circles[b2].copy()
         one[0], two[0] = two[0], one[0]
-        circles[1], circles[2] = np.sort(one), np.sort(two)
+        circles[b1], circles[b2] = np.sort(one), np.sort(two)
         return circles
 
     monkeypatch.setattr(geometry, "circles_of", swapped)
@@ -306,6 +306,21 @@ def test_build_rejects_broken_difference_family(setup9, square9, monkeypatch):
         base_blocks(square9, setup9)
     with pytest.raises(VerificationError, match="difference"):
         build_unital(square9, setup9)
+
+
+def test_difference_family_check_in_chunks(setup9, square9, monkeypatch):
+    # the broken blocks D_7, D_8 land in the last chunks when each chunk is one block
+    swap_one_point(monkeypatch, 7, 8)
+    with pytest.raises(VerificationError, match="difference") as whole:
+        base_blocks(square9, setup9)
+    monkeypatch.setattr(geometry, "_GATHER_LIMIT", 1)
+    calls = []
+    real = FieldCtx.vsub
+    monkeypatch.setattr(FieldCtx, "vsub", lambda *a: calls.append(1) or real(*a))
+    with pytest.raises(VerificationError, match="difference") as chunked:
+        base_blocks(square9, setup9)
+    assert str(chunked.value) == str(whole.value)
+    assert len(calls) > 8                    # 8 chunks, two subtractions each
 
 
 def test_shifted_square_has_no_admissible_theta(tower3, tower5):
