@@ -13,11 +13,6 @@ import numpy as np
 
 from .errors import FieldError, VerificationError
 
-# Sums gather from a dense int16 n x n table, built lazily, up to this field
-# size; larger fields add base-p digit vectors. Products use log/antilog tables.
-_TABLE_LIMIT = 3**8
-
-
 def _factorize(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -186,13 +181,22 @@ class FieldCtx:
         self.exp, self.log = self._build_logs()
         # exp doubled so products of two logs index without a modulo
         self._exp2 = np.concatenate([self.exp, self.exp])
-        self.neg_table = self._encode((p - digits) % p)
-        self._add_tbl: np.ndarray | None = None
+        self.neg_table = (((p - digits) % p).astype(np.int64) @ self._pows).astype(np.int32)
+        # a = lo + p^h hi: the low h = ceil(m/2) digits and the high m - h both add
+        # through one (p^h, p^h) table of digit-wise sums, built one digit per level:
+        # T_{k+1}[a, b] = ((a_k + b_k) mod p) p^k + T_k[a mod p^k, b mod p^k]
+        h = (m + 1) // 2
+        top = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(np.int32)
+        tbl = np.zeros((1, 1), dtype=np.int32)
+        for k in range(h):
+            level = (top * p**k)[:, None, :, None] + tbl[None, :, None, :]
+            tbl = level.reshape(p**(k + 1), p**(k + 1))
+        self._add_tbl = tbl
+        self._half = p**h
+        self._hi, self._lo = np.divmod(idx, self._half)
+        self._hi_row, self._lo_row = self._hi * self._half, self._lo * self._half
 
     # -- construction internals -------------------------------------------
-
-    def _encode(self, digit_rows: np.ndarray) -> np.ndarray:
-        return (digit_rows.astype(np.int64) @ self._pows).astype(np.int32)
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of element a, constant term first."""
@@ -237,24 +241,6 @@ class FieldCtx:
             raise FieldError("primitive element has wrong order")  # pragma: no cover
         return exp, log
 
-    def _ensure_add_table(self) -> np.ndarray:
-        """Dense sum table, one base-p digit per level: with a = a_k p^k + a_low,
-        T_{k+1}[a, b] = ((a_k + b_k) mod p) p^k + T_k[a_low, b_low], one broadcast add.
-        """
-        if self._add_tbl is None:
-            if self.n > _TABLE_LIMIT:
-                raise FieldError(f"dense tables disabled for field size {self.n}")
-            p = self.p
-            top = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(np.int16)
-            tbl = np.zeros((1, 1), dtype=np.int16)
-            for k in range(self.m):
-                s = p**k
-                level = np.empty((p, s, p, s), dtype=np.int16)
-                np.add((top * s)[:, None, :, None], tbl[None, :, None, :], out=level)
-                tbl = level.reshape(p * s, p * s)
-            self._add_tbl = tbl
-        return self._add_tbl
-
     # -- scalar arithmetic --------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -295,10 +281,22 @@ class FieldCtx:
     # -- vector arithmetic on numpy index arrays -----------------------------
 
     def vadd(self, a, b):
-        if self.n <= _TABLE_LIMIT:
-            return self._ensure_add_table()[a, b].astype(np.int32)
-        s = (self._digits[a].astype(np.int32) + self._digits[b]) % self.p
-        return self._encode(s)
+        """Digit-wise sum mod p, each half of the digits gathered from the one table."""
+        tbl = self._add_tbl.ravel()
+        return (tbl[self._lo_row[a] + self._lo[b]]
+                + self._half * tbl[self._hi_row[a] + self._hi[b]])
+
+    def addition_witness(self) -> str | None:
+        """Where + fails to be the digit-wise group (Z/p)^m with inverse neg, or None."""
+        low = self._digits[:self._half].astype(np.int64)
+        sums = (low[:, None, :] + low[None, :, :]) % self.p @ self._pows
+        bad = np.argwhere(self._add_tbl != sums)
+        if bad.size:
+            return f"sum table entry {tuple(bad[0].tolist())} is not digit-wise"
+        bad = np.flatnonzero(self.vadd(np.arange(self.n), self.neg_table))
+        if bad.size:
+            return f"{int(bad[0])} + neg({int(bad[0])}) != 0"
+        return None
 
     def vneg(self, a):
         return self.neg_table[a].astype(np.int32)

@@ -77,11 +77,13 @@ def test_verify_ok(workdir, capsys):
 
 
 # sha256 of verify's stdout, recorded when verify still checked transitivity on
-# the developed block array
+# the developed block array; q = 81 when verify_plane still checked each shift
+# generator on all n^2 pairs
 VERIFY_DIGESTS = {
     "--p 3 --m 1": "98bbd441270124a160a37ef225d2e98be675c94bd5f9ad021afa7d680995530b",
     "--p 3 --m 2": "7c73900e46bd15aa284b72533139310fc41c12e835ea59dce7a66e988504eab6",
     "--p 3 --m 3": "b849d5ddf06892118776dfca185a0ca71295bd4d9625ca634e0cb93913d0a6cd",
+    "--p 3 --m 4": "b7787322f060d95adcbde2d3b8d312f0426e824f8c0283788194771c657ff4e7",
     "--p 5 --m 1": "54d5a2655b84b8ee128fd56fdaff1499d4fd62340c22d4d32b53cefdb2f2dc26",
     "--p 3 --m 2 --f cm:3":
         "d87a7795844dd099108b8d2e68155fd3eeef3935dc86951d543ffb2a27684410",

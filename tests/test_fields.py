@@ -1,6 +1,7 @@
 """Field towers, traces, characters, and quadratic form counts."""
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from shiftunital import (FieldError, VerificationError, chi, chi_table,
                          trace_form_table, trace_table)
 from shiftunital import fields
 from shiftunital.fields import prime_power
+from shiftunital.kloosterman import kloosterman_table
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
@@ -341,44 +343,61 @@ def test_prime_power_rejects(q):
         prime_power(q)
 
 
-@pytest.mark.parametrize("p,m", [(3, 3), (5, 2)])
-def test_digit_path_matches_dense_tables(monkeypatch, p, m):
-    # FieldCtx directly, not make_field: its cache would hand back a dense context
-    modulus = default_modulus(p, m)
-    dense = fields.FieldCtx(p, m, modulus)
-    n = dense.n
-    a, b = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
-    want_add, want_sub = dense.vadd(a, b), dense.vsub(a, b)
-    monkeypatch.setattr(fields, "_TABLE_LIMIT", 8)
-    digit = fields.FieldCtx(p, m, modulus)
-    with pytest.raises(FieldError):
-        digit._ensure_add_table()
-    assert np.array_equal(digit.vadd(a, b), want_add)
-    assert np.array_equal(digit.vsub(a, b), want_sub)
-    assert [digit.add(int(x), int(y)) for x, y in zip(a, b)] == want_add.tolist()
-    assert [digit.sub(int(x), int(y)) for x, y in zip(a, b)] == want_sub.tolist()
-
-
-# The dense tables that `kloosterman --p 3 --m 7` and the q = 49 and q = 25 towers build.
-@pytest.mark.parametrize("p,m", [(3, 7), (7, 4), (5, 4)])
-def test_dense_add_table_matches_digit_sums(p, m):
+# Every pair of elements, in fields whose digits split evenly (even m) and
+# unevenly (odd m) between the two halves, and a seeded sample of 2M pairs of
+# GF(3^9). Scalar add and sub wrap vadd; they are checked on every pair up to
+# 243 elements, on 1000 pairs of each chunk above.
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3),
+                                 (7, 2), (5, 4), (7, 4), (3, 7), (3, 9)])
+def test_add_sub_match_digit_arithmetic(p, m):
     fld = fields.FieldCtx(p, m, default_modulus(p, m))
-    tbl = fld._ensure_add_table()
-    assert tbl.shape == (fld.n, fld.n)
-    d = fld._digits.astype(np.int64)
-    for a in np.array_split(np.arange(fld.n), 16):
-        sums = (d[a, None, :] + d[None, :, :]) % p @ fld._pows
-        assert np.array_equal(tbl[a], sums)
+    n = fld.n
+    pows = p ** np.arange(m)
+    rng = np.random.default_rng(9)
+    chunk = 1 << 18
+    if m == 9:
+        chunks = ((rng.integers(0, n, chunk), rng.integers(0, n, chunk)) for _ in range(8))
+    else:
+        rows = max(1, chunk // n)
+        chunks = ((np.arange(lo, min(lo + rows, n))[:, None], np.arange(n)[None, :])
+                  for lo in range(0, n, rows))
+    for a, b in chunks:
+        a, b = (v.ravel() for v in np.broadcast_arrays(a, b))
+        da, db = (a[:, None] // pows) % p, (b[:, None] // pows) % p
+        want_add, want_sub = (da + db) % p @ pows, (da - db) % p @ pows
+        assert np.array_equal(fld.vadd(a, b), want_add)
+        assert np.array_equal(fld.vsub(a, b), want_sub)
+        pick = np.arange(a.size) if n <= 243 else rng.integers(0, a.size, 1000)
+        assert [fld.add(int(a[i]), int(b[i])) for i in pick] == want_add[pick].tolist()
+        assert [fld.sub(int(a[i]), int(b[i])) for i in pick] == want_sub[pick].tolist()
+
+
+# q = 81's tower and the table of `kloosterman --p 3 --m 8`, every field built
+# afresh: with one 81^2-entry digit-sum table for GF(3^8), neither nears 8 MB.
+@pytest.mark.parametrize("build", [lambda: make_tower(make_field(3, 4)),
+                                   lambda: kloosterman_table(make_field(3, 8))],
+                         ids=["tower-q81", "kloosterman-m8"])
+def test_peak_memory_below_8mb(monkeypatch, build):
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # sha256 over embed, unembed, dec0, dec1 (int32 bytes) and repr((xi, alpha)) for
-# every tower the suite builds, and q = 49 and 81; recorded from the scalar root
-# search over all of GF(q^2) that preceded the vectorized one.
+# every tower the suite builds, and q = 49 and 81, recorded from the scalar root
+# search over all of GF(q^2) that preceded the vectorized one; q = 243 recorded
+# from the digit-vector addition that preceded the one digit-sum table.
 TOWER_DIGESTS = {
     (3, 1): "8987b192ab8498a35ad7c3fda02d5758c1d342946c4713889b4f111ccff8d855",
     (3, 2): "b9e723438685e03725dc75393a9d5af48b733301e3eba24bc935f226d5ef2cd9",
     (3, 3): "b8185f34c931d17b1457f04c36459de3f701ba326dad5e2acfc56f90ae4477db",
     (3, 4): "cca2ba7cea79b348f5e91d9a1b8912d3317422adfbf9248ac8a8c1b2671e7655",
+    (3, 5): "65afdc84ccd388199f455680270bc00076c5e00e4986d2d86d86bd722308a481",
     (5, 1): "e69446d5d746452cb2075810e73a3121f405d644472c8c5349b709649713f260",
     (5, 2): "d21b90dc6da4a382631c937d59de53d2572dfa8ca818bc43071e8ba840813659",
     (7, 1): "ce95d42263b7f607cdfd6b0ff0d6544a4869b5aa85da96399f70d17b8f8027f9",

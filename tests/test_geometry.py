@@ -128,15 +128,33 @@ def test_verify_plane_shifted_square(tower3):
     assert rep["ok"]
 
 
-def test_verify_plane_rejects_broken_addition(tower3):
-    # one wrong sum in a fresh copy of GF(9): D_1 stays a bijection, but the
-    # shift by u no longer maps L_{a,b} onto L_{a-u,b}
-    ext = tower3.ext
+def test_verify_plane_rejects_broken_addition(tower9):
+    # one wrong digit-wise sum, 3 + 2, in a fresh copy of GF(81): D_1 stays a
+    # bijection and every x + (-x) is still 0, but the shift by u = 1 no longer
+    # maps L_{a,b} onto L_{a-u,b}
+    ext = tower9.ext
     broken = FieldCtx(ext.p, ext.m, ext.modulus)
-    table = broken._ensure_add_table()
-    table[5, 7] = table[5, 8]
+    broken._add_tbl[3, 2] = broken._add_tbl[3, 3]
     f = square_spec(broken)
     assert planarity_witness(f) is None
+    idx = np.arange(broken.n)
+    assert not broken.vadd(idx, broken.neg_table).any()
+    a = idx[:, None]
+    shifted = f.table[broken.vadd(broken.vadd(idx, 1)[None, :], broken.vsub(a, 1))]
+    assert not np.array_equal(shifted, f.table[broken.vadd(a, idx[None, :])])
+    with pytest.raises(VerificationError, match="shift map"):
+        verify_plane(f)
+
+
+def test_verify_plane_rejects_broken_negation(tower3):
+    # one wrong negative in a fresh copy of GF(9): a - u no longer undoes + u
+    ext = tower3.ext
+    broken = FieldCtx(ext.p, ext.m, ext.modulus)
+    broken.neg_table[3] = 0
+    f = square_spec(broken)
+    assert planarity_witness(f) is None
+    with pytest.raises(VerificationError):
+        _verify_plane_small(ShiftPlane(f))
     with pytest.raises(VerificationError, match="shift map"):
         verify_plane(f)
 
@@ -321,6 +339,23 @@ def test_difference_family_check_in_chunks(setup9, square9, monkeypatch):
         base_blocks(square9, setup9)
     assert str(chunked.value) == str(whole.value)
     assert len(calls) > 8                    # 8 chunks, two subtractions each
+
+
+# Moving one point of D_1 loses the differences it made with the other points
+# and makes new ones. Moving (1, 0) to (1, 1) loses (1, 0), the least bad code;
+# moving (27, 6) to (27, 0) repeats (11, 3) before it loses anything smaller.
+@pytest.mark.parametrize("k, t_new, message", [
+    (0, 1, "difference (1, 0) arises 0 times in the base blocks, expected 1"),
+    (4, 0, "difference (11, 3) arises 2 times in the base blocks, expected 1")],
+    ids=["missing", "repeated"])
+def test_difference_family_names_least_bad_difference(setup9, square9, k, t_new, message):
+    x, t = base_blocks(square9, setup9)
+    assert [(int(x[0, j]), int(t[0, j])) for j in (0, 4)] == [(1, 0), (27, 6)]
+    t = t.copy()
+    t[0, k] = t_new
+    with pytest.raises(VerificationError) as err:
+        geometry._check_difference_family(setup9, x, t)
+    assert str(err.value) == message
 
 
 def test_shifted_square_has_no_admissible_theta(tower3, tower5):
