@@ -14,8 +14,7 @@ from .errors import DesignError, FieldError, VerificationError
 from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
                      prime_power, theta_setup)
 from . import charspec, geometry, planar
-from .kloosterman import (count_classes, kloosterman_table, make_atlas,
-                          thm_membership_criterion)
+from .kloosterman import count_classes, criterion_grid, kloosterman_table, make_atlas
 from .gf2rank import rank2_by_characters
 
 @dataclass
@@ -113,21 +112,17 @@ def resolve_theta(cfg: RunConfig, f: planar.PlanarSpec, tower: TowerCtx) -> Thet
     return theta_setup(tower, _parse_int(cfg.theta, "theta"))
 
 
-def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool, bool]:
-    """(run_gf2, run_spectrum, gf2_early_stop) under the q-dependent defaults."""
+def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool]:
+    """(run_gf2, run_spectrum); auto runs both for q <= 9 or --full, else the spectrum alone."""
     engine = cfg.engine
     if engine == "auto":
-        if q <= 9:
-            engine = "both"
-        else:
-            engine = "both" if cfg.full else "spectrum"
-    early = q > 9
+        engine = "both" if q <= 9 or cfg.full else "spectrum"
     if engine == "gf2":
-        return True, False, early
+        return True, False
     if engine == "spectrum":
-        return False, True, early
+        return False, True
     if engine == "both":
-        return True, True, early
+        return True, True
     raise FieldError(f"unknown engine {engine!r}")
 
 
@@ -192,7 +187,7 @@ def _cached_row(path: str, config: dict, run_gf2: bool, run_spectrum: bool) -> d
 
 
 def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
-                setup: ThetaSetup, run_gf2: bool, run_spectrum: bool, early: bool,
+                setup: ThetaSetup, run_gf2: bool, run_spectrum: bool,
                 witness_all: bool = False) -> tuple[dict, charspec.SpectrumResult | None]:
     """One report row, served from the result cache when it matches the configuration.
 
@@ -214,7 +209,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     rank_gf2 = rank_spec = spectrum = None
     if run_gf2:
         x, t = geometry.base_blocks(f, setup)
-        rank_gf2 = rank2_by_characters(setup, x, t, early_stop=early)
+        rank_gf2 = rank2_by_characters(setup, x, t)
     if run_spectrum:
         spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all)
         rank_spec = spectrum.size
@@ -295,8 +290,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     setup = resolve_theta(cfg, f, tower)
     head = config_header(cfg, tower, f, setup)
     _print_header(head)
-    run_gf2, run_spectrum, early = resolve_engines(cfg, q)
-    row, _ = compute_row(cfg, tower, f, setup, run_gf2, run_spectrum, early)
+    row, _ = compute_row(cfg, tower, f, setup, *resolve_engines(cfg, q))
     doc = {"config": head, "rows": [row]}
     path = os.path.join(cfg.out_dir, f"rank_q{q}_{f.name}.json")
     _write_json(path, doc)
@@ -329,7 +323,7 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     setup = resolve_theta(cfg, f, tower)
     head = config_header(cfg, tower, f, setup)
     _print_header(head)
-    row, result = compute_row(cfg, tower, f, setup, False, True, False,
+    row, result = compute_row(cfg, tower, f, setup, False, True,
                               witness_all=witness_all)
     if result is None:
         result = charspec.spectrum_size(setup, f, witness_all=witness_all)
@@ -368,36 +362,28 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
     kloo = []
     for q in q_list:
         p, m = prime_power(q)
-        sub = RunConfig(**{**cfg.__dict__, "p": p, "m": m, "modulus": None})
+        sub = RunConfig(**{**cfg.__dict__, "p": p, "m": m, "modulus": None,
+                           "theta": "auto"})
         tower = make_context(sub)
-        run_gf2, run_spectrum, early = resolve_engines(sub, q)
+        table = kloosterman_table(tower.base) if p == 3 else None
         for f in planar.registry_list(tower.ext):
-            if f.family == "square":
-                setup = construct_theta(tower)
-            else:
-                setup = geometry.find_thetas(f, tower)[0]
-            row, res = compute_row(sub, tower, f, setup, run_gf2, run_spectrum, early)
+            setup = resolve_theta(sub, f, tower)
+            row, res = compute_row(sub, tower, f, setup, *resolve_engines(sub, q))
             rows.append(row)
             if p == 3 and f.family == "square" and q >= 9:
                 if res is None:
                     res = charspec.spectrum_size(setup, f)
-                checked = met = bad = 0
-                for w in range(1, q):
-                    for u in range(1, q):
-                        for uu, vv in ((u, 0), (0, u)):
-                            out = thm_membership_criterion(setup, uu, vv, w)
-                            checked += 1
-                            if out["criterion_met"]:
-                                met += 1
-                                if not res.member(uu, vv, w):
-                                    bad += 1
+                met = criterion_grid(setup, table)[:, 1:, 1:]
+                members = np.stack([res.members[1:, 0, 1:], res.members[0, 1:, 1:]])
+                bad = int(np.count_nonzero(met & ~members))
                 if bad:
                     raise VerificationError(
                         f"criterion counterexamples at q = {q}: {bad}")
-                criterion_checks.append({"q": q, "checked": checked, "met": met,
+                criterion_checks.append({"q": q, "checked": met.size,
+                                         "met": int(np.count_nonzero(met)),
                                          "counterexamples": 0})
         if p == 3:
-            kloo.append({"m": m, **count_classes(kloosterman_table(tower.base))})
+            kloo.append({"m": m, **count_classes(table)})
     doc = {"config": {"q_list": q_list, "engine": cfg.engine,
                       "cache_dir": cfg.cache_dir},
            "rows": rows, "criterion_checks": criterion_checks,
@@ -426,7 +412,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--theta", help="auto | index")
     sp.add_argument("--engine", choices=["auto", "gf2", "spectrum", "both"])
     sp.add_argument("--full", action="store_true",
-                    help="also run the gf2 engine (early-stopped) for large q")
+                    help="also run the gf2 engine for q > 9")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--cache-dir", dest="cache_dir")
 

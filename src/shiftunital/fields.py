@@ -198,10 +198,6 @@ class FieldCtx:
 
     # -- construction internals -------------------------------------------
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of element a, constant term first."""
-        return tuple(int(c) for c in self._digits[a])
-
     def _mul_bootstrap(self, a: int, b: int) -> int:
         pa = _poly_trim([int(c) for c in self._digits[a]])
         pb = _poly_trim([int(c) for c in self._digits[b]])

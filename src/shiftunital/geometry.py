@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignError, FieldError, VerificationError
-from .fields import (FieldCtx, ThetaSetup, TowerCtx, quadratic_character,
-                     theta_setup)
+from .fields import ThetaSetup, TowerCtx, theta_setup
 from .planar import (_GATHER_LIMIT, ComponentPair, PlanarSpec, components, is_normal,
                      planarity_witness, square_spec)
 
@@ -58,15 +57,10 @@ class CircleParam:
     discrepancy: dict | None = None
 
 
-def _scalar_mul(ctx: FieldCtx, c: int, arr: np.ndarray) -> np.ndarray:
-    return ctx.vmul(np.full(arr.shape, c, dtype=np.int64), arr)
-
-
 def _fiber_form(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
     """g(x) = theta1*f0(x) - theta0*f1(x) for every x in F_{q^2}, unchecked."""
     base = setup.tower.base
-    return base.vsub(_scalar_mul(base, setup.theta1, comps.f0),
-                     _scalar_mul(base, setup.theta0, comps.f1))
+    return base.vsub(base.vmul(setup.theta1, comps.f0), base.vmul(setup.theta0, comps.f1))
 
 
 def fiber_counts(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
@@ -108,26 +102,30 @@ def circle(setup: ThetaSetup, f: PlanarSpec, a: int, beta: int) -> Circle:
 
 
 def find_thetas(f: PlanarSpec, tower: TowerCtx) -> list[ThetaSetup]:
-    """All theta in F_{q^2}* satisfying the fiber condition, by exhaustive scan."""
+    """All theta in F_{q^2}* satisfying the fiber condition, ascending, by exhaustive scan.
+
+    For c in GF(q)*, g of c*theta is c times g of theta, whose fibers it permutes
+    fixing 0, so the condition holds on whole classes theta*GF(q)*. One theta is
+    checked per class: 1, and s + xi for each s in GF(q).
+    """
     comps = components(f, tower)
     base, ext = tower.base, tower.ext
     q = base.n
     expected = np.full(q, q + 1, dtype=np.int64)
     expected[0] = 1
-    found = []
-    for theta in range(1, ext.n):
-        s = theta_setup(tower, theta)
-        if np.array_equal(fiber_counts(s, comps), expected):
-            found.append(s)
+    reps = [1, *ext.vadd(tower.embed, tower.xi).tolist()]
+    good = [r for r in reps
+            if np.array_equal(fiber_counts(theta_setup(tower, r), comps), expected)]
+    thetas = np.sort(ext.vmul(tower.embed[1:, None], np.array(good, dtype=np.int64)),
+                     axis=None)
     if f.family == "square":
-        # known classification: admissible theta are exactly those with eta(theta^{q+1}) = -1
-        want = {th for th in range(1, ext.n)
-                if quadratic_character(base, int(tower.unembed[ext.pow(th, q + 1)])) == -1}
-        got = {s.theta for s in found}
-        if got != want:
-            raise VerificationError(
-                f"fiber scan disagrees with the norm criterion: {sorted(got ^ want)}")
-    return found
+        # known classification: admissible theta are exactly those with
+        # eta(theta^(q+1)) = theta^((q^2-1)/2) = -1, that is, with log theta odd
+        want = np.flatnonzero(ext.log[1:] % 2) + 1
+        if not np.array_equal(thetas, want):
+            raise VerificationError("fiber scan disagrees with the norm criterion: "
+                                    f"{sorted(set(thetas.tolist()) ^ set(want.tolist()))}")
+    return [theta_setup(tower, th) for th in thetas.tolist()]
 
 
 def theta_multiples(setup: ThetaSetup) -> np.ndarray:
@@ -141,8 +139,8 @@ def theta_multiples(setup: ThetaSetup) -> np.ndarray:
 def beta_of_table(setup: ThetaSetup) -> np.ndarray:
     """beta(b) = b0*theta1 - b1*theta0 for every b in F_{q^2}."""
     base = setup.tower.base
-    return base.vsub(_scalar_mul(base, setup.theta1, setup.tower.dec0.astype(np.int64)),
-                     _scalar_mul(base, setup.theta0, setup.tower.dec1.astype(np.int64)))
+    return base.vsub(base.vmul(setup.theta1, setup.tower.dec0),
+                     base.vmul(setup.theta0, setup.tower.dec1))
 
 
 def _t_axis(setup: ThetaSetup) -> tuple[int, int]:
@@ -165,7 +163,7 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
     j, theta_j = _t_axis(setup)
     x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
     fj = (comps.f1 if j else comps.f0)[x].astype(np.int64)
-    t = _scalar_mul(base, base.inv(theta_j), fj).astype(np.int64)
+    t = base.vmul(base.inv(theta_j), fj).astype(np.int64)
     _check_difference_family(setup, x, t)
     return x, t
 
@@ -219,8 +217,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     slot_of_b = np.full(n, -1, dtype=np.int64)
     slot_of_b[valid_b] = np.arange(valid_b.size)
     j, theta_j = _t_axis(setup)
-    t_shift = _scalar_mul(base, base.inv(theta_j),
-                          (tower.dec1 if j else tower.dec0).astype(np.int64))
+    t_shift = base.vmul(base.inv(theta_j), tower.dec1 if j else tower.dec0)
 
     n_blocks = q**4 - q**3 + q**2
     dtype = np.uint16 if q**3 < 2**16 else np.uint32

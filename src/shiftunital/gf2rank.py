@@ -172,8 +172,7 @@ def _realify(ext, x: np.ndarray, bits: np.ndarray, pairs: np.ndarray,
     return out
 
 
-def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
-                        early_stop: bool = False) -> int:
+def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> int:
     """dim C_2 of U_theta, punctured or not, from the checked base blocks x, t of base_blocks.
 
     T = {0} x GF(q) has odd order and maps blocks to blocks, so over K = GF(2^e),
@@ -187,13 +186,13 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
     is eliminated, realified over GF(2) by _realify: its GF(2) rank is
     e rank_K(M_w).
 
-    Without early_stop every row is absorbed. With it, a component takes the
-    first q^2 - 1 + _SLACK (a, beta) of a seeded order, twice as many while it
-    falls short, up to all of them, and stops at e(q^2 - 1), its maximum when
-    every D_beta meets every t-class evenly (all-ones is then in the kernel of
-    M_w). Elimination never overshoots, so a total of q^3 - q + 1, the proven
-    bound, certifies the rank; below it, each component met its maximum or
-    absorbed all its rows, and the total is exact.
+    A component takes the first q^2 - 1 + _SLACK (a, beta) of a seeded order,
+    twice as many while it falls short, up to all of them, and stops at
+    e(q^2 - 1), its maximum when every D_beta meets every t-class evenly
+    (all-ones is then in the kernel of M_w), or at e q^2 otherwise. Elimination
+    never overshoots, so each component either met its maximum or absorbed all
+    its rows, and the total is exact; above q^3 - q + 1, the proven bound, it
+    is an error.
     """
     tower = setup.tower
     base, ext = tower.base, tower.ext
@@ -203,7 +202,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
     n_pairs = n * (q - 1)
     order = np.random.default_rng(_ORDER_SEED).permutation(n_pairs)
     meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)
-    stop = e * (n - 1) if early_stop and not np.any(meets & 1) else e * n
+    stop = e * n if np.any(meets & 1) else e * (n - 1)
     width = -(-e * n // 64)
     trace_form = trace_form_table(base)
     eps = np.array(cf.eps_pows, dtype=np.int64)
@@ -221,7 +220,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
         k = trace_form[w, t]
         powers = eps[(k[:, None, :] + shifts[None, :, None]) % base.p]
         bits = ((powers[..., None] >> shifts) & 1).astype(bool)
-        size = n - 1 + _SLACK if early_stop else n_pairs
+        size = n - 1 + _SLACK
         while True:
             size = min(size, n_pairs)
             rank = _eliminate(_realify(ext, x, bits, order[:size], width), stop)

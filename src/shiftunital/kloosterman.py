@@ -205,40 +205,57 @@ def make_atlas(table: KloostermanTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def thm_membership_criterion(setup: ThetaSetup, u: int, v: int, w: int) -> dict:
-    """The Kloosterman-sum membership test for chi_{u,v,w} with uv = 0, w != 0."""
-    tower = setup.tower
-    base = tower.base
+def criterion_constants(setup: ThetaSetup) -> tuple[int, int, int]:
+    """(c_u, c_v, bad) of the Kloosterman-sum criterion for chi_{u,v,w}, uv = 0, w != 0.
+
+    The argument of K is c_u u^4/w^2 when v = 0 and c_v v^4/w^2 when u = 0, and
+    the criterion is met when K mod 4 != bad. With d = theta0^2 - alpha:
+    c_u = -alpha/64, c_v = -1/(64 alpha), bad = 2 for q = 1 mod 4, and
+    c_u = d/64, c_v = alpha^2 d/64, bad = 0 for q = 3 mod 4. FieldError unless
+    p = 3 and theta follows the recipe of construct_theta.
+    """
+    base = setup.tower.base
     if base.p != 3:
         raise FieldError("the criterion is implemented for characteristic 3 only")
+    alpha = setup.alpha
+    inv64 = base.inv(base.element_from_int(64))
+    if base.n % 4 == 1:
+        if (setup.theta0, setup.theta1) != (0, 1):
+            raise FieldError("theta must be xi (the q = 1 mod 4 recipe)")
+        return (base.neg(base.mul(alpha, inv64)), base.neg(base.div(inv64, alpha)), 2)
+    d = base.sub(base.mul(setup.theta0, setup.theta0), alpha)
+    if setup.theta1 != 1 or quadratic_character(base, d) != -1:
+        raise FieldError("theta must follow the q = 3 mod 4 recipe")
+    return base.mul(d, inv64), base.mul(base.mul(base.mul(alpha, alpha), d), inv64), 0
+
+
+def criterion_grid(setup: ThetaSetup, table: KloostermanTable) -> np.ndarray:
+    """met[0, u, w] for chi_{u,0,w} and met[1, v, w] for chi_{0,v,w}, from the K table.
+
+    Indexed by element; False where u, v or w is 0. Agrees with
+    thm_membership_criterion wherever that is defined.
+    """
+    c_u, c_v, bad = criterion_constants(setup)
+    fld = table.fld
+    if fld is not setup.tower.base:
+        raise FieldError("the K table is not over the base field of theta")
+    q = fld.n
+    log = fld.log[1:]
+    met = np.zeros((2, q, q), dtype=bool)
+    for row, c in enumerate((c_u, c_v)):
+        arg = fld.exp[(fld.log[c] + 4 * log[:, None] - 2 * log[None, :]) % (q - 1)]
+        met[row, 1:, 1:] = table.value[arg] % 4 != bad
+    return met
+
+
+def thm_membership_criterion(setup: ThetaSetup, u: int, v: int, w: int) -> dict:
+    """The Kloosterman-sum membership test for chi_{u,v,w} with uv = 0, w != 0."""
+    c_u, c_v, bad = criterion_constants(setup)
     if w == 0 or (u == 0) == (v == 0):
         raise FieldError("requires exactly one of u, v zero and w nonzero")
-    q = base.n
-    alpha = setup.alpha
-    if q % 4 == 1 and (setup.theta0, setup.theta1) != (0, 1):
-        raise FieldError("theta must be xi (the q = 1 mod 4 recipe)")
-    if q % 4 == 3 and (setup.theta1 != 1 or
-                       quadratic_character(base, base.sub(base.mul(setup.theta0,
-                                                                   setup.theta0),
-                                                          alpha)) != -1):
-        raise FieldError("theta must follow the q = 3 mod 4 recipe")
-    denom = base.mul(base.element_from_int(64), base.mul(w, w))
-    if q % 4 == 1:
-        if v == 0:
-            arg = base.mul(base.neg(base.div(base.pow(u, 4), denom)), alpha)
-        else:
-            arg = base.mul(base.neg(base.div(base.pow(v, 4), denom)),
-                           base.inv(alpha))
-        rec = kloosterman(base, arg)
-        met = rec.mod4 != 2
-    else:
-        d = base.sub(base.mul(setup.theta0, setup.theta0), alpha)
-        if v == 0:
-            arg = base.mul(base.div(base.pow(u, 4), denom), d)
-        else:
-            arg = base.mul(base.div(base.mul(base.pow(v, 4),
-                                             base.mul(alpha, alpha)), denom), d)
-        rec = kloosterman(base, arg)
-        met = rec.mod4 != 0
-    return {"criterion_met": met, "k_argument": arg, "k_value": rec.value,
+    base = setup.tower.base
+    c, s = (c_u, u) if v == 0 else (c_v, v)
+    arg = base.div(base.mul(c, base.pow(s, 4)), base.mul(w, w))
+    rec = kloosterman(base, arg)
+    return {"criterion_met": rec.mod4 != bad, "k_argument": arg, "k_value": rec.value,
             "k_value_mod4": rec.mod4}

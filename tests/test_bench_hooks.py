@@ -69,6 +69,17 @@ def test_traced_kloosterman_run_has_no_per_a_sums(tmp_path):
     assert names.count("kloosterman.count_classes") == 1
 
 
+def test_traced_report_reads_criterion_from_the_table(tmp_path):
+    spans = _traced_spans(tmp_path, "--spawned", "0", "cli", "report", "--q", "9")
+    names = [s["name"] for s in spans]
+    assert "kloosterman.kloosterman" not in names
+    assert "kloosterman.thm_membership_criterion" not in names
+    assert names.count("kloosterman.count_classes") == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["criterion_checks"] == [{"q": 9, "checked": 128, "met": 64,
+                                           "counterexamples": 0}]
+
+
 def test_traced_gf2_rank_reads_base_blocks_only(tmp_path):
     spans = _traced_spans(tmp_path, "--spawned", "0", "cli", "rank", "--p", "3", "--m", "2",
                           "--engine", "gf2")

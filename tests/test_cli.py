@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from shiftunital import charspec, geometry
+from shiftunital import charspec, geometry, planar
 from shiftunital.cli import main, resolve_config, resolve_engines, RunConfig
 
 ROW_KEYS = ["q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
@@ -207,6 +207,14 @@ def test_report_rejects_non_prime_power(workdir, capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def test_report_without_admissible_theta_is_an_error(workdir, monkeypatch, capsys):
+    # report picks theta like rank --theta auto: an f with none exits 1, no traceback
+    from test_planar import shifted_square_spec
+    monkeypatch.setattr(planar, "registry_list", lambda ext: [shifted_square_spec(ext)])
+    assert main(["report", "--q", "5", "--theta", "8"]) == 1
+    assert capsys.readouterr().err == "error: no admissible theta for f = square-shifted\n"
+
+
 def test_config_file_and_env(workdir, monkeypatch):
     (workdir / "run.cfg").write_text("p=3\nm=1\nout_dir=alt\n# comment\n")
     monkeypatch.setenv("UNITAL_CACHE_DIR", str(workdir / "envcache"))
@@ -236,10 +244,11 @@ def test_explicit_theta_flag(workdir):
 
 def test_resolve_engines_defaults():
     cfg = RunConfig()
-    assert resolve_engines(cfg, 9) == (True, True, False)
-    assert resolve_engines(cfg, 27) == (False, True, True)
-    assert resolve_engines(RunConfig(full=True), 27) == (True, True, True)
-    assert resolve_engines(RunConfig(engine="gf2"), 27) == (True, False, True)
+    assert resolve_engines(cfg, 9) == (True, True)
+    assert resolve_engines(cfg, 11) == (False, True)
+    assert resolve_engines(cfg, 27) == (False, True)
+    assert resolve_engines(RunConfig(full=True), 27) == (True, True)
+    assert resolve_engines(RunConfig(engine="gf2"), 27) == (True, False)
 
 
 def test_modulus_override(workdir, capsys):

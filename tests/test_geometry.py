@@ -12,7 +12,7 @@ from shiftunital import (DesignError, FieldError, VerificationError, base_blocks
                          quadratic_character, read_design, square_spec,
                          theta_setup, verify_design, verify_ovals, verify_plane,
                          verify_transitivity, verify_unital_in_plane, write_design)
-from shiftunital import geometry, planarity_witness
+from shiftunital import geometry, make_field, make_tower, planarity_witness
 from shiftunital.fields import FieldCtx
 from shiftunital.geometry import (ShiftPlane, _cover_exactly_once, _verify_plane_small,
                                   beta_of_table, theta_multiples)
@@ -49,6 +49,32 @@ def test_find_thetas_counts(towers, q, expected):
     for s in setups:
         norm = int(tower.unembed[ext.pow(s.theta, q + 1)])
         assert quadratic_character(base, norm) == -1
+
+
+def _scan_thetas(f, tower) -> list[int]:
+    """Every theta of GF(q^2)* whose fiber counts are 1 at 0 and q + 1 elsewhere."""
+    comps = components(f, tower)
+    q = tower.base.n
+    want = [1] + [q + 1] * (q - 1)
+    return [th for th in range(1, tower.ext.n)
+            if fiber_counts(theta_setup(tower, th), comps).tolist() == want]
+
+
+@pytest.mark.parametrize("p,m,sel", [(3, 1, "square"), (5, 1, "square"), (7, 1, "square"),
+                                     (3, 2, "square"), (3, 2, "cm:3"), (3, 3, "cm:5"),
+                                     (3, 1, "shifted"), (5, 1, "shifted")])
+def test_find_thetas_matches_per_theta_scan(p, m, sel):
+    tower = make_tower(make_field(p, m))
+    if sel == "square":
+        f = square_spec(tower.ext)
+    elif sel == "shifted":
+        f = shifted_square_spec(tower.ext)
+    else:
+        f = coulter_matthews_spec(tower.ext, int(sel[3:]))
+    setups = find_thetas(f, tower)
+    assert [s.theta for s in setups] == _scan_thetas(f, tower)
+    assert setups == [theta_setup(tower, s.theta) for s in setups]
+    assert (setups == []) == (sel == "shifted")
 
 
 def test_find_thetas_cm3(tower9):

@@ -119,15 +119,15 @@ def test_eliminate_matches_dense_oracle(n_rows, n_cols, sparsity, seed, stop):
     assert min(stop, want) <= got <= want
 
 
-def _characters(setup, f, early):
-    x, t = base_blocks(f, setup)
-    return rank2_by_characters(setup, x, t, early_stop=early)
+def _characters(setup, f):
+    return rank2_by_characters(setup, *base_blocks(f, setup))
 
 
 def test_characters_match_row_oracle(instances):
+    # the engine against both modes of the row oracle, punctured or not
     for (q, name), (tower, f, setup, design) in instances.items():
+        got = _characters(setup, f)
         for early in (True, False):
-            got = _characters(setup, f, early)
             for punct in (True, False):
                 want = rank2_of_unital(design, include_infinity=punct, early_stop=early)
                 assert got == want, (q, name, early, punct)
@@ -139,7 +139,7 @@ def test_characters_match_row_oracle_early_stop(p):
     tower = make_tower(make_field(p, 1))
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
-    got = _characters(setup, f, True)
+    got = _characters(setup, f)
     assert got == rank2_of_unital(build_unital(f, setup), early_stop=True) == p**3 - p + 1
 
 
@@ -173,9 +173,8 @@ def test_characters_match_developed_rows_for_any_blocks(q, data):
     t = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=t.size,
                                     max_size=t.size), label="t")).reshape(t.shape)
     want = _developed_rank(setup, x, t)
-    for early in (True, False):
-        if want > q**3 - q + 1:
-            with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
-                rank2_by_characters(setup, x, t, early_stop=early)
-        else:
-            assert rank2_by_characters(setup, x, t, early_stop=early) == want
+    if want > q**3 - q + 1:
+        with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
+            rank2_by_characters(setup, x, t)
+    else:
+        assert rank2_by_characters(setup, x, t) == want

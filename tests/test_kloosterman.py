@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftunital import (CyclotomicInt, FieldError, VerificationError,
-                         count_classes, kloosterman, kloosterman_table,
+                         construct_theta, count_classes, kloosterman, kloosterman_table,
                          lambda_vanishes_mod2, make_atlas, make_char_field,
-                         make_field, quadratic_character, spectrum_size,
+                         make_field, make_tower, quadratic_character, spectrum_size,
                          square_spec, thm_membership_criterion, trace)
-from shiftunital.kloosterman import CASES
+from shiftunital.kloosterman import CASES, criterion_grid
 
 
 def slow_kloosterman_counts(fld, a):
@@ -229,6 +229,33 @@ def test_membership_criterion_sound_q9(instances):
                     assert res.member(*ch)
     assert checked == 2 * 8 * 8
     assert met == 64
+
+
+@pytest.mark.parametrize("m,met", [(1, 8), (2, 64), (3, 728), (4, 6400)])
+def test_criterion_grid_matches_scalar_criterion(m, met):
+    # q = 3 and 27 follow the q = 3 mod 4 recipe, q = 9 and 81 the q = 1 mod 4 one
+    tower = make_tower(make_field(3, m))
+    setup = construct_theta(tower)
+    q = tower.base.n
+    grid = criterion_grid(setup, kloosterman_table(tower.base))
+    assert grid.shape == (2, q, q)
+    assert not grid[:, 0, :].any() and not grid[:, :, 0].any()
+    want = np.zeros_like(grid)
+    for s in range(1, q):
+        for w in range(1, q):
+            want[0, s, w] = thm_membership_criterion(setup, s, 0, w)["criterion_met"]
+            want[1, s, w] = thm_membership_criterion(setup, 0, s, w)["criterion_met"]
+    assert np.array_equal(grid, want)
+    assert int(grid.sum()) == met
+
+
+def test_criterion_grid_rejects_other_tables(instances):
+    tower, f, setup, design = instances[9, "square"]
+    with pytest.raises(FieldError, match="not over the base field"):
+        criterion_grid(setup, kloosterman_table(make_field(3, 3)))
+    tower, f, setup, design = instances[9, "cm3"]
+    with pytest.raises(FieldError, match="recipe"):
+        criterion_grid(setup, kloosterman_table(tower.base))
 
 
 def test_membership_criterion_sound_q3(instances):
