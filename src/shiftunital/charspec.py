@@ -27,10 +27,12 @@ class SpectrumCtx:
     epsx: np.ndarray = field(repr=False)      # (3p,) eps^(k mod p)
 
 
-def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
+def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec,
+                      blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumCtx:
     """The tables for a normal f; FieldError otherwise (the S(beta) criterion needs it).
 
     FieldError too when a character value needs more than 64 bits (e > 64).
+    `blocks` is the checked (x, t) of base_blocks, built here when None.
     """
     if not is_normal(f):
         raise FieldError("spectrum engine requires a normal f")
@@ -39,7 +41,7 @@ def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec) -> SpectrumCtx:
     cf = make_char_field(base.p)
     if cf.e > 64:
         raise FieldError(f"character values of GF(2^{cf.e}) do not fit in 64 bits")
-    x, t = base_blocks(f, setup)
+    x, t = base_blocks(f, setup) if blocks is None else blocks
     trace_form = trace_form_table(base)
     eps = np.array(cf.eps_pows, dtype=np.min_scalar_type((1 << cf.e) - 1))
     return SpectrumCtx(tr_ux0=trace_form[:, tower.dec0[x]],
@@ -189,8 +191,8 @@ _FIRST_CIRCLES = 3
 _GATHER_LIMIT = 1 << 22
 
 
-def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
-                  witness_all: bool = False) -> SpectrumResult:
+def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
+                  blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumResult:
     """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design.
 
     chi_{u,v,0} is a member via B_a. For each u, S(beta) of every (v, w != 0) on the
@@ -200,9 +202,9 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
     exclusion lemma). witness_all takes every circle as a first circle and records
     all certifying betas. Every sum is a sum of three trace values looked up in
     epsx, then xor-reduced. The S(beta) criterion holds for normal f only;
-    FieldError otherwise.
+    FieldError otherwise. `blocks` passes on to make_spectrum_ctx.
     """
-    ctx = make_spectrum_ctx(setup, f)
+    ctx = make_spectrum_ctx(setup, f, blocks)
     q = setup.tower.base.n
     first = q - 1 if witness_all else min(_FIRST_CIRCLES, q - 1)
     v_step = max(1, _GATHER_LIMIT // ((q - 1) * first * (q + 1)))

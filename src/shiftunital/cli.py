@@ -193,7 +193,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
 
     Also returns the spectrum_size result if this call evaluated it (None on a
     cache hit), so a caller that needs it evaluates it at most once. Both engines
-    read the checked base blocks; neither builds the block array.
+    read the checked base blocks, built once per row; neither builds the block array.
     """
     q = tower.base.n
     config = {"q": q, "p": cfg.p, "m": cfg.m, "modulus": _joined(tower.ext.modulus),
@@ -206,12 +206,12 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
         return cached, None
 
     t0 = time.monotonic()
-    rank_gf2 = rank_spec = spectrum = None
+    rank_gf2 = rank_spec = spectrum = blocks = None
     if run_gf2:
-        x, t = geometry.base_blocks(f, setup)
-        rank_gf2 = rank2_by_characters(setup, x, t)
+        blocks = geometry.base_blocks(f, setup)
+        rank_gf2 = rank2_by_characters(setup, *blocks)
     if run_spectrum:
-        spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all)
+        spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
         rank_spec = spectrum.size
     if rank_gf2 is not None and rank_spec is not None and rank_gf2 != rank_spec:
         raise VerificationError(
@@ -354,6 +354,11 @@ def cmd_kloosterman(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
+    fixed = RunConfig()
+    for key in ("f", "theta", "modulus"):
+        if getattr(cfg, key) != getattr(fixed, key):
+            raise FieldError(f"report takes no {key} (got {getattr(cfg, key)!r}): it runs "
+                             "every registry f with theta = auto and the default moduli")
     _print_header({"q_list": ",".join(str(q) for q in q_list),
                    "engine": cfg.engine, "cache_dir": cfg.cache_dir,
                    "out_dir": cfg.out_dir})
@@ -362,8 +367,7 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
     kloo = []
     for q in q_list:
         p, m = prime_power(q)
-        sub = RunConfig(**{**cfg.__dict__, "p": p, "m": m, "modulus": None,
-                           "theta": "auto"})
+        sub = RunConfig(**{**cfg.__dict__, "p": p, "m": m})
         tower = make_context(sub)
         table = kloosterman_table(tower.base) if p == 3 else None
         for f in planar.registry_list(tower.ext):

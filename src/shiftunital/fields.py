@@ -7,6 +7,7 @@ All contexts are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +182,9 @@ class FieldCtx:
         self.exp, self.log = self._build_logs()
         # exp doubled so products of two logs index without a modulo
         self._exp2 = np.concatenate([self.exp, self.exp])
-        self.neg_table = (((p - digits) % p).astype(np.int64) @ self._pows).astype(np.int32)
+        self.neg_table = np.zeros(n, dtype=np.int32)
+        for i in range(m):
+            self.neg_table += (p - digits[:, i]) % p * np.int32(p**i)
         # a = lo + p^h hi: the low h = ceil(m/2) digits and the high m - h both add
         # through one (p^h, p^h) table of digit-wise sums, built one digit per level:
         # T_{k+1}[a, b] = ((a_k + b_k) mod p) p^k + T_k[a mod p^k, b mod p^k]
@@ -224,17 +227,37 @@ class FieldCtx:
                 return g
         raise FieldError("no primitive element found")  # pragma: no cover
 
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        """(m, m) matrix of x -> c x on digit columns: column j holds the digits of c y^j."""
+        cols = [self._mul_bootstrap(c, self.p**j) for j in range(self.m)]
+        return self._digits[cols].T.astype(np.int64)
+
     def _build_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
+        """exp in blocks of B = ceil(sqrt(n - 1)) powers of omega, then log by one scatter.
+
+        With W the matrix of x -> omega x, the digit columns of omega^(kB), ...,
+        omega^(kB + B - 1) are W^B times those of the block before, mod p: one
+        (m, m) by (m, B) product per block. FieldError unless omega^(n-1) = 1 and
+        exp hits every nonzero element exactly once, that is, omega is primitive.
+        """
+        n, p = self.n, self.p
+        size = math.isqrt(n - 2) + 1
+        w = self._mul_matrix(self.omega)
+        block = np.empty((self.m, size), dtype=np.int64)
+        block[:, 0] = self._digits[1]
+        for j in range(1, size):
+            block[:, j] = w @ block[:, j - 1] % p
+        step = self._mul_matrix(int(self._pows @ (w @ block[:, -1] % p)))   # W^B
         exp = np.empty(n - 1, dtype=np.int32)
+        for lo in range(0, n - 1, size):
+            hi = min(lo + size, n - 1)
+            exp[lo:hi] = self._pows @ block[:, :hi - lo]
+            last = block[:, hi - lo - 1]
+            block = step @ block % p
         log = np.full(n, -1, dtype=np.int64)
-        x = 1
-        for k in range(n - 1):
-            exp[k] = x
-            log[x] = k
-            x = self._mul_bootstrap(x, self.omega)
-        if x != 1:
-            raise FieldError("primitive element has wrong order")  # pragma: no cover
+        log[exp] = np.arange(n - 1)
+        if int(self._pows @ (w @ last % p)) != 1 or np.any(log[1:] < 0):
+            raise FieldError("primitive element has wrong order")
         return exp, log
 
     # -- scalar arithmetic --------------------------------------------------
@@ -476,7 +499,7 @@ def make_tower(base: FieldCtx, ext_modulus: tuple[int, ...] | None = None) -> To
     dec1 = np.full(ext.n, -1, dtype=np.int32)
     dec0[idx] = grid0.ravel()
     dec1[idx] = grid1.ravel()
-    if len(np.unique(idx)) != ext.n:
+    if np.any(np.bincount(idx, minlength=ext.n) != 1):
         raise FieldError("coordinate split is not a bijection")  # pragma: no cover
 
     return TowerCtx(base=base, ext=ext, xi=xi, alpha=alpha,

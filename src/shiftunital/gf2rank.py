@@ -90,6 +90,18 @@ def rank2_of_unital(design: UnitalDesign, include_infinity: bool = True,
     return acc.rank
 
 
+def _seeded_order(n: int) -> np.ndarray:
+    """A fixed shuffle of range(n): the argsort of splitmix64 (Steele-Lea-Flood) of i.
+
+    The splitmix64 finalizer is a bijection of 64-bit words, so no two keys tie.
+    """
+    z = np.uint64(_ORDER_SEED) + (np.arange(1, n + 1, dtype=np.uint64)
+                                  * np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return np.argsort(z ^ (z >> np.uint64(31)))
+
+
 def _eliminate(rows: np.ndarray, stop: int) -> int:
     """GF(2) rank of uint64 rows (column c is bit c % 64 of word c // 64); rows is consumed.
 
@@ -200,7 +212,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> int:
     cf = make_char_field(base.p)
     e = cf.e
     n_pairs = n * (q - 1)
-    order = np.random.default_rng(_ORDER_SEED).permutation(n_pairs)
+    order = _seeded_order(n_pairs)
     meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)
     stop = e * n if np.any(meets & 1) else e * (n - 1)
     width = -(-e * n // 64)

@@ -2,9 +2,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import shiftunital
 from shiftunital import charspec, geometry, planar
 from shiftunital.cli import main, resolve_config, resolve_engines, RunConfig
 
@@ -211,8 +214,26 @@ def test_report_without_admissible_theta_is_an_error(workdir, monkeypatch, capsy
     # report picks theta like rank --theta auto: an f with none exits 1, no traceback
     from test_planar import shifted_square_spec
     monkeypatch.setattr(planar, "registry_list", lambda ext: [shifted_square_spec(ext)])
-    assert main(["report", "--q", "5", "--theta", "8"]) == 1
+    assert main(["report", "--q", "5"]) == 1
     assert capsys.readouterr().err == "error: no admissible theta for f = square-shifted\n"
+
+
+# report runs every registry f with theta = auto and the default moduli: a flag or a
+# config entry that asks for anything else is an error, not silently dropped
+@pytest.mark.parametrize("key,argv,entry", [
+    ("theta", ["--theta", "8"], None),
+    ("modulus", [], "modulus=2,1,1"),
+    ("f", ["--f", "cm:3"], None),
+])
+def test_report_rejects_theta_modulus_and_f(workdir, capsys, key, argv, entry):
+    if entry is not None:
+        (workdir / "run.cfg").write_text(entry + "\n")
+        argv = ["--config", "run.cfg"]
+    assert main(["report", "--q", "3", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: report takes no {key} ")
+    assert captured.out == ""
+    assert not (workdir / "out").exists()
 
 
 def test_config_file_and_env(workdir, monkeypatch):
@@ -343,6 +364,19 @@ def test_report_evaluates_spectrum_once_per_row(workdir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_both_engines_check_the_base_blocks_once(workdir, monkeypatch):
+    calls = []
+    real = geometry._check_difference_family
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_check_difference_family", counted)
+    assert main(["rank", "--p", "3", "--m", "2", "--engine", "both"]) == 0
+    assert len(calls) == 1
+
+
 def test_only_build_writes_design_files(workdir):
     for argv in (["verify"], ["find-theta"], ["rank"], ["spectrum"], ["kloosterman"]):
         assert main([*argv, "--p", "3", "--m", "1"]) == 0
@@ -357,3 +391,24 @@ def test_only_build_writes_design_files(workdir):
     assert path.parent == workdir / "out"
     design = geometry.read_design(str(path))
     assert geometry.verify_design(design)["mode"] == "exhaustive"
+
+
+_IMPORT_GUARD = """
+import sys
+from shiftunital.cli import main
+for argv in (["verify", "--p", "3", "--m", "2"],
+             ["rank", "--p", "5", "--m", "1", "--engine", "both"],
+             ["spectrum", "--p", "3", "--m", "2"], ["report", "--q", "3,5"],
+             ["kloosterman", "--p", "3", "--m", "4"]):
+    assert main(argv) == 0, argv
+print([name for name in ("numpy.ma", "numpy.random") if name in sys.modules])
+"""
+
+
+def test_commands_import_neither_numpy_ma_nor_numpy_random(workdir):
+    # each command is a fresh process, and these two imports cost 14-30 ms apiece
+    src = os.path.dirname(os.path.dirname(shiftunital.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=workdir, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

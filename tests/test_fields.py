@@ -62,7 +62,7 @@ def test_default_modulus_is_primitive():
 
 # Every (p, m) whose default modulus the suite builds, plus 3^1 .. 3^10, as found by
 # the exhaustive trial-division search without the norm filter (coefficients low
-# degree first). Any other irreducibility
+# degree first), and 3^11, 3^12 as found with it. Any other irreducibility
 # test must return exactly these: the moduli enter cache keys and every artifact.
 DEFAULT_MODULI = {
     (3, 1): (1, 1), (3, 2): (2, 1, 1), (3, 3): (1, 0, 2, 1),
@@ -70,6 +70,8 @@ DEFAULT_MODULI = {
     (3, 6): (2, 0, 0, 0, 0, 1, 1), (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
     (3, 8): (2, 0, 0, 0, 0, 1, 0, 0, 1), (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
     (3, 10): (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (3, 12): (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1),
     (5, 1): (2, 1), (5, 2): (2, 1, 1), (5, 4): (2, 0, 2, 1, 1),
     (7, 1): (2, 1), (7, 2): (3, 1, 1), (11, 1): (3, 1), (11, 2): (2, 4, 1),
     (13, 1): (2, 1), (13, 2): (2, 1, 1), (17, 1): (3, 1), (17, 2): (3, 1, 1),
@@ -96,6 +98,50 @@ def test_exp_log_roundtrip():
     fld = make_field(3, 2)
     for x in range(1, fld.n):
         assert fld.exp[fld.log[x]] == x
+
+
+def _serial_exp(fld) -> list[int]:
+    """omega^0, ..., omega^(n-2) as indices, one polynomial product at a time."""
+    p = fld.p
+    omega = fields._poly_trim([int(c) for c in fld._digits[fld.omega]])
+    out, x = [], [1]
+    for _ in range(fld.n - 1):
+        out.append(sum(c * p**i for i, c in enumerate(x)))
+        x = fields._poly_mulmod(x, omega, list(fld.modulus), p)
+    assert x == [1]
+    return out
+
+
+@pytest.mark.parametrize("p,m", [pm for pm in DEFAULT_MODULI if pm[0]**pm[1] <= 3**8])
+def test_exp_log_match_serial_powers(p, m):
+    fld = fields.FieldCtx(p, m, DEFAULT_MODULI[p, m])
+    assert fld.exp.tolist() == _serial_exp(fld)
+    assert fld.log[0] == -1
+    assert np.array_equal(fld.log[fld.exp], np.arange(fld.n - 1))
+
+
+# sha256 of exp (int32 bytes) under the default modulus, recorded from the
+# element-by-element construction that preceded the block one
+EXP_DIGESTS = {
+    (3, 9): "0fdcae9a4e8f06b9d5baa9ead7f30c5f5fc1ad216464edd520a1fb2a0e1e8066",
+    (3, 10): "47b3e522fd7f07ff9f43243468ae02f342b2d24bcb3bdca4e45d12e6e9d16cde",
+}
+
+
+@pytest.mark.parametrize("p,m", EXP_DIGESTS)
+def test_exp_pinned(p, m):
+    fld = fields.FieldCtx(p, m, DEFAULT_MODULI[p, m])
+    digest = hashlib.sha256(np.ascontiguousarray(fld.exp, dtype=np.int32).tobytes())
+    assert digest.hexdigest() == EXP_DIGESTS[p, m]
+
+
+@pytest.mark.parametrize("power", [0, 2, 4])
+def test_non_primitive_omega_is_rejected(monkeypatch, power):
+    # omega^0 = 1, omega^2 and omega^4 = -1 have orders 1, 4 and 2 in GF(9)*
+    g = int(make_field(3, 2).exp[power])
+    monkeypatch.setattr(fields.FieldCtx, "_find_primitive", lambda self: g)
+    with pytest.raises(FieldError, match="wrong order"):
+        fields.FieldCtx(3, 2, DEFAULT_MODULI[3, 2])
 
 
 def test_trace_balanced_and_frobenius_invariant():
