@@ -1,4 +1,4 @@
-"""Character-spectrum rank engine over GF(2^e): S(beta) criterion, spectrum size, bounds."""
+"""Character-spectrum rank engine over GF(2^e): spectrum size and bounds."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -7,10 +7,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import (ThetaSetup, chi_array, make_char_field, make_field, make_tower,
-                     prime_power, trace_form_table, trace_table)
-from .geometry import UnitalDesign, base_blocks
-from .planar import PlanarSpec, components, is_normal
+from .fields import ThetaSetup, make_char_field, trace_form_table
+from .geometry import base_blocks
+from .planar import PlanarSpec, is_normal
 
 @dataclass(frozen=True, eq=False)
 class SpectrumCtx:
@@ -47,73 +46,6 @@ def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec,
     return SpectrumCtx(tr_ux0=trace_form[:, tower.dec0[x]],
                        tr_vx1=trace_form[:, tower.dec1[x]],
                        tr_wt=trace_form[1:, t], epsx=np.tile(eps, 3))
-
-
-def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block,
-              chitab: np.ndarray | None = None) -> int:
-    """Sum of chi(u*x0 + v*x1 + w*t) over a punctured block's points.
-
-    `chitab` is chi_array of the base field, for callers that scan many blocks.
-    """
-    setup = design.setup
-    if setup is None:
-        raise FieldError("design lacks a live field context")
-    tower = setup.tower
-    base = tower.base
-    q = design.q
-    u, v, w = chi
-    pids = np.asarray(block, dtype=np.int64)
-    if pids.size and int(pids.max()) >= design.inf_id:
-        raise FieldError("chi_block requires punctured blocks (no infinity point)")
-    xs = pids // q
-    ts = pids % q
-    if chitab is None:
-        chitab = chi_array(make_char_field(base.p), base)
-    args = base.vadd(
-        base.vadd(base.vmul(np.full(xs.shape, u, dtype=np.int64),
-                            tower.dec0[xs].astype(np.int64)),
-                  base.vmul(np.full(xs.shape, v, dtype=np.int64),
-                            tower.dec1[xs].astype(np.int64))),
-        base.vmul(np.full(ts.shape, w, dtype=np.int64), ts))
-    return int(np.bitwise_xor.reduce(chitab[args]))
-
-
-def s_beta(ctx: SpectrumCtx, chi: tuple[int, int, int], beta: int) -> int:
-    """S(beta) = sum over D_beta of chi(u*x0 + v*x1 + w*t)."""
-    if beta == 0:
-        raise FieldError("beta must be nonzero")
-    u, v, w = chi
-    k = ctx.tr_ux0[u, beta - 1] + ctx.tr_vx1[v, beta - 1]
-    if w:
-        k = k + ctx.tr_wt[w - 1, beta - 1]
-    return int(np.bitwise_xor.reduce(ctx.epsx[k]))
-
-
-def in_spectrum_by_scan(design: UnitalDesign, chi: tuple[int, int, int]) -> bool:
-    """Oracle: scan every block of the punctured design for a nonzero chi sum."""
-    if design.setup is None:
-        raise FieldError("design lacks a live field context")
-    q = design.q
-    base = design.setup.tower.base
-    chitab = chi_array(make_char_field(base.p), base)
-    for i in range(design.n_blocks):
-        block = design.blocks[i]
-        if i < q * q:
-            block = block[:-1]          # strip (inf) from B_a
-        if chi_block(design, chi, block, chitab):
-            return True
-    return False
-
-
-def in_spectrum(ctx: SpectrumCtx, chi: tuple[int, int, int]) -> bool:
-    """Membership of chi_{u,v,w} in the spectrum K(U_theta)."""
-    u, v, w = chi
-    if w == 0:
-        return True                      # chi(B_a) = chi(u*a0 + v*a1) != 0
-    if u == 0 and v == 0:
-        return False                     # B_a sums vanish; S(beta) = 0 for normal f
-    k = ctx.tr_ux0[u] + ctx.tr_vx1[v] + ctx.tr_wt[w - 1]
-    return bool(np.any(np.bitwise_xor.reduce(ctx.epsx[k], axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,79 +185,3 @@ def bounds(q: int, p: int, m: int) -> dict:
             raise FieldError(f"corollary bound is not integral for q = {q}")
         corollary = (2 * inner) // 3 - 1
     return {"upper": upper, "leung_xiang": lx, "corollary": corollary}
-
-
-def verify_trace_criterion(setup: ThetaSetup, f: PlanarSpec) -> dict:
-    """Tr(u*v*theta1/w) != 0 with w != 0 forces membership; recount the complement."""
-    tower = setup.tower
-    base = tower.base
-    q = base.n
-    if setup.theta1 == 0:
-        raise FieldError("criterion requires theta1 != 0")
-    comps = components(f, tower)
-    x0 = tower.dec0.astype(np.int64)
-    x1 = tower.dec1.astype(np.int64)
-    two = base.element_from_int(2)
-    want_f1 = base.vmul(np.full(x0.shape, two, dtype=np.int64), base.vmul(x0, x1))
-    if not np.array_equal(comps.f1, want_f1):
-        raise FieldError("criterion requires the squaring map (f1 = 2*x0*x1)")
-    result = spectrum_size(setup, f)
-    idx = np.arange(q, dtype=np.int64)
-    uv1 = base.vmul(base.vmul(idx[:, None], idx[None, :]), setup.theta1)   # (u, v)
-    ratio = base.vmul(uv1[:, :, None], base.vpow(idx[1:], q - 2))          # / w
-    qualifies = trace_table(base)[ratio] != 0
-    qualifying = int(qualifies.sum())
-    zero_trace = qualifies.size - qualifying
-    counterexamples = int((qualifies & ~result.members[:, :, 1:]).sum())
-    if counterexamples:
-        raise VerificationError(
-            f"{counterexamples} qualifying characters are missing from the spectrum")
-    paper_expr = (q - 1)**2 * (1 + q // base.p)
-    implied = q**2 + qualifying
-    lx = bounds(q, base.p, base.m)["leung_xiang"]
-    return {"qualifying": qualifying, "zero_trace": zero_trace,
-            "paper_zero_trace_expression": paper_expr,
-            "recount_matches_paper_expression": zero_trace == paper_expr,
-            "implied_lower_bound": implied, "leung_xiang": lx,
-            "implied_equals_leung_xiang": implied == lx,
-            "counterexamples": 0, "spectrum_size": result.size, "ok": True}
-
-
-def verify_chi_square_lemma(q: int) -> dict:
-    """Sum over c of chi(a*c^2) equals 1 for every a != 0."""
-    fld = make_field(*prime_power(q))
-    chitab = chi_array(make_char_field(fld.p), fld)
-    sq = fld.vpow(np.arange(q, dtype=np.int64), 2)
-    one = 1
-    for a in range(1, q):
-        s = int(np.bitwise_xor.reduce(
-            chitab[fld.vmul(np.full(q, a, dtype=np.int64), sq)]))
-        if s != one:
-            raise VerificationError(f"sum chi({a}*c^2) = {s}, expected 1")
-    return {"q": q, "checked": q - 1, "value": 1, "ok": True}
-
-
-def verify_orthogonality(q: int) -> dict:
-    """Character orthogonality on GF(q) and on F_{q^2} coordinates, exhaustively."""
-    fld = make_field(*prime_power(q))
-    chitab = chi_array(make_char_field(fld.p), fld)
-    idx = np.arange(q, dtype=np.int64)
-    for w in range(q):
-        s = int(np.bitwise_xor.reduce(
-            chitab[fld.vmul(np.full(q, w, dtype=np.int64), idx)]))
-        want = 1 if w == 0 else 0
-        if s != want:
-            raise VerificationError(f"sum_t chi({w}*t) = {s}, expected {want}")
-    tower = make_tower(fld)
-    x0 = tower.dec0.astype(np.int64)
-    x1 = tower.dec1.astype(np.int64)
-    for u in range(q):
-        cu = fld.vmul(np.full(x0.shape, u, dtype=np.int64), x0)
-        for v in range(q):
-            s = int(np.bitwise_xor.reduce(chitab[fld.vadd(
-                cu, fld.vmul(np.full(x1.shape, v, dtype=np.int64), x1))]))
-            want = 1 if (u == 0 and v == 0) else 0
-            if s != want:
-                raise VerificationError(
-                    f"sum_x chi({u}*x0+{v}*x1) = {s}, expected {want}")
-    return {"q": q, "pointwise": q, "planewise": q * q, "ok": True}

@@ -25,7 +25,6 @@ class RunConfig:
     f: str = "square"
     theta: str = "auto"
     engine: str = "auto"                     # gf2 | spectrum | both | auto
-    full: bool = False
     out_dir: str = "out"
     cache_dir: str = "cache"
 
@@ -42,9 +41,7 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
 
 
 _CONFIG_KEYS = {"p": _parse_int, "m": _parse_int, "modulus": _parse_modulus, "f": str,
-                "theta": str, "engine": str,
-                "full": lambda s: s.lower() in ("1", "true", "yes"),
-                "out_dir": str, "cache_dir": str}
+                "theta": str, "engine": str, "out_dir": str, "cache_dir": str}
 
 
 def _read_text(path: str) -> str:
@@ -76,8 +73,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, val)
     if getattr(args, "modulus", None) is not None:
         cfg.modulus = _parse_modulus(args.modulus)
-    if getattr(args, "full", False):
-        cfg.full = True
     return cfg
 
 
@@ -113,10 +108,10 @@ def resolve_theta(cfg: RunConfig, f: planar.PlanarSpec, tower: TowerCtx) -> Thet
 
 
 def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool]:
-    """(run_gf2, run_spectrum); auto runs both for q <= 9 or --full, else the spectrum alone."""
+    """(run_gf2, run_spectrum); auto runs both for q <= 9, else the spectrum alone."""
     engine = cfg.engine
     if engine == "auto":
-        engine = "both" if q <= 9 or cfg.full else "spectrum"
+        engine = "both" if q <= 9 else "spectrum"
     if engine == "gf2":
         return True, False
     if engine == "spectrum":
@@ -171,8 +166,8 @@ _ROW_KEYS = ("q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
              "conjecture_match", "wall_ms")
 
 
-def _cached_row(path: str, config: dict, run_gf2: bool, run_spectrum: bool) -> dict | None:
-    """The row stored at path if it is for this configuration and has the needed ranks."""
+def _cached_row(path: str, config: dict) -> dict | None:
+    """The row stored at path if it is for this configuration; either rank may be None."""
     try:
         with open(path) as fh:
             row = json.load(fh)
@@ -180,8 +175,7 @@ def _cached_row(path: str, config: dict, run_gf2: bool, run_spectrum: bool) -> d
         return None
     if (not isinstance(row, dict) or any(k not in row for k in _ROW_KEYS)
             or any(row[k] != v for k, v in config.items())
-            or (run_gf2 and row["rank_gf2"] is None)
-            or (run_spectrum and row["rank_spectrum"] is None)):
+            or not isinstance(row["wall_ms"], int)):
         return None
     return {k: row[k] for k in _ROW_KEYS}
 
@@ -191,9 +185,12 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
                 witness_all: bool = False) -> tuple[dict, charspec.SpectrumResult | None]:
     """One report row, served from the result cache when it matches the configuration.
 
-    Also returns the spectrum_size result if this call evaluated it (None on a
-    cache hit), so a caller that needs it evaluates it at most once. Both engines
-    read the checked base blocks, built once per row; neither builds the block array.
+    An engine runs only when its rank is requested and not already in the cached
+    row; a cached rank is kept, also when this call does not request it, and two
+    ranks in the row must agree, cached or not. Also returns the spectrum_size result if this
+    call evaluated it (None otherwise), so a caller that needs it evaluates it at
+    most once. Both engines read the checked base blocks, built once per row;
+    neither builds the block array.
     """
     q = tower.base.n
     config = {"q": q, "p": cfg.p, "m": cfg.m, "modulus": _joined(tower.ext.modulus),
@@ -201,12 +198,14 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     key = (f"p{cfg.p}m{cfg.m}_b{_joined(tower.base.modulus)}_e{config['modulus']}"
            f"_f{f.name}_t{setup.theta}")
     result_path = os.path.join(cfg.cache_dir, key, "result.json")
-    cached = _cached_row(result_path, config, run_gf2, run_spectrum)
-    if cached is not None:
-        return cached, None
+    cached = _cached_row(result_path, config)
+    stored = cached or {"rank_gf2": None, "rank_spectrum": None, "wall_ms": 0}
+    rank_gf2, rank_spec = stored["rank_gf2"], stored["rank_spectrum"]
+    run_gf2 = run_gf2 and rank_gf2 is None
+    run_spectrum = run_spectrum and rank_spec is None
 
     t0 = time.monotonic()
-    rank_gf2 = rank_spec = spectrum = blocks = None
+    spectrum = blocks = None
     if run_gf2:
         blocks = geometry.base_blocks(f, setup)
         rank_gf2 = rank2_by_characters(setup, *blocks)
@@ -217,7 +216,9 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
         raise VerificationError(
             f"engine disagreement at q = {q}, f = {f.name}: "
             f"gf2 {rank_gf2} != spectrum {rank_spec}")
-    wall_ms = int((time.monotonic() - t0) * 1000)
+    if not (run_gf2 or run_spectrum):
+        return cached, None
+    wall_ms = stored["wall_ms"] + int((time.monotonic() - t0) * 1000)
     b = charspec.bounds(q, cfg.p, cfg.m)
     rank = rank_spec if rank_spec is not None else rank_gf2
     row = {**config, "rank_gf2": rank_gf2, "rank_spectrum": rank_spec,
@@ -415,8 +416,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--f", help="square | cm:k | user:path")
     sp.add_argument("--theta", help="auto | index")
     sp.add_argument("--engine", choices=["auto", "gf2", "spectrum", "both"])
-    sp.add_argument("--full", action="store_true",
-                    help="also run the gf2 engine for q > 9")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--cache-dir", dest="cache_dir")
 

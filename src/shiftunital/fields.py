@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldError, VerificationError
+from .errors import FieldError
 
 def _factorize(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
@@ -367,16 +367,6 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> FieldC
     return ctx
 
 
-def trace(ctx: FieldCtx, x: int) -> int:
-    """Trace of x from GF(p^m) onto GF(p), returned as an element index."""
-    acc = 0
-    y = x
-    for _ in range(ctx.m):
-        acc = ctx.add(acc, y)
-        y = ctx.pow(y, ctx.p)
-    return acc
-
-
 def trace_table(ctx: FieldCtx) -> np.ndarray:
     """Vectorized trace of every element onto GF(p): the digit sum of its m conjugates."""
     acc = np.zeros((ctx.n, ctx.m), dtype=np.int32)
@@ -411,15 +401,6 @@ def quadratic_character(ctx: FieldCtx, x: int) -> int:
     if t != ctx.neg(1):
         raise FieldError("quadratic character power was not +-1")  # pragma: no cover
     return -1
-
-
-def square_table(ctx: FieldCtx) -> np.ndarray:
-    """Boolean table: square_table[x] iff x is a square (0 counts as a square)."""
-    out = np.zeros(ctx.n, dtype=bool)
-    out[0] = True
-    sq = ctx.vpow(np.arange(1, ctx.n), 2)
-    out[sq] = True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,87 +535,6 @@ def construct_theta(tower: TowerCtx) -> ThetaSetup:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic form point counts
-# ---------------------------------------------------------------------------
-
-def _det(ctx: FieldCtx, mat: list[list[int]]) -> int:
-    """Determinant over GF(q) by Gaussian elimination on a copy."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = ctx.neg(det)
-        det = ctx.mul(det, a[col][col])
-        inv = ctx.inv(a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = ctx.mul(a[r][col], inv)
-                for c in range(col, n):
-                    a[r][c] = ctx.sub(a[r][c], ctx.mul(factor, a[col][c]))
-    return det
-
-
-def quadratic_form_values(ctx: FieldCtx, form: list[list[int]]) -> np.ndarray:
-    """Values x^T F x over all of GF(q)^n in odometer order (last coordinate fastest)."""
-    n = len(form)
-    q = ctx.n
-    grids = np.meshgrid(*([np.arange(q)] * n), indexing="ij")
-    coords = [g.ravel() for g in grids]
-    vals = np.zeros(q**n, dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            fij = form[i][j]
-            if fij:
-                term = ctx.vmul(np.full(1, fij, dtype=np.int32),
-                                ctx.vmul(coords[i], coords[j]))
-                vals = ctx.vadd(vals, term)
-    return vals
-
-
-def quadratic_form_count(ctx: FieldCtx, form: list[list[int]], b: int) -> int:
-    """Number of solutions of x^T F x = b over GF(q)^n, enumeration checked against the closed form.
-
-    F must be symmetric and nondegenerate.  The closed forms are
-    q^(n-1) + v(b) q^(n/2-1) eta((-1)^(n/2) det F)          for even n,
-    q^(n-1) + q^((n-1)/2) eta((-1)^((n-1)/2) b det F)       for odd n,
-    with v(0) = q-1 and v(b) = -1 otherwise.
-    """
-    n = len(form)
-    q = ctx.n
-    for i in range(n):
-        if len(form[i]) != n:
-            raise FieldError("form matrix must be square")
-        for j in range(n):
-            if form[i][j] != form[j][i]:
-                raise FieldError("form matrix must be symmetric")
-    delta = _det(ctx, form)
-    if delta == 0:
-        raise FieldError("degenerate quadratic form")
-
-    vals = quadratic_form_values(ctx, form)
-    count = int(np.count_nonzero(vals == b))
-
-    minus1 = ctx.neg(1)
-    if n % 2 == 0:
-        v_b = q - 1 if b == 0 else -1
-        sign = ctx.pow(minus1, n // 2)
-        closed = q ** (n - 1) + v_b * q ** (n // 2 - 1) * quadratic_character(ctx, ctx.mul(sign, delta))
-    else:
-        sign = ctx.pow(minus1, (n - 1) // 2)
-        arg = ctx.mul(ctx.mul(sign, b), delta)
-        closed = q ** (n - 1) + q ** ((n - 1) // 2) * quadratic_character(ctx, arg)
-    if count != closed:
-        raise VerificationError(
-            f"quadratic form count mismatch: enumerated {count}, closed form {closed}")
-    return count
-
-
-# ---------------------------------------------------------------------------
 # GF(2^e) character codomain
 # ---------------------------------------------------------------------------
 
@@ -728,18 +628,3 @@ def make_char_field(p: int) -> CharFieldCtx:
     ctx = CharFieldCtx(p=p, e=e, poly=poly, eps=eps, eps_pows=tuple(pows))
     _CHAR_CACHE[p] = ctx
     return ctx
-
-
-def chi(cf: CharFieldCtx, fld: FieldCtx, t: int) -> int:
-    """Additive character eps^Tr(t) of GF(q) with values in GF(2^e)."""
-    return cf.eps_pows[trace(fld, t) % fld.p]
-
-
-def chi_array(cf: CharFieldCtx, fld: FieldCtx) -> np.ndarray:
-    """chi over all of GF(q), indexed by element."""
-    return np.array(cf.eps_pows, dtype=np.int64)[trace_table(fld)]
-
-
-def chi_table(cf: CharFieldCtx, fld: FieldCtx) -> list[int]:
-    """chi over all of GF(q) as a plain list for tight loops."""
-    return chi_array(cf, fld).tolist()

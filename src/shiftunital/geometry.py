@@ -8,8 +8,7 @@ import numpy as np
 
 from .errors import DesignError, FieldError, VerificationError
 from .fields import ThetaSetup, TowerCtx, theta_setup
-from .planar import (_GATHER_LIMIT, ComponentPair, PlanarSpec, components, is_normal,
-                     planarity_witness, square_spec)
+from .planar import _GATHER_LIMIT, PlanarSpec, is_normal, planarity_witness
 
 @dataclass(frozen=True, eq=False)
 class UnitalDesign:
@@ -23,7 +22,6 @@ class UnitalDesign:
     modulus: tuple[int, ...]
     blocks: np.ndarray = field(repr=False, default=None)
     setup: ThetaSetup | None = field(default=None, repr=False)
-    f: PlanarSpec | None = field(default=None, repr=False)
 
     @property
     def n_points(self) -> int:
@@ -38,40 +36,16 @@ class UnitalDesign:
         return self.blocks.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Circle:
-    """C_{a,beta} = {x : theta1*f0(x+a) - theta0*f1(x+a) = beta}."""
+def fiber_map(setup: ThetaSetup, f: PlanarSpec) -> np.ndarray:
+    """g(x) = theta1*f0(x) - theta0*f1(x) = beta(f(x)) for every x in F_{q^2}.
 
-    a: int
-    beta: int
-    points: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class CircleParam:
-    """Rational parametrization of a circle, checked against enumeration."""
-
-    points: list[tuple[int, int]]
-    source: str                      # "printed" | "corrected"
-    formula: str
-    discrepancy: dict | None = None
-
-
-def _fiber_form(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
-    """g(x) = theta1*f0(x) - theta0*f1(x) for every x in F_{q^2}, unchecked."""
-    base = setup.tower.base
-    return base.vsub(base.vmul(setup.theta1, comps.f0), base.vmul(setup.theta0, comps.f1))
-
-
-def fiber_counts(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
-    """Fiber sizes of g(x) = theta1*f0(x) - theta0*f1(x), indexed by value."""
-    return np.bincount(_fiber_form(setup, comps), minlength=setup.tower.base.n)
-
-
-def fiber_map(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
-    """g(x) = theta1*f0(x) - theta0*f1(x); DesignError unless fibers are 1 at 0 and q+1 elsewhere."""
+    FieldError unless f is tabulated over the tower's extension field; DesignError
+    unless the fibers of g are 1 at 0 and q+1 elsewhere.
+    """
+    if f.field is not setup.tower.ext:
+        raise FieldError("spec is tabulated over a different field than the tower's extension")
     q = setup.tower.base.n
-    g = _fiber_form(setup, comps)
+    g = beta_of_table(setup)[f.table]
     counts = np.bincount(g, minlength=q)
     expected = np.full(q, q + 1, dtype=counts.dtype)
     expected[0] = 1
@@ -84,21 +58,10 @@ def fiber_map(setup: ThetaSetup, comps: ComponentPair) -> np.ndarray:
     return g
 
 
-def circles_of(setup: ThetaSetup, comps: ComponentPair) -> dict[int, np.ndarray]:
+def circles_of(setup: ThetaSetup, f: PlanarSpec) -> dict[int, np.ndarray]:
     """All circles C_{0,beta} for beta != 0, keyed by beta, each sorted ascending."""
-    g = fiber_map(setup, comps)
+    g = fiber_map(setup, f)
     return {int(b): np.flatnonzero(g == b) for b in range(1, setup.tower.base.n)}
-
-
-def circle(setup: ThetaSetup, f: PlanarSpec, a: int, beta: int) -> Circle:
-    """Exhaustive enumeration of C_{a,beta}."""
-    if beta == 0:
-        raise FieldError("beta must be nonzero")
-    tower = setup.tower
-    base, ext = tower.base, tower.ext
-    g = _fiber_form(setup, components(f, tower))
-    xs = np.flatnonzero(g[ext.vadd(np.arange(ext.n), a)] == beta)
-    return Circle(a=a, beta=beta, points=tuple(int(x) for x in xs))
 
 
 def find_thetas(f: PlanarSpec, tower: TowerCtx) -> list[ThetaSetup]:
@@ -108,14 +71,14 @@ def find_thetas(f: PlanarSpec, tower: TowerCtx) -> list[ThetaSetup]:
     fixing 0, so the condition holds on whole classes theta*GF(q)*. One theta is
     checked per class: 1, and s + xi for each s in GF(q).
     """
-    comps = components(f, tower)
-    base, ext = tower.base, tower.ext
-    q = base.n
-    expected = np.full(q, q + 1, dtype=np.int64)
-    expected[0] = 1
-    reps = [1, *ext.vadd(tower.embed, tower.xi).tolist()]
-    good = [r for r in reps
-            if np.array_equal(fiber_counts(theta_setup(tower, r), comps), expected)]
+    ext = tower.ext
+    good = []
+    for r in [1, *ext.vadd(tower.embed, tower.xi).tolist()]:
+        try:
+            fiber_map(theta_setup(tower, r), f)
+        except DesignError:
+            continue
+        good.append(r)
     thetas = np.sort(ext.vmul(tower.embed[1:, None], np.array(good, dtype=np.int64)),
                      axis=None)
     if f.family == "square":
@@ -158,11 +121,10 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
     """
     tower = setup.tower
     base = tower.base
-    comps = components(f, tower)
-    circles = circles_of(setup, comps)
+    circles = circles_of(setup, f)
     j, theta_j = _t_axis(setup)
     x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
-    fj = (comps.f1 if j else comps.f0)[x].astype(np.int64)
+    fj = (tower.dec1 if j else tower.dec0)[f.table[x]].astype(np.int64)
     t = base.vmul(base.inv(theta_j), fj).astype(np.int64)
     _check_difference_family(setup, x, t)
     return x, t
@@ -238,7 +200,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     blocks.setflags(write=False)
     return UnitalDesign(q=q, p=base.p, m=base.m, f_name=f.name,
                         theta_index=setup.theta, modulus=ext.modulus,
-                        blocks=blocks, setup=setup, f=f)
+                        blocks=blocks, setup=setup)
 
 
 def _cover_exactly_once(rows: np.ndarray, n_items: int, replication: int) -> None:
@@ -287,80 +249,6 @@ def verify_design(design: UnitalDesign) -> dict:
     _cover_exactly_once(design.blocks, design.n_points, q**2)
     return {"v": design.n_points, "b": design.n_blocks, "k": q + 1,
             "r": q**2, "lambda": 1, "mode": "exhaustive"}
-
-
-class ShiftPlane:
-    """Incidence of Pi(f): affine (x, y) = x*n + y, infinite (a) = n^2 + a, (inf) last.
-
-    Lines are indexed L_{a,b} = a*n + b, N_a = n^2 + a, L_inf = n^2 + n.
-    """
-
-    def __init__(self, spec: PlanarSpec):
-        self.spec = spec
-        self.ext = spec.field
-        self.n = self.ext.n
-        self.n_points = self.n**2 + self.n + 1
-        self.n_lines = self.n_points
-        self.inf_pid = self.n**2 + self.n
-
-    def all_lines(self) -> np.ndarray:
-        n = self.n
-        ext = self.ext
-        idx = np.arange(n, dtype=np.int64)
-        lines = np.empty((self.n_lines, n + 1), dtype=np.int64)
-        for a in range(n):
-            fxa = self.spec.table[ext.vadd(idx, a)].astype(np.int64)
-            ys = ext.vsub(fxa[None, :], idx[:, None])       # row b: y = f(x+a) - b
-            lines[a * n:(a + 1) * n, :n] = idx[None, :] * n + ys
-            lines[a * n:(a + 1) * n, n] = n * n + a
-        lines[n * n:n * n + n, :n] = idx[:, None] * n + idx[None, :]
-        lines[n * n:n * n + n, n] = self.inf_pid
-        lines[n * n + n] = np.arange(n * n, n * n + n + 1)
-        return lines
-
-    def point_perm(self, u: int, v: int) -> np.ndarray:
-        """The shift map tau_{u,v} as a point permutation."""
-        n = self.n
-        ext = self.ext
-        idx = np.arange(n, dtype=np.int64)
-        perm = np.empty(self.n_points, dtype=np.int64)
-        px = ext.vadd(idx, u)
-        py = ext.vadd(idx, v)
-        perm[:n * n] = (px[:, None] * n + py[None, :]).ravel()
-        perm[n * n:n * n + n] = n * n + ext.vsub(idx, np.full(n, u, dtype=np.int64))
-        perm[self.inf_pid] = self.inf_pid
-        return perm
-
-    def line_perm(self, u: int, v: int) -> np.ndarray:
-        """Image line indices under tau_{u,v}: L_{a,b} -> L_{a-u,b-v}, N_a -> N_{a+u}."""
-        n = self.n
-        ext = self.ext
-        idx = np.arange(n, dtype=np.int64)
-        lperm = np.empty(self.n_lines, dtype=np.int64)
-        la = ext.vsub(idx, np.full(n, u, dtype=np.int64))
-        lb = ext.vsub(idx, np.full(n, v, dtype=np.int64))
-        lperm[:n * n] = (la[:, None] * n + lb[None, :]).ravel()
-        lperm[n * n:n * n + n] = n * n + ext.vadd(idx, u)
-        lperm[n * n + n] = n * n + n
-        return lperm
-
-
-def _verify_plane_small(plane: ShiftPlane) -> dict:
-    """Pair-by-pair oracle: both axioms on the full incidence, and every shift (u, v)."""
-    n = plane.n
-    lines = plane.all_lines()
-    _cover_exactly_once(lines, plane.n_points, n + 1)
-    order = np.argsort(lines.ravel(), kind="stable")
-    pencils = (order // (n + 1)).reshape(plane.n_points, n + 1)
-    _cover_exactly_once(pencils, plane.n_lines, n + 1)
-    for u in range(n):
-        for v in range(n):
-            perm = plane.point_perm(u, v)
-            image = np.sort(perm[lines], axis=1)
-            if not np.array_equal(image, lines[plane.line_perm(u, v)]):
-                raise VerificationError(f"shift map ({u},{v}) does not permute the lines")
-    return {"axiom_pairs": "exhaustive", "axiom_meets": "exhaustive",
-            "axiom_shifts": "exhaustive"}
 
 
 def verify_plane(f: PlanarSpec) -> dict:
@@ -461,127 +349,6 @@ def verify_transitivity(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> dict
             f"through the origin are distinct")
     return {"group_order": q**3, "regular": True, "blocks_closed": "exhaustive",
             "ok": True}
-
-
-def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]], str]:
-    """The parametrization exactly as printed, before any correction."""
-    base = setup.tower.base
-    q = base.n
-    alpha = setup.alpha
-    pts = set()
-    if q % 4 == 1:
-        if beta == 1:
-            for t in range(1, q):
-                d = base.add(1, base.mul(alpha, base.mul(t, t)))
-                pts.add((base.div(base.sub(1, base.mul(alpha, base.mul(t, t))), d),
-                         base.div(base.mul(base.element_from_int(2), t), d)))
-            pts.update({(1, 0), (base.neg(1), 0)})
-            desc = "x0 = (1-a*t^2)/(1+a*t^2), x1 = 2t/(1+a*t^2), t in GF(q)*, plus (+-1, 0)"
-        else:
-            for t in range(1, q):
-                d = base.add(alpha, base.mul(t, t))
-                pts.add((base.div(base.mul(base.element_from_int(2),
-                                           base.mul(alpha, t)), d),
-                         base.div(base.sub(alpha, base.mul(t, t)), d)))
-            pts.update({(0, 1), (0, base.neg(1))})
-            desc = "x0 = 2a*t/(a+t^2), x1 = (a-t^2)/(a+t^2), t in GF(q)*, plus (0, +-1)"
-    else:
-        th0 = setup.theta0
-        at = base.sub(alpha, base.mul(th0, th0))
-        if beta == 1:
-            for t in range(q):
-                d = base.add(1, base.mul(at, base.mul(t, t)))
-                num = base.sub(base.sub(1, base.mul(base.element_from_int(2),
-                                                    base.mul(th0, t))),
-                               base.mul(at, base.mul(t, t)))
-                pts.add((base.div(num, d),
-                         base.div(base.mul(base.element_from_int(2), t), d)))
-            pts.add((base.neg(1), 0))
-            desc = ("x0 = (1-2*th0*t-at*t^2)/(1+at*t^2), x1 = 2t/(1+at*t^2), "
-                    "t in GF(q), plus (-1, 0)")
-        else:
-            a2 = base.mul(alpha, alpha)
-            for t in range(q):
-                d = base.add(1, base.mul(at, base.mul(t, t)))
-                x0 = base.div(base.div(base.mul(base.element_from_int(2), t),
-                                       alpha), d)
-                num = base.sub(base.sub(1, base.div(base.mul(base.element_from_int(2),
-                                                             base.mul(th0, t)), a2)),
-                               base.mul(at, base.mul(t, t)))
-                pts.add((x0, base.div(num, d)))
-            pts.add((0, base.neg(1)))
-            desc = ("x0 = (2t/a)/(1+at*t^2), x1 = (1-2*th0*t/a^2-at*t^2)/(1+at*t^2), "
-                    "t in GF(q), plus (0, -1)")
-    return sorted(pts), desc
-
-
-def _corrected_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]], str]:
-    """Sign/scale-repaired q = 3 (mod 4) parametrizations (the q = 1 case needs none)."""
-    base = setup.tower.base
-    q = base.n
-    alpha = setup.alpha
-    th0 = setup.theta0
-    at = base.sub(alpha, base.mul(th0, th0))
-    pts = set()
-    if beta == 1:
-        for t in range(q):
-            d = base.add(1, base.mul(at, base.mul(t, t)))
-            num = base.sub(base.add(1, base.mul(base.element_from_int(2),
-                                                base.mul(th0, t))),
-                           base.mul(at, base.mul(t, t)))
-            pts.add((base.div(num, d),
-                     base.div(base.mul(base.element_from_int(2), t), d)))
-        pts.add((base.neg(1), 0))
-        desc = ("x0 = (1+2*th0*t-at*t^2)/(1+at*t^2), x1 = 2t/(1+at*t^2), "
-                "t in GF(q), plus (-1, 0)")
-    else:
-        for t in range(q):
-            d = base.add(1, base.mul(at, base.mul(t, t)))
-            x0 = base.div(base.neg(base.mul(base.element_from_int(2),
-                                            base.mul(alpha, t))), d)
-            num = base.sub(base.sub(1, base.mul(base.element_from_int(2),
-                                                base.mul(th0, t))),
-                           base.mul(at, base.mul(t, t)))
-            pts.add((x0, base.div(num, d)))
-        pts.add((0, base.neg(1)))
-        desc = ("x0 = -2a*t/(1+at*t^2), x1 = (1-2*th0*t-at*t^2)/(1+at*t^2), "
-                "t in GF(q), plus (0, -1)")
-    return sorted(pts), desc
-
-
-def parametrize_circle(setup: ThetaSetup, case: int, beta: int) -> CircleParam:
-    """Rational points of C_{0,beta}, beta in {1, alpha}, for f = x^2; enumeration-checked."""
-    base = setup.tower.base
-    q = base.n
-    if case not in (1, 3) or q % 4 != case:
-        raise FieldError(f"case {case} does not match q = {q} (mod 4)")
-    if beta not in (1, setup.alpha):
-        raise FieldError(f"beta must be 1 or alpha = {setup.alpha}")
-    f = square_spec(setup.tower.ext)
-    enum = circle(setup, f, 0, beta)
-    tower = setup.tower
-    enum_pairs = sorted((int(tower.dec0[x]), int(tower.dec1[x])) for x in enum.points)
-
-    printed, printed_desc = _printed_points(setup, beta)
-    if printed == enum_pairs:
-        return CircleParam(points=printed, source="printed", formula=printed_desc)
-    discrepancy = {
-        "printed_formula": printed_desc,
-        "printed_only": [p for p in printed if p not in set(enum_pairs)],
-        "enumerated_only": [p for p in enum_pairs if p not in set(printed)],
-    }
-    if case == 1:
-        raise VerificationError(
-            f"q = 1 (mod 4) parametrization of C_(0,{beta}) disagrees with "
-            f"enumeration: {discrepancy}")
-    corrected, corrected_desc = _corrected_points(setup, beta)
-    if corrected != enum_pairs:
-        raise VerificationError(
-            f"no parametrization matches C_(0,{beta}): printed {discrepancy}, "
-            f"corrected also fails")
-    discrepancy["corrected_formula"] = corrected_desc
-    return CircleParam(points=corrected, source="corrected",
-                       formula=corrected_desc, discrepancy=discrepancy)
 
 
 def write_design(design: UnitalDesign, path: str) -> None:

@@ -244,38 +244,3 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> int:
     if total > bound:
         raise VerificationError(f"rank {total} exceeds the proven upper bound {bound}")
     return total
-
-
-def verify_dual_ovals(design: UnitalDesign, setup: ThetaSetup) -> dict:
-    """Blocks meet every oval evenly; the q oval vectors are independent in the dual."""
-    q = design.q
-    n = q * q
-    blocks = design.blocks
-    # B_a rows: the q affine points hit each t-class once, so each oval is met in
-    # exactly (a, t*theta) plus (inf) = 2 points
-    ba_t = blocks[:n, :q].astype(np.int64) % q
-    if not np.array_equal(ba_t, np.tile(np.arange(q), (n, 1))):
-        a = int(np.flatnonzero(np.any(ba_t != np.arange(q), axis=1))[0])
-        raise VerificationError(f"block B_{a} does not meet every oval in 2 points")
-    if not np.all(blocks[:n, q] == design.inf_id):
-        raise VerificationError("a B_a block is missing (inf)")
-    # B_{a,b} rows: affine only; per-oval meets must be 0 or 2
-    res = blocks[n:].astype(np.int64) % q
-    for t in range(q):
-        cnt = (res == t).sum(axis=1)
-        bad = np.flatnonzero((cnt != 0) & (cnt != 2))
-        if bad.size:
-            i = int(bad[0])
-            raise VerificationError(
-                f"block {n + i} meets oval t = {t} in {int(cnt[i])} points")
-    # independence of the q oval characteristic vectors
-    width = design.n_points
-    nbytes = (width + 7) >> 3
-    acc = RankAccumulator(width)
-    for t in range(q):
-        pids = [x * q + t for x in range(n)] + [design.inf_id]
-        acc.absorb(row_int(pids, nbytes))
-    if acc.rank != q:
-        raise VerificationError(f"oval vectors span rank {acc.rank}, expected {q}")
-    return {"blocks_even": True, "b_a_meet": 2, "oval_rank": q,
-            "rank_upper_bound": q**3 - q + 1, "ok": True}

@@ -46,21 +46,11 @@ class CyclotomicInt:
         return all(self.counts[j] == self.counts[self.p - j]
                    for j in range(1, self.p))
 
-    def vanishes_mod2(self) -> bool:
-        return all(c % 2 == 0 for c in self.canonical())
-
     def to_int(self) -> int:
         can = self.canonical()
         if any(can[1:]):
             raise FieldError(f"{self!r} is not a rational integer")
         return can[0]
-
-
-def lambda_vanishes_mod2(fld: FieldCtx, values) -> bool:
-    """Whether sum of lambda(c) over the multiset lies in 2*Z[zeta_p], coefficientwise."""
-    traces = trace_table(fld)[np.asarray(list(values), dtype=np.int64)]
-    counts = np.bincount(traces, minlength=fld.p)
-    return CyclotomicInt(fld.p, counts.tolist()).vanishes_mod2()
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Planar functions on GF(q^2): registry, planarity/normality checks, component maps."""
+"""Planar functions on GF(q^2): registry, planarity and normality checks."""
 from __future__ import annotations
 
 import hashlib
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignError, FieldError
-from .fields import FieldCtx, TowerCtx
+from .fields import FieldCtx
 
 @dataclass(frozen=True, eq=False)
 class PlanarSpec:
@@ -19,18 +19,6 @@ class PlanarSpec:
     field: FieldCtx
     table: np.ndarray = field(repr=False, default=None)
     param: int | None = None     # k for Coulter-Matthews
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentPair:
-    """Coordinate maps f(x) = f0(x) + f1(x)*xi, tabulated over GF(q^2)."""
-
-    f0: np.ndarray
-    f1: np.ndarray
-
-
-def evaluate(spec: PlanarSpec, x: int) -> int:
-    return int(spec.table[x])
 
 
 def square_spec(ext: FieldCtx) -> PlanarSpec:
@@ -150,14 +138,6 @@ def is_normal(spec: PlanarSpec) -> bool:
     counts = np.bincount(tbl, minlength=ctx.n)
     # even + 2-bounded fibers force each nonzero fiber to be exactly {a, -a}
     return int(counts[0]) == 1 and int(counts.max()) <= 2
-
-
-def components(spec: PlanarSpec, tower: TowerCtx) -> ComponentPair:
-    """Split f pointwise as f0 + f1*xi using the tower's coordinate tables."""
-    if spec.field is not tower.ext:
-        raise FieldError("spec is tabulated over a different field than the tower's extension")
-    return ComponentPair(f0=tower.dec0[spec.table].astype(np.int32),
-                         f1=tower.dec1[spec.table].astype(np.int32))
 
 
 def registry_list(ext: FieldCtx) -> list[PlanarSpec]:

@@ -1,0 +1,158 @@
+"""Reference implementations that the tests compare the package against.
+
+Each computes by scalar loops or block by block what the package computes in bulk.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from shiftunital import (FieldCtx, FieldError, PlanarSpec, UnitalDesign, VerificationError,
+                         make_char_field, trace_table)
+from shiftunital.charspec import SpectrumCtx
+from shiftunital.fields import CharFieldCtx
+from shiftunital.geometry import _cover_exactly_once
+
+
+def trace(ctx: FieldCtx, x: int) -> int:
+    """Trace of x from GF(p^m) onto GF(p), returned as an element index."""
+    acc = 0
+    y = x
+    for _ in range(ctx.m):
+        acc = ctx.add(acc, y)
+        y = ctx.pow(y, ctx.p)
+    return acc
+
+
+def chi_array(cf: CharFieldCtx, fld: FieldCtx) -> np.ndarray:
+    """chi over all of GF(q), indexed by element."""
+    return np.array(cf.eps_pows, dtype=np.int64)[trace_table(fld)]
+
+
+def chi_block(design: UnitalDesign, chi: tuple[int, int, int], block,
+              chitab: np.ndarray | None = None) -> int:
+    """Sum of chi(u*x0 + v*x1 + w*t) over a punctured block's points.
+
+    `chitab` is chi_array of the base field, for callers that scan many blocks.
+    """
+    setup = design.setup
+    if setup is None:
+        raise FieldError("design lacks a live field context")
+    tower = setup.tower
+    base = tower.base
+    q = design.q
+    u, v, w = chi
+    pids = np.asarray(block, dtype=np.int64)
+    if pids.size and int(pids.max()) >= design.inf_id:
+        raise FieldError("chi_block requires punctured blocks (no infinity point)")
+    xs = pids // q
+    ts = pids % q
+    if chitab is None:
+        chitab = chi_array(make_char_field(base.p), base)
+    args = base.vadd(
+        base.vadd(base.vmul(np.full(xs.shape, u, dtype=np.int64),
+                            tower.dec0[xs].astype(np.int64)),
+                  base.vmul(np.full(xs.shape, v, dtype=np.int64),
+                            tower.dec1[xs].astype(np.int64))),
+        base.vmul(np.full(ts.shape, w, dtype=np.int64), ts))
+    return int(np.bitwise_xor.reduce(chitab[args]))
+
+
+def s_beta(ctx: SpectrumCtx, chi: tuple[int, int, int], beta: int) -> int:
+    """S(beta) = sum over D_beta of chi(u*x0 + v*x1 + w*t)."""
+    if beta == 0:
+        raise FieldError("beta must be nonzero")
+    u, v, w = chi
+    k = ctx.tr_ux0[u, beta - 1] + ctx.tr_vx1[v, beta - 1]
+    if w:
+        k = k + ctx.tr_wt[w - 1, beta - 1]
+    return int(np.bitwise_xor.reduce(ctx.epsx[k]))
+
+
+def in_spectrum_by_scan(design: UnitalDesign, chi: tuple[int, int, int]) -> bool:
+    """Oracle: scan every block of the punctured design for a nonzero chi sum."""
+    if design.setup is None:
+        raise FieldError("design lacks a live field context")
+    q = design.q
+    base = design.setup.tower.base
+    chitab = chi_array(make_char_field(base.p), base)
+    for i in range(design.n_blocks):
+        block = design.blocks[i]
+        if i < q * q:
+            block = block[:-1]          # strip (inf) from B_a
+        if chi_block(design, chi, block, chitab):
+            return True
+    return False
+
+
+class ShiftPlane:
+    """Incidence of Pi(f): affine (x, y) = x*n + y, infinite (a) = n^2 + a, (inf) last.
+
+    Lines are indexed L_{a,b} = a*n + b, N_a = n^2 + a, L_inf = n^2 + n.
+    """
+
+    def __init__(self, spec: PlanarSpec):
+        self.spec = spec
+        self.ext = spec.field
+        self.n = self.ext.n
+        self.n_points = self.n**2 + self.n + 1
+        self.n_lines = self.n_points
+        self.inf_pid = self.n**2 + self.n
+
+    def all_lines(self) -> np.ndarray:
+        n = self.n
+        ext = self.ext
+        idx = np.arange(n, dtype=np.int64)
+        lines = np.empty((self.n_lines, n + 1), dtype=np.int64)
+        for a in range(n):
+            fxa = self.spec.table[ext.vadd(idx, a)].astype(np.int64)
+            ys = ext.vsub(fxa[None, :], idx[:, None])       # row b: y = f(x+a) - b
+            lines[a * n:(a + 1) * n, :n] = idx[None, :] * n + ys
+            lines[a * n:(a + 1) * n, n] = n * n + a
+        lines[n * n:n * n + n, :n] = idx[:, None] * n + idx[None, :]
+        lines[n * n:n * n + n, n] = self.inf_pid
+        lines[n * n + n] = np.arange(n * n, n * n + n + 1)
+        return lines
+
+    def point_perm(self, u: int, v: int) -> np.ndarray:
+        """The shift map tau_{u,v} as a point permutation."""
+        n = self.n
+        ext = self.ext
+        idx = np.arange(n, dtype=np.int64)
+        perm = np.empty(self.n_points, dtype=np.int64)
+        px = ext.vadd(idx, u)
+        py = ext.vadd(idx, v)
+        perm[:n * n] = (px[:, None] * n + py[None, :]).ravel()
+        perm[n * n:n * n + n] = n * n + ext.vsub(idx, np.full(n, u, dtype=np.int64))
+        perm[self.inf_pid] = self.inf_pid
+        return perm
+
+    def line_perm(self, u: int, v: int) -> np.ndarray:
+        """Image line indices under tau_{u,v}: L_{a,b} -> L_{a-u,b-v}, N_a -> N_{a+u}."""
+        n = self.n
+        ext = self.ext
+        idx = np.arange(n, dtype=np.int64)
+        lperm = np.empty(self.n_lines, dtype=np.int64)
+        la = ext.vsub(idx, np.full(n, u, dtype=np.int64))
+        lb = ext.vsub(idx, np.full(n, v, dtype=np.int64))
+        lperm[:n * n] = (la[:, None] * n + lb[None, :]).ravel()
+        lperm[n * n:n * n + n] = n * n + ext.vadd(idx, u)
+        lperm[n * n + n] = n * n + n
+        return lperm
+
+
+def _verify_plane_small(plane: ShiftPlane) -> dict:
+    """Pair-by-pair oracle: both axioms on the full incidence, and every shift (u, v)."""
+    n = plane.n
+    lines = plane.all_lines()
+    _cover_exactly_once(lines, plane.n_points, n + 1)
+    order = np.argsort(lines.ravel(), kind="stable")
+    pencils = (order // (n + 1)).reshape(plane.n_points, n + 1)
+    _cover_exactly_once(pencils, plane.n_lines, n + 1)
+    for u in range(n):
+        for v in range(n):
+            perm = plane.point_perm(u, v)
+            image = np.sort(perm[lines], axis=1)
+            if not np.array_equal(image, lines[plane.line_perm(u, v)]):
+                raise VerificationError(f"shift map ({u},{v}) does not permute the lines")
+    return {"axiom_pairs": "exhaustive", "axiom_meets": "exhaustive",
+            "axiom_shifts": "exhaustive"}

@@ -6,15 +6,14 @@ import weakref
 import numpy as np
 import pytest
 
-from shiftunital import (FieldCtx, FieldError, SpectrumResult, VerificationError,
-                         base_blocks, bounds, chi_block, construct_theta, find_thetas,
-                         in_spectrum, in_spectrum_by_scan, make_char_field, make_field,
-                         make_tower, rank2_of_unital, s_beta, spectrum_size,
-                         square_spec, verify_chi_square_lemma, verify_orthogonality,
-                         verify_trace_criterion)
+from shiftunital import (FieldCtx, FieldError, VerificationError, base_blocks, bounds,
+                         construct_theta, find_thetas, make_char_field, make_field,
+                         make_tower, rank2_of_unital, spectrum_size, square_spec)
 from shiftunital import charspec
-from shiftunital.fields import chi_array
 
+import oracles
+from oracles import chi_array, chi_block, in_spectrum_by_scan, s_beta
+from paper_checks import verify_chi_square_lemma, verify_orthogonality, verify_trace_criterion
 from test_geometry import swap_one_point
 
 
@@ -40,20 +39,17 @@ def test_spectrum_equals_rank(instances):
 def test_in_spectrum_matches_scan_exhaustively(instances, q):
     tower, f, setup, design = instances[q, "square"]
     res = spectrum_size(setup, f)
-    ctx = charspec.make_spectrum_ctx(setup, f)
     for ch in all_chars(q):
-        fast = in_spectrum(ctx, ch)
-        assert fast == in_spectrum_by_scan(design, ch)
-        assert fast == res.member(*ch)
+        assert res.member(*ch) == in_spectrum_by_scan(design, ch)
 
 
 def test_in_spectrum_matches_scan_sampled_q9(instances):
     tower, f, setup, design = instances[9, "square"]
-    ctx = charspec.make_spectrum_ctx(setup, f)
+    res = spectrum_size(setup, f)
     rng = np.random.default_rng(5)
     for _ in range(60):
         ch = tuple(int(x) for x in rng.integers(0, 9, 3))
-        assert in_spectrum(ctx, ch) == in_spectrum_by_scan(design, ch)
+        assert res.member(*ch) == in_spectrum_by_scan(design, ch)
 
 
 def test_w_zero_always_member_and_uv_zero_never(instances):
@@ -208,13 +204,13 @@ def test_chi_block_zero_char_counts_parity(instances):
 def test_scan_oracle_builds_one_character_table(instances, monkeypatch):
     tower, f, setup, design = instances[3, "square"]
     calls = []
-    real = charspec.chi_array
+    real = oracles.chi_array
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(charspec, "chi_array", counted)
+    monkeypatch.setattr(oracles, "chi_array", counted)
     # chi_{0,0,w} is outside the spectrum, so the oracle scans every block
     assert not in_spectrum_by_scan(design, (0, 0, 1))
     assert len(calls) == 1

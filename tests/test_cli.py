@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import shiftunital
-from shiftunital import charspec, geometry, planar
+from shiftunital import charspec, cli, geometry, planar
 from shiftunital.cli import main, resolve_config, resolve_engines, RunConfig
 
 ROW_KEYS = ["q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
@@ -53,7 +53,40 @@ def test_rank_engine_selection(workdir):
     assert row["rank_gf2"] == 25 and row["rank_spectrum"] is None
     assert main(["rank", "--p", "3", "--m", "1", "--engine", "spectrum"]) == 0
     row = json.loads((workdir / "out" / "rank_q3_square.json").read_text())["rows"][0]
-    assert row["rank_spectrum"] == 25 and row["rank_gf2"] is None
+    assert row["rank_spectrum"] == 25 and row["rank_gf2"] == 25     # kept from the cache
+
+
+def test_cached_rank_survives_the_other_engine(workdir, monkeypatch):
+    result_path = workdir / "cache" / "p3m2_b2,1,1_e2,0,0,1,1_fsquare_t32" / "result.json"
+    assert main(["rank", "--p", "3", "--m", "2", "--engine", "gf2"]) == 0
+    assert json.loads(result_path.read_text())["rank_gf2"] == 721
+    calls = _count_spectrum_calls(monkeypatch)
+    assert main(["spectrum", "--p", "3", "--m", "2"]) == 0
+    row = json.loads(result_path.read_text())
+    assert (row["rank_gf2"], row["rank_spectrum"]) == (721, 721)
+    assert len(calls) == 1
+    # both ranks are cached now: neither engine runs again
+    monkeypatch.setattr(cli, "rank2_by_characters", lambda *a: pytest.fail("gf2 ran again"))
+    assert main(["rank", "--p", "3", "--m", "2", "--engine", "both"]) == 0
+    out = json.loads((workdir / "out" / "rank_q9_square.json").read_text())["rows"][0]
+    assert out == row
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first, argv", [
+    ("gf2", ["spectrum", "--p", "3", "--m", "1"]),
+    ("gf2", ["rank", "--p", "3", "--m", "1", "--engine", "both"]),
+    ("both", ["rank", "--p", "3", "--m", "1", "--engine", "gf2"])],
+    ids=["spectrum", "both", "cached-both"])
+def test_planted_cached_rank_is_checked_against_the_other_engine(workdir, capsys, first,
+                                                                 argv):
+    assert main(["rank", "--p", "3", "--m", "1", "--engine", first]) == 0
+    result_path = workdir / "cache" / KEY_Q3 / "result.json"
+    row = json.loads(result_path.read_text())
+    result_path.write_text(json.dumps({**row, "rank_gf2": 24}))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: engine disagreement")
 
 
 def test_corrupted_cache_rebuilt(workdir, capsys):
@@ -255,6 +288,13 @@ def test_config_file_rejects_unknown_key(workdir, capsys):
     assert "bad entry" in capsys.readouterr().err
 
 
+def test_config_file_rejects_full(workdir, capsys):
+    # --engine both is the one way to run both engines above q = 9
+    (workdir / "run.cfg").write_text("p=3\nm=1\nfull=1\n")
+    assert main(["rank", "--config", "run.cfg"]) == 1
+    assert capsys.readouterr().err.startswith("error: run.cfg:3: bad entry")
+
+
 def test_explicit_theta_flag(workdir):
     assert main(["rank", "--p", "3", "--m", "1", "--theta", "5"]) in (0, 1)
     # theta index 8 is the recipe direction and must succeed
@@ -268,7 +308,6 @@ def test_resolve_engines_defaults():
     assert resolve_engines(cfg, 9) == (True, True)
     assert resolve_engines(cfg, 11) == (False, True)
     assert resolve_engines(cfg, 27) == (False, True)
-    assert resolve_engines(RunConfig(full=True), 27) == (True, True)
     assert resolve_engines(RunConfig(engine="gf2"), 27) == (True, False)
 
 

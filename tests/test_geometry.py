@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from shiftunital import (DesignError, FieldError, VerificationError, base_blocks,
-                         build_unital, circle, circles_of, components,
-                         construct_theta, coulter_matthews_spec,
-                         fiber_counts, fiber_map, find_thetas, parametrize_circle,
-                         quadratic_character, read_design, square_spec,
+                         build_unital, construct_theta, coulter_matthews_spec,
+                         find_thetas, quadratic_character, read_design, square_spec,
                          theta_setup, verify_design, verify_ovals, verify_plane,
                          verify_transitivity, verify_unital_in_plane, write_design)
 from shiftunital import geometry, make_field, make_tower, planarity_witness
 from shiftunital.fields import FieldCtx
-from shiftunital.geometry import (ShiftPlane, _cover_exactly_once, _verify_plane_small,
-                                  beta_of_table, theta_multiples)
+from shiftunital.geometry import (_cover_exactly_once, beta_of_table, circles_of, fiber_map,
+                                  theta_multiples)
 
+from oracles import ShiftPlane, _verify_plane_small
+from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
 
 FANO = np.array([[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5],
@@ -53,11 +53,11 @@ def test_find_thetas_counts(towers, q, expected):
 
 def _scan_thetas(f, tower) -> list[int]:
     """Every theta of GF(q^2)* whose fiber counts are 1 at 0 and q + 1 elsewhere."""
-    comps = components(f, tower)
     q = tower.base.n
     want = [1] + [q + 1] * (q - 1)
     return [th for th in range(1, tower.ext.n)
-            if fiber_counts(theta_setup(tower, th), comps).tolist() == want]
+            if np.bincount(beta_of_table(theta_setup(tower, th))[f.table],
+                           minlength=q).tolist() == want]
 
 
 @pytest.mark.parametrize("p,m,sel", [(3, 1, "square"), (5, 1, "square"), (7, 1, "square"),
@@ -85,11 +85,10 @@ def test_find_thetas_cm3(tower9):
 
 def test_fiber_condition(tower3):
     f = square_spec(tower3.ext)
-    comps = components(f, tower3)
     good = find_thetas(f, tower3)
-    counts = fiber_counts(good[0], comps)
+    fm = fiber_map(good[0], f)
+    counts = np.bincount(fm, minlength=tower3.base.n)
     assert sorted(counts.tolist()) == [1] + [4] * 2
-    fm = fiber_map(good[0], comps)
     assert fm.shape == (tower3.ext.n,)
     # every inadmissible nonzero theta must be rejected with a witness
     good_idx = {s.theta for s in good}
@@ -97,7 +96,7 @@ def test_fiber_condition(tower3):
         if theta in good_idx:
             continue
         with pytest.raises(DesignError):
-            fiber_map(theta_setup(tower3, theta), comps)
+            fiber_map(theta_setup(tower3, theta), f)
 
 
 def test_build_rejects_inadmissible_theta(tower3, tower5):
@@ -393,8 +392,7 @@ def test_shifted_square_has_no_admissible_theta(tower3, tower5):
 
 
 def test_circles(setup3, square3, tower3):
-    comps = components(square3, tower3)
-    circ = circles_of(setup3, comps)
+    circ = circles_of(setup3, square3)
     q = tower3.base.n
     assert len(circ) == q - 1
     seen = set()

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftunital import (FieldError, RankAccumulator, VerificationError, base_blocks,
-                         build_unital, construct_theta, make_field, make_tower,
-                         rank2_of_unital, square_spec, verify_dual_ovals)
-from shiftunital.gf2rank import _eliminate, rank2_by_characters, row_int
+from shiftunital import (FieldError, VerificationError, base_blocks, build_unital,
+                         construct_theta, make_field, make_tower, rank2_of_unital,
+                         square_spec)
+from shiftunital.gf2rank import RankAccumulator, _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
+from paper_checks import verify_dual_ovals
 
 
 def test_row_int_little_endian_bytes():

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from shiftunital import (DesignError, FieldError, PlanarSpec, components,
-                         coulter_matthews_spec, do_spec, evaluate, is_normal,
+from shiftunital import (DesignError, FieldError, PlanarSpec, construct_theta,
+                         coulter_matthews_spec, do_spec, is_normal,
                          is_planar, make_field, make_tower, parse_do_table,
                          planarity_witness, registry_list, square_spec)
 from shiftunital import planar
+from shiftunital.geometry import fiber_map
 from shiftunital.fields import prime_power
 
 
@@ -32,7 +33,7 @@ def test_square_spec_planar_and_normal(tower3, tower5, tower9):
         assert is_normal(f)
         xs = np.arange(tower.ext.n)
         assert np.array_equal(f.table, tower.ext.vmul(xs, xs))
-        assert evaluate(f, 5) == tower.ext.mul(5, 5)
+        assert int(f.table[5]) == tower.ext.mul(5, 5)
 
 
 def test_coulter_matthews_gf81(tower9):
@@ -169,11 +170,7 @@ def test_do_spec_name_is_stable(tower3):
 
 def test_components_split(tower9):
     f = square_spec(tower9.ext)
-    comps = components(f, tower9)
-    ext = tower9.ext
-    for x in range(0, ext.n, 7):
-        v = evaluate(f, x)
-        assert (comps.f0[x], comps.f1[x]) == tower9.decompose(v)
+    f0, f1 = tower9.dec0[f.table], tower9.dec1[f.table]
     # for f = x^2: f0 = x0^2 + alpha*x1^2 and f1 = 2*x0*x1
     base = tower9.base
     x0 = tower9.dec0.astype(np.int64)
@@ -182,14 +179,14 @@ def test_components_split(tower9):
                       base.vmul(np.full(x0.shape, tower9.alpha), base.vmul(x1, x1)))
     two = base.element_from_int(2)
     want1 = base.vmul(np.full(x0.shape, two), base.vmul(x0, x1))
-    assert np.array_equal(comps.f0, want0)
-    assert np.array_equal(comps.f1, want1)
+    assert np.array_equal(f0, want0)
+    assert np.array_equal(f1, want1)
 
 
 def test_components_wrong_tower(tower3, tower9):
     f = square_spec(tower9.ext)
     with pytest.raises(FieldError):
-        components(f, tower3)
+        fiber_map(construct_theta(tower3), f)
 
 
 def test_registry_list(tower3, tower5, tower9):
