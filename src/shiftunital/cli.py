@@ -166,16 +166,48 @@ _ROW_KEYS = ("q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
              "conjecture_match", "wall_ms")
 
 
+def _same(a, b) -> bool:
+    return a == b and type(a) is type(b)
+
+
+def _bound_fields(q: int, p: int, m: int, rank: int | None) -> dict:
+    b = charspec.bounds(q, p, m)
+    return {"upper_bound": b["upper"], "lx_bound": b["leung_xiang"],
+            "corollary_bound": b["corollary"], "conjecture_match": rank == b["upper"]}
+
+
+def _row_fault(row: dict) -> str | None:
+    """Why row is not a result row, or None; computed and cached rows alike.
+
+    Each rank is an int or null, not both null, and within the proven bounds;
+    the bound fields and conjecture_match are those its q, p, m and ranks give.
+    """
+    ranks = [row["rank_gf2"], row["rank_spectrum"]]
+    if ranks == [None, None] or any(r is not None and type(r) is not int for r in ranks):
+        return f"ranks {ranks} are not ints"
+    rank = ranks[1] if ranks[1] is not None else ranks[0]
+    want = _bound_fields(row["q"], row["p"], row["m"], rank)
+    bad = next((k for k, v in want.items() if not _same(row[k], v)), None)
+    if bad is not None:
+        return f"{bad} {row[bad]!r} is not {want[bad]!r}"
+    low = max(want["lx_bound"], want["corollary_bound"] or 0)
+    bad = next((r for r in ranks if r is not None and not low <= r <= want["upper_bound"]),
+               None)
+    if bad is not None:
+        return f"rank {bad} outside the proven bounds at q = {row['q']}"
+    return None
+
+
 def _cached_row(path: str, config: dict) -> dict | None:
-    """The row stored at path if it is for this configuration; either rank may be None."""
+    """The row stored at path if it is for this configuration and passes _row_fault."""
     try:
         with open(path) as fh:
             row = json.load(fh)
     except (ValueError, OSError):
         return None
     if (not isinstance(row, dict) or any(k not in row for k in _ROW_KEYS)
-            or any(row[k] != v for k, v in config.items())
-            or not isinstance(row["wall_ms"], int)):
+            or not all(_same(row[k], v) for k, v in config.items())
+            or type(row["wall_ms"]) is not int or _row_fault(row)):
         return None
     return {k: row[k] for k in _ROW_KEYS}
 
@@ -187,10 +219,13 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
 
     An engine runs only when its rank is requested and not already in the cached
     row; a cached rank is kept, also when this call does not request it, and two
-    ranks in the row must agree, cached or not. Also returns the spectrum_size result if this
-    call evaluated it (None otherwise), so a caller that needs it evaluates it at
-    most once. Both engines read the checked base blocks, built once per row;
-    neither builds the block array.
+    ranks in the row must agree, cached or not. When both engines run here, the
+    gf2 rank of each (u, w) component must also equal the spectrum's member count
+    over v. Cached and computed rows pass the same _row_fault check: a cached row
+    that fails it is recomputed, a computed one is an error. Also returns the
+    spectrum_size result if this call evaluated it (None otherwise), so a caller
+    that needs it evaluates it at most once. Both engines read the checked base
+    blocks, built once per row; neither builds the block array.
     """
     q = tower.base.n
     config = {"q": q, "p": cfg.p, "m": cfg.m, "modulus": _joined(tower.ext.modulus),
@@ -208,10 +243,18 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     spectrum = blocks = None
     if run_gf2:
         blocks = geometry.base_blocks(f, setup)
-        rank_gf2 = rank2_by_characters(setup, *blocks)
+        rank_gf2, by_character = rank2_by_characters(setup, *blocks)
     if run_spectrum:
         spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
         rank_spec = spectrum.size
+    if run_gf2 and run_spectrum:
+        counts = spectrum.members.sum(axis=1)
+        bad = np.argwhere(by_character != counts)
+        if bad.size:
+            u, w = bad[0].tolist()
+            raise VerificationError(
+                f"engine disagreement at q = {q}, f = {f.name}, (u, w) = ({u}, {w}): "
+                f"gf2 rank {by_character[u, w]} != spectrum count {counts[u, w]}")
     if rank_gf2 is not None and rank_spec is not None and rank_gf2 != rank_spec:
         raise VerificationError(
             f"engine disagreement at q = {q}, f = {f.name}: "
@@ -219,15 +262,12 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     if not (run_gf2 or run_spectrum):
         return cached, None
     wall_ms = stored["wall_ms"] + int((time.monotonic() - t0) * 1000)
-    b = charspec.bounds(q, cfg.p, cfg.m)
     rank = rank_spec if rank_spec is not None else rank_gf2
     row = {**config, "rank_gf2": rank_gf2, "rank_spectrum": rank_spec,
-           "upper_bound": b["upper"], "lx_bound": b["leung_xiang"],
-           "corollary_bound": b["corollary"],
-           "conjecture_match": rank == b["upper"], "wall_ms": wall_ms}
-    low = max(row["lx_bound"], row["corollary_bound"] or 0)
-    if not low <= rank <= row["upper_bound"]:
-        raise VerificationError(f"rank {rank} outside the proven bounds at q = {q}")
+           **_bound_fields(q, cfg.p, cfg.m, rank), "wall_ms": wall_ms}
+    fault = _row_fault(row)
+    if fault:
+        raise VerificationError(fault)
     _write_json(result_path, row)
     return row, spectrum
 

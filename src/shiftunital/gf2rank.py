@@ -1,7 +1,10 @@
-"""GF(2) rank of the unital codes: per t-character from the base blocks, and row by row.
+"""GF(2) rank of the unital codes: per character of V x GF(q) from the base blocks, and row by row.
 
-`rank2_by_characters` is the engine; `rank2_of_unital` streams the rows of a
-developed block array into Python ints and is its test oracle.
+`rank2_by_characters` is the engine: it splits the code by the (u, w)
+characters of V x GF(q), V the embedded GF(q), and eliminates every component
+of a batch together in one stacked kernel, `_eliminate`. `rank2_of_unital`
+streams the rows of a developed block array into Python ints and is its test
+oracle.
 """
 from __future__ import annotations
 
@@ -12,9 +15,9 @@ from .fields import ThetaSetup, make_char_field, trace_form_table
 from .geometry import UnitalDesign
 
 _ORDER_SEED = 0
-_SLACK = 8                 # K-rows beyond q^2 - 1 in a component's first batch
-_STRIP = 8                 # columns per Four Russians strip; divides 64
-_CHUNK_WORDS = 1 << 16     # words per chunk of a gather or copy, to keep temporaries small
+_SLACK = 8                 # (a1, beta) rows beyond q in a component's first batch
+_CHUNK_WORDS = 1 << 20     # point values built at once, to keep temporaries small
+_STACK_WORDS = 1 << 22     # words of one stack of components eliminated together
 
 
 class RankAccumulator:
@@ -102,145 +105,124 @@ def _seeded_order(n: int) -> np.ndarray:
     return np.argsort(z ^ (z >> np.uint64(31)))
 
 
-def _eliminate(rows: np.ndarray, stop: int) -> int:
-    """GF(2) rank of uint64 rows (column c is bit c % 64 of word c // 64); rows is consumed.
+def _eliminate(stack: np.ndarray) -> np.ndarray:
+    """GF(2) rank of each matrix of a (W, C, R) uint64 stack; the stack is consumed.
 
-    Four Russians strips (Albrecht-Bard-Hart, M4RI): for each strip of _STRIP
-    columns, move r <= _STRIP rows independent on the strip to the top, tabulate
-    all 2^r sums of them, and clear the strip in every row below with one table
-    row. The pivot rows are then set aside, and a word that is clear in every
-    remaining row is cut off in place, so each update runs on one contiguous
-    block and no second matrix is allocated. Stops once the rank reaches `stop`.
+    Matrix j has the R rows stack[:, j, r]; its column c is bit c % 64 of word
+    c // 64. Every matrix is eliminated at once, one column at a time: in each,
+    the first row with the bit set is the pivot and is added to every row with
+    the bit set, itself included. That clears the column in the others and
+    turns the pivot row into zero, which sets it aside. Words are the leading
+    axis, so each step reads one contiguous (C, R) plane, and a column clear in
+    every row of the stack is skipped.
     """
-    buf = rows.reshape(-1)
-    rank = 0
-    while rows.size and rank < stop:
-        word = rows[:, 0].copy()
-        for shift in range(0, 64, _STRIP):
-            strip = ((word >> shift) & ((1 << _STRIP) - 1)).astype(np.intp)
-            # pivots among the distinct strip values, then some row holding each
-            vals = np.flatnonzero(np.bincount(strip, minlength=1 << _STRIP))
-            reduced = vals.copy()
-            chosen = []
-            for j in range(_STRIP):
-                hit = np.flatnonzero(reduced & (1 << j))
-                if hit.size:
-                    chosen.append(vals[hit[0]])
-                    reduced[hit] ^= reduced[hit[0]]
-            if not chosen:
-                continue
-            holder = np.zeros(1 << _STRIP, dtype=np.intp)
-            holder[strip] = np.arange(strip.size)
-            r = len(chosen)
-            piv = set(holder[chosen].tolist())
-            # pivots below the top r rows trade places with the non-pivots in them
-            swap = [i for i in piv if i >= r] + [k for k in range(r) if k not in piv]
-            back = swap[len(swap) // 2:] + swap[:len(swap) // 2]
-            for arr in (rows, strip, word):
-                arr[swap] = arr[back]
-            table = np.zeros((1 << r, rows.shape[1]), dtype=np.uint64)
-            sums = np.zeros(1 << r, dtype=np.intp)
-            for k in range(r):
-                table[1 << k:2 << k] = table[:1 << k] ^ rows[k]
-                sums[1 << k:2 << k] = sums[:1 << k] ^ strip[k]
-            lut = np.zeros(1 << _STRIP, dtype=np.intp)
-            lut[sums] = np.arange(1 << r)
-            idx = lut[strip[r:]]
-            rows = rows[r:]
-            step = max(1, _CHUNK_WORDS // rows.shape[1])
-            for lo in range(0, rows.shape[0], step):
-                rows[lo:lo + step] ^= table[idx[lo:lo + step]]
-            word = word[r:] ^ table[idx, 0]
-            rank += r
-            if rank >= stop:
-                return rank
-        n, width = rows.shape
-        packed = buf[:n * (width - 1)].reshape(n, width - 1)
-        step = max(1, _CHUNK_WORDS // width)
-        for lo in range(0, n, step):             # each chunk lands below its source
-            packed[lo:lo + step] = rows[lo:lo + step, 1:]
-        rows = packed
-    return rank
+    width, n, _ = stack.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    comp = np.arange(n)
+    for word in range(width):
+        live, plane = stack[word:], stack[word]
+        present = int(np.bitwise_or.reduce(plane, axis=None))
+        for b in range(present.bit_length()):
+            if present >> b & 1:
+                bit = (plane >> np.uint64(b)) & np.uint64(1)
+                piv = bit.argmax(axis=1)
+                ranks += bit[comp, piv].astype(np.int64)
+                live ^= live[:, comp, piv][:, :, None] * bit
+    return ranks
 
 
-def _realify(ext, x: np.ndarray, bits: np.ndarray, pairs: np.ndarray,
-             width: int) -> np.ndarray:
-    """The GF(2) rows eps^i r, i < e, of the K-rows r of M_w for the (a, beta) ids in pairs.
-
-    bits[beta - 1, i, j, b] is bit b of eps^i psi_w(t_j) for point j of D_beta; it
-    goes to column b q^2 + x_j + a.
-    """
-    n_blocks, e = bits.shape[:2]
-    out = np.empty((pairs.size * e, width), dtype=np.uint64)
-    step = max(1, _CHUNK_WORDS // (8 * e * width))     # 8 * _CHUNK_WORDS dense bytes
-    for lo in range(0, pairs.size, step):
-        a, b = np.divmod(pairs[lo:lo + step], n_blocks)
-        cols = ext.vadd(x[b], a[:, None])
-        r, i, j, plane = np.nonzero(bits[b])
-        dense = np.zeros((a.size * e, 64 * width), dtype=bool)
-        dense[r * e + i, plane * ext.n + cols[r, j]] = True
-        out[lo * e:(lo + a.size) * e] = np.packbits(dense, axis=1,
-                                                    bitorder="little").view("<u8")
-    return out
-
-
-def rank2_by_characters(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> int:
+def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
+                        t: np.ndarray) -> tuple[int, np.ndarray]:
     """dim C_2 of U_theta, punctured or not, from the checked base blocks x, t of base_blocks.
 
-    T = {0} x GF(q) has odd order and maps blocks to blocks, so over K = GF(2^e),
-    e = ord_p(2), the code splits by the characters psi_w(t) = eps^Tr(w t)
-    (Maschke; MacWilliams-Mann, 1968): dim C_2 = q^2 + sum over w != 0 of
-    rank_K(M_w). The q^2 is the trivial part: B_a gives e_a + e_inf, and each
-    D_beta has q + 1 points, an even number. M_w has one row per (a, beta), with
-    psi_w(t) at column x + a for each point (x, t) of D_beta; t-translates of a
-    row are multiples of it, and the B_a rows vanish. Frobenius gives
-    rank_K(M_w) = rank_K(M_2w), so one w per orbit of x2 on GF(q)* (e members)
-    is eliminated, realified over GF(2) by _realify: its GF(2) rank is
-    e rank_K(M_w).
+    Returns the total and the K-rank of every (u, w) component, indexed [u, w].
+    H = V x GF(q), V = {x : x1 = 0}, has odd order and maps blocks to blocks, so
+    over K = GF(2^e), e = ord_p(2), the code splits by the characters
+    (x0, t) -> eps^(Tr(u x0) + Tr(w t)) of H (Maschke; MacWilliams-Mann, 1968).
+    The w = 0 part has dimension q^2, q per u: B_a gives e_a + e_inf, and each
+    D_beta has q + 1 points, an even number. For w != 0, M_{u,w} has one row per
+    (a1, beta) and one column per coset x1 = c; entry c sums the character over
+    the points of D_beta + (a1 xi, 0) with x1 = c. A shift by (a0, s) only
+    scales a row, and the B_a rows vanish. Frobenius gives rank_K(M_{u,w}) =
+    rank_K(M_{2u,2w}), so one (u, w) per orbit of x2 (e members) is eliminated,
+    realified over GF(2): K-row r becomes the e rows eps^i r, whose GF(2) rank
+    is e rank_K. Column c holds its e bits in slot c % (64 // e) of word
+    c // (64 // e); a row's word is the XOR of eps^(i + k) shifted to the slot
+    of each point, the parity of the hit counts of each bit.
 
-    A component takes the first q^2 - 1 + _SLACK (a, beta) of a seeded order,
-    twice as many while it falls short, up to all of them, and stops at
-    e(q^2 - 1), its maximum when every D_beta meets every t-class evenly
-    (all-ones is then in the kernel of M_w), or at e q^2 otherwise. Elimination
-    never overshoots, so each component either met its maximum or absorbed all
-    its rows, and the total is exact; above q^3 - q + 1, the proven bound, it
-    is an error.
+    Every component takes the first q + _SLACK (a1, beta) of a seeded order,
+    twice as many while it falls short, up to all of them, and stops at e q,
+    or at e (q - 1) for u = 0 when every D_beta meets every t-class evenly (all
+    ones is then in the kernel of M_{0,w}). Elimination never overshoots, so
+    each component either met its maximum or absorbed all its rows, and the
+    total is exact; above q^3 - q + 1, the proven bound, it is an error.
+    FieldError when e > 64.
     """
     tower = setup.tower
-    base, ext = tower.base, tower.ext
-    q, n = base.n, ext.n
-    cf = make_char_field(base.p)
+    base = tower.base
+    q, p = base.n, base.p
+    cf = make_char_field(p)
     e = cf.e
-    n_pairs = n * (q - 1)
-    order = _seeded_order(n_pairs)
+    if e > 64:
+        raise FieldError(f"character values of GF(2^{e}) do not fit in 64 bits")
+    slots = 64 // e
+    width = -(-q // slots)
+    eps = np.tile(np.array(cf.eps_pows, dtype=np.uint64), 3)
+    # one (u, w) per orbit of x2 with w != 0: the least u q + w in its orbit
+    pair = np.arange(q * q).reshape(q, q)[:, 1:].ravel()
+    double = base.vmul(2 % p, np.arange(q))
+    least, img = pair.copy(), pair.copy()
+    for _ in range(e - 1):
+        img = double[img // q] * q + double[img % q]
+        np.minimum(least, img, out=least)
+    reps = pair[least == pair]
     meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)
-    stop = e * n if np.any(meets & 1) else e * (n - 1)
-    width = -(-e * n // 64)
+    even = not np.any(meets & 1)
+    caps = np.where((reps // q == 0) & even, e * (q - 1), e * q)
     trace_form = trace_form_table(base)
-    eps = np.array(cf.eps_pows, dtype=np.int64)
-    shifts = np.arange(e)
-    two = base.element_from_int(2)
-    seen = np.zeros(q, dtype=bool)
-    total = n
-    for w in range(1, q):
-        if seen[w]:
-            continue
-        v = w
-        while not seen[v]:
-            seen[v] = True
-            v = base.mul(v, two)
-        k = trace_form[w, t]
-        powers = eps[(k[:, None, :] + shifts[None, :, None]) % base.p]
-        bits = ((powers[..., None] >> shifts) & 1).astype(bool)
-        size = n - 1 + _SLACK
-        while True:
-            size = min(size, n_pairs)
-            rank = _eliminate(_realify(ext, x, bits, order[:size], width), stop)
-            if rank >= stop or size == n_pairs:
-                break
-            size *= 2
-        total += rank
+    tr_u, tr_w = trace_form[reps // q], trace_form[reps % q]
+    x0, x1, t = tower.dec0[x].ravel(), tower.dec1[x], t.ravel()
+    powers = np.arange(e)                   # K-row r gives the GF(2) rows eps^i r
+    n_pairs = q * (q - 1)
+    order = _seeded_order(n_pairs)
+    got = np.zeros(reps.size, dtype=np.int64)
+    todo = np.arange(reps.size)
+    size = q + _SLACK
+    while todo.size:
+        size = min(size, n_pairs)
+        a1, beta = np.divmod(order[:size], q - 1)
+        # points sorted by column in each row: the points of one word are adjacent,
+        # and each run of them is one segment of the XOR reduceat
+        cols = base.vadd(x1[beta], a1[:, None])
+        by_col = np.argsort(cols, axis=1, kind="stable")
+        cols = np.take_along_axis(cols, by_col, axis=1)
+        pts = beta[:, None] * (q + 1) + by_col
+        word = cols // slots
+        slot = ((cols % slots) * e).astype(np.uint64)
+        new = np.ones(cols.shape, dtype=bool)
+        new[:, 1:] = word[:, 1:] != word[:, :-1]
+        starts = np.flatnonzero(new)
+        seg_word, seg_row = word[new], np.nonzero(new)[0]
+        step = max(1, _STACK_WORDS // (width * e * size))
+        sub = max(1, _CHUNK_WORDS // (e * cols.size))
+        for lo in range(0, todo.size, step):
+            chunk = todo[lo:lo + step]
+            stack = np.zeros((width, chunk.size, e, size), dtype=np.uint64)
+            for j in range(0, chunk.size, sub):
+                part = chunk[j:j + sub]
+                k = tr_u[part][:, x0[pts]] + tr_w[part][:, t[pts]]
+                vals = eps[k[:, None] + powers[None, :, None, None]] << slot
+                stack[seg_word, j:j + sub, :, seg_row] = np.bitwise_xor.reduceat(
+                    vals.reshape(part.size, e, -1), starts, axis=2).transpose(2, 0, 1)
+            got[chunk] = _eliminate(stack.reshape(width, chunk.size, e * size))
+        todo = todo[got[todo] < caps[todo]] if size < n_pairs else todo[:0]
+        size *= 2
+    ranks = np.full(q * q, q, dtype=np.int64)
+    krank = np.zeros(q * q, dtype=np.int64)
+    krank[reps] = got // e
+    ranks[pair] = krank[least]
+    total = int(ranks.sum())
     bound = q**3 - q + 1
     if total > bound:
         raise VerificationError(f"rank {total} exceeds the proven upper bound {bound}")
-    return total
+    return total, ranks.reshape(q, q)

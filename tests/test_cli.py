@@ -74,16 +74,19 @@ def test_cached_rank_survives_the_other_engine(workdir, monkeypatch):
 
 
 @pytest.mark.parametrize("first, argv", [
-    ("gf2", ["spectrum", "--p", "3", "--m", "1"]),
-    ("gf2", ["rank", "--p", "3", "--m", "1", "--engine", "both"]),
-    ("both", ["rank", "--p", "3", "--m", "1", "--engine", "gf2"])],
+    ("gf2", ["spectrum", "--p", "5", "--m", "1"]),
+    ("gf2", ["rank", "--p", "5", "--m", "1", "--engine", "both"]),
+    ("both", ["rank", "--p", "5", "--m", "1", "--engine", "gf2"])],
     ids=["spectrum", "both", "cached-both"])
 def test_planted_cached_rank_is_checked_against_the_other_engine(workdir, capsys, first,
                                                                  argv):
-    assert main(["rank", "--p", "3", "--m", "1", "--engine", first]) == 0
-    result_path = workdir / "cache" / KEY_Q3 / "result.json"
+    # 120 lies inside the proven window [89, 121] at q = 5 and conjecture_match
+    # follows it, so the row check serves it and only the other engine can catch it
+    assert main(["rank", "--p", "5", "--m", "1", "--engine", first]) == 0
+    result_path = next((workdir / "cache").glob("p5m1_*/result.json"))
     row = json.loads(result_path.read_text())
-    result_path.write_text(json.dumps({**row, "rank_gf2": 24}))
+    match = row["rank_spectrum"] == 121
+    result_path.write_text(json.dumps({**row, "rank_gf2": 120, "conjecture_match": match}))
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: engine disagreement")
@@ -103,6 +106,63 @@ def test_corrupted_cache_rebuilt(workdir, capsys):
         assert rewritten == printed
         assert {k: rewritten[k] for k in ROW_KEYS if k != "wall_ms"} == \
             {k: good[k] for k in ROW_KEYS if k != "wall_ms"}
+
+
+@pytest.mark.parametrize("engine, planted", [
+    ("spectrum", {"rank_spectrum": 5}),                        # below the window
+    ("spectrum", {"rank_spectrum": 26}),                       # above it
+    ("spectrum", {"rank_spectrum": 25.0}),                     # not an int
+    ("spectrum", {"rank_spectrum": "25"}),
+    ("spectrum", {"rank_spectrum": True}),
+    ("both", {"rank_gf2": None, "rank_spectrum": None}),
+    ("both", {"lx_bound": 18}),
+    ("both", {"upper_bound": 26}),
+    ("both", {"corollary_bound": None}),
+    ("both", {"conjecture_match": False}),
+    ("both", {"conjecture_match": 1}),
+    ("both", {"q": 3.0})],
+    ids=["low", "high", "float", "str", "bool", "no-rank", "lx", "upper", "corollary",
+         "match", "match-int", "q-float"])
+def test_cached_row_failing_the_row_check_is_recomputed(workdir, capsys, engine, planted):
+    # a cached row passes the check a computed one does: each rank an int or
+    # null within the proven bounds, and bound fields and conjecture_match those
+    # of bounds(q, p, m) and the ranks; else it is recomputed and rewritten
+    assert main(["rank", "--p", "3", "--m", "1", "--engine", engine]) == 0
+    result_path = workdir / "cache" / KEY_Q3 / "result.json"
+    good = json.loads(result_path.read_text())
+    result_path.write_text(json.dumps({**good, **planted}))
+    capsys.readouterr()
+    assert main(["rank", "--p", "3", "--m", "1", "--engine", engine]) == 0
+    printed = json.loads(capsys.readouterr().out.splitlines()[1])
+    rewritten = json.loads(result_path.read_text())
+    assert rewritten == printed
+    # as JSON text, so 25.0 or 1 where 25 or true belongs also differ
+    assert json.dumps({k: rewritten[k] for k in ROW_KEYS if k != "wall_ms"}) == \
+        json.dumps({k: good[k] for k in ROW_KEYS if k != "wall_ms"})
+
+
+def test_computed_row_outside_the_bounds_is_an_error(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rank2_by_characters", lambda *a: (24, None))
+    assert main(["rank", "--p", "3", "--m", "1", "--engine", "gf2"]) == 1
+    assert capsys.readouterr().err == "error: rank 24 outside the proven bounds at q = 3\n"
+    assert not (workdir / "cache" / KEY_Q3 / "result.json").exists()
+
+
+def test_engines_compared_per_character(workdir, capsys, monkeypatch):
+    # equal totals do not hide a component that disagrees: gf2 ranks with two
+    # (u, w) entries traded are caught and the first bad (u, w) is named
+    real = cli.rank2_by_characters
+
+    def traded(*args):
+        total, ranks = real(*args)
+        ranks = ranks.copy()
+        ranks[0, 2], ranks[1, 2] = ranks[1, 2], ranks[0, 2]
+        return total, ranks
+    monkeypatch.setattr(cli, "rank2_by_characters", traded)
+    assert main(["rank", "--p", "3", "--m", "1", "--engine", "both"]) == 1
+    assert capsys.readouterr().err == (
+        "error: engine disagreement at q = 3, f = square, (u, w) = (0, 2): "
+        "gf2 rank 3 != spectrum count 2\n")
 
 
 def test_verify_ok(workdir, capsys):

@@ -43,6 +43,9 @@ def test_engines_agree_on_random_instances(data):
     # it keeps the full row rank at q = 13 (about 4.5 s) out of the run
     early = q > 7
     rank = rank2_of_unital(design, early_stop=early)
-    assert rank2_by_characters(setup, *base_blocks(f, setup)) == rank
+    total, ranks = rank2_by_characters(setup, *base_blocks(f, setup))
+    assert total == rank
     if is_normal(f):
-        assert spectrum_size(setup, f).size == rank
+        res = spectrum_size(setup, f)
+        assert res.size == rank
+        assert ranks.tolist() == res.members.sum(axis=1).tolist()

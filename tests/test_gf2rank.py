@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftunital import (FieldError, VerificationError, base_blocks, build_unital,
-                         construct_theta, make_field, make_tower, rank2_of_unital,
-                         square_spec)
+                         construct_theta, coulter_matthews_spec, find_thetas, make_field,
+                         make_tower, rank2_of_unital, spectrum_size, square_spec)
+from shiftunital import gf2rank
+from shiftunital.fields import make_char_field, trace_form_table
 from shiftunital.gf2rank import RankAccumulator, _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
@@ -102,26 +104,31 @@ def test_dual_ovals(instances):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 90), st.integers(1, 150), st.integers(0, 3),
-       st.integers(0, 2**32 - 1), st.integers(0, 200))
-def test_eliminate_matches_dense_oracle(n_rows, n_cols, sparsity, seed, stop):
+@given(st.lists(st.tuples(st.integers(0, 90), st.integers(0, 150), st.integers(0, 3)),
+                min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_eliminate_matches_dense_oracle(shapes, seed):
+    # one stack of matrices that differ in shape (zero padded), sparsity and rank
     rng = np.random.default_rng(seed)
-    dense = rng.integers(0, 2, size=(n_rows, n_cols), dtype=np.uint8)
-    for _ in range(sparsity):                    # sparser rows, and some repeats
-        dense &= rng.integers(0, 2, size=dense.shape, dtype=np.uint8)
-    dense[rng.integers(0, n_rows, n_rows // 3)] = dense[rng.integers(0, n_rows, n_rows // 3)]
-    want = gf2_rank_dense([set(np.flatnonzero(row).tolist()) for row in dense], n_cols)
-    width = -(-n_cols // 64)
-    padded = np.zeros((n_rows, 64 * width), dtype=np.uint8)
-    padded[:, :n_cols] = dense
-    rows = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    assert _eliminate(rows.copy(), n_cols + 1) == want
-    got = _eliminate(rows.copy(), stop)
-    assert min(stop, want) <= got <= want
+    n_rows = max(r for r, _, _ in shapes) + 1
+    width = -(-max(c for _, c, _ in shapes) // 64) or 1
+    padded = np.zeros((len(shapes), n_rows, 64 * width), dtype=np.uint8)
+    want = []
+    for j, (rows, cols, sparsity) in enumerate(shapes):
+        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        for _ in range(sparsity):                # sparser rows, and some repeats
+            dense &= rng.integers(0, 2, size=dense.shape, dtype=np.uint8)
+        if rows:
+            dense[rng.integers(0, rows, rows // 3)] = dense[rng.integers(0, rows, rows // 3)]
+        want.append(gf2_rank_dense([set(np.flatnonzero(row).tolist()) for row in dense], cols))
+        padded[j, rng.permutation(n_rows)[:rows], :cols] = dense
+    words = np.packbits(padded, axis=2, bitorder="little").view("<u8")
+    stack = np.ascontiguousarray(words.transpose(2, 0, 1))
+    assert _eliminate(stack).tolist() == want
 
 
 def _characters(setup, f):
-    return rank2_by_characters(setup, *base_blocks(f, setup))
+    return rank2_by_characters(setup, *base_blocks(f, setup))[0]
 
 
 def test_characters_match_row_oracle(instances):
@@ -136,7 +143,7 @@ def test_characters_match_row_oracle(instances):
 
 @pytest.mark.parametrize("p", [11, 13])
 def test_characters_match_row_oracle_early_stop(p):
-    # one component each (e = q - 1), stopped at e(q^2 - 1) from a seeded batch
+    # e = q - 1, so q components, each stopped at its cap from a seeded batch
     tower = make_tower(make_field(p, 1))
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
@@ -178,4 +185,76 @@ def test_characters_match_developed_rows_for_any_blocks(q, data):
         with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
             rank2_by_characters(setup, x, t)
     else:
-        assert rank2_by_characters(setup, x, t) == want
+        total, ranks = rank2_by_characters(setup, x, t)
+        assert total == want
+        assert ranks.tolist() == _member_counts(setup, x, t).tolist()
+
+
+def _member_counts(setup, x, t) -> np.ndarray:
+    """#{v : some base block has a nonzero chi_{u,v,w}-sum}, indexed [u, w], for any blocks.
+
+    A translate scales a block's sum by a character value, so the base blocks
+    decide; w = 0 counts q (the B_a). The sums are taken point by point in K.
+    """
+    tower = setup.tower
+    q, p = tower.base.n, tower.base.p
+    eps = np.array(make_char_field(p).eps_pows)
+    tf = trace_form_table(tower.base).astype(np.int64)
+    k = (tf[:, None, None, tower.dec0[x]] + tf[None, :, None, tower.dec1[x]]
+         + tf[None, None, :, t])                          # (u, v, w, beta, point)
+    sums = np.bitwise_xor.reduce(eps[k % p], axis=4)
+    counts = np.count_nonzero(sums.any(axis=3), axis=1)
+    counts[:, 0] = q
+    return counts
+
+
+def test_character_ranks_match_spectrum_counts(instances, tower27):
+    # the (u, w) component has one K-dimension per member chi_{u,v,w}: q - 1 at
+    # u = 0 (the exclusion lemma) and q elsewhere, Frobenius images included
+    cases = [(q, f, setup) for (q, _), (_, f, setup, _) in instances.items()]
+    f = coulter_matthews_spec(tower27.ext, 5)
+    cases.append((27, f, find_thetas(f, tower27)[0]))
+    for q, f, setup in cases:
+        total, ranks = rank2_by_characters(setup, *base_blocks(f, setup))
+        counts = spectrum_size(setup, f).members.sum(axis=1)
+        assert ranks.tolist() == counts.tolist(), (q, f.name)
+        assert (ranks[0, 1:] == q - 1).all() and (ranks[1:, 1:] == q).all()
+        assert total == int(ranks.sum()) == q**3 - q + 1
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_batches_double_until_every_component_is_done(monkeypatch, q):
+    # a first batch of one (a1, beta) per component reaches no cap; the batches
+    # double up to all q(q - 1) rows, and the result does not change
+    p, m = (3, 2) if q == 9 else (q, 1)
+    tower = make_tower(make_field(p, m))
+    setup = construct_theta(tower)
+    x, t = base_blocks(square_spec(tower.ext), setup)
+    want = rank2_by_characters(setup, x, t)
+    monkeypatch.setattr(gf2rank, "_SLACK", 1 - q)
+    got = rank2_by_characters(setup, x, t)
+    assert got[0] == want[0] == q**3 - q + 1
+    assert got[1].tolist() == want[1].tolist()
+
+
+def test_character_ranks_match_member_counts_for_seeded_blocks():
+    # blocks with no symmetry between x0 and x1: the (u, w) ranks still count
+    # the members chi_{u,v,w} over v, so the cosets must be those of x1; at
+    # q = 5 such blocks all exceed the proven bound
+    q = 3
+    tower = make_tower(make_field(q, 1))
+    setup = construct_theta(tower)
+    rng = np.random.default_rng(q)
+    compared = 0
+    for _ in range(20):
+        x = np.array([rng.permutation(q * q)[:q + 1] for _ in range(q - 1)])
+        t = rng.integers(0, q, size=x.shape)
+        try:
+            total, ranks = rank2_by_characters(setup, x, t)
+        except VerificationError:
+            continue
+        counts = _member_counts(setup, x, t)
+        assert ranks.tolist() == counts.tolist()
+        assert total == _developed_rank(setup, x, t)
+        compared += 1
+    assert compared >= 5
