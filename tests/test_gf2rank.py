@@ -258,3 +258,11 @@ def test_character_ranks_match_member_counts_for_seeded_blocks():
         assert total == _developed_rank(setup, x, t)
         compared += 1
     assert compared >= 5
+
+
+def test_characters_refuse_character_values_wider_than_a_word():
+    # e = ord_67(2) = 66: the e bits of a column no longer fit in one uint64 slot
+    tower = make_tower(make_field(67, 1))
+    setup = construct_theta(tower)
+    with pytest.raises(FieldError, match="do not fit in 64 bits"):
+        rank2_by_characters(setup, *base_blocks(square_spec(tower.ext), setup))
