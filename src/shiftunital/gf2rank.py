@@ -1,4 +1,4 @@
-"""GF(2) rank of the unital codes: per character of V x GF(q) from the base blocks, and row by row.
+"""GF(2) rank of the unital codes: per character of V x GF(q), and row by row.
 
 `rank2_by_characters` is the engine: it splits the code by the (u, w)
 characters of V x GF(q), V the embedded GF(q), and eliminates every component
