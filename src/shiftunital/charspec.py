@@ -79,9 +79,6 @@ class SpectrumResult:
         return int.from_bytes(
             np.packbits(self.members, bitorder="little").tobytes(), "little")
 
-    def member(self, u: int, v: int, w: int) -> bool:
-        return bool(self.members[u, v, w])
-
     def certifying_sets(self, u: int) -> list[tuple[int, ...]]:
         """Every certifying beta of each chi_{u,v,w}, ascending, in (v, w) order.
 
@@ -95,25 +92,6 @@ class SpectrumResult:
         betas = (cols + 1).tolist()
         ends = np.searchsorted(rows, np.arange(q * q + 1)).tolist()
         return [tuple(betas[lo:hi]) for lo, hi in zip(ends, ends[1:])]
-
-    @cached_property
-    def witnesses(self) -> dict:
-        """Character index (u*q + v)*q + w -> witness, for every member in index order.
-
-        The witness is the lowest certifying beta, 0 for w = 0; with witness_all,
-        members with w != 0 map to the tuple of every certifying beta. One entry
-        per member: q^3 - q + 1 of them when the upper bound is met.
-        """
-        q = self.q
-        out = {}
-        for u in range(q):
-            idx = np.flatnonzero(self.members[u])
-            vals = self.lowest[u].ravel()[idx].tolist()
-            if self.certifying is not None:
-                sets = self.certifying_sets(u)
-                vals = [sets[i] or low for i, low in zip(idx.tolist(), vals)]
-            out.update(zip((idx + u * q * q).tolist(), vals))
-        return out
 
 
 # Circles beta = 1.._FIRST_CIRCLES are evaluated for every character of a u-slice

@@ -7,15 +7,17 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DesignError, FieldError, VerificationError
 from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
                      prime_power, theta_setup)
-from . import charspec, geometry, planar
-from .kloosterman import count_classes, criterion_grid, kloosterman_table, make_atlas
-from .gf2rank import rank2_by_characters
+from . import geometry, planar      # charspec, gf2rank, kloosterman: imported where used
+
+if TYPE_CHECKING:
+    from .charspec import SpectrumResult
 
 @dataclass
 class RunConfig:
@@ -27,6 +29,22 @@ class RunConfig:
     engine: str = "auto"                     # gf2 | spectrum | both | auto
     out_dir: str = "out"
     cache_dir: str = "cache"
+
+
+# command -> the options it does not read; --out-dir and --cache-dir pass everywhere
+_UNREAD = {"verify": ("engine",), "find-theta": ("theta", "engine"), "build": ("engine",),
+           "spectrum": ("engine",), "kloosterman": ("modulus", "f", "theta", "engine"),
+           "report": ("p", "m", "modulus", "f", "theta")}
+
+
+def refuse_unread(command: str, cfg: RunConfig) -> None:
+    """FieldError if a flag or config entry sets an option that command does not read."""
+    fixed = RunConfig()
+    for key in _UNREAD.get(command, ()):
+        val = getattr(cfg, key)
+        # set means not the default; spectrum also takes engine = spectrum
+        if val != getattr(fixed, key) and (command, val) != ("spectrum", "spectrum"):
+            raise FieldError(f"{command} takes no {key} (got {val!r})")
 
 
 def _parse_int(text: str, what: str = "value") -> int:
@@ -171,7 +189,8 @@ def _same(a, b) -> bool:
 
 
 def _bound_fields(q: int, p: int, m: int, rank: int | None) -> dict:
-    b = charspec.bounds(q, p, m)
+    from .charspec import bounds
+    b = bounds(q, p, m)
     return {"upper_bound": b["upper"], "lx_bound": b["leung_xiang"],
             "corollary_bound": b["corollary"], "conjecture_match": rank == b["upper"]}
 
@@ -214,7 +233,7 @@ def _cached_row(path: str, config: dict) -> dict | None:
 
 def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
                 setup: ThetaSetup, run_gf2: bool, run_spectrum: bool,
-                witness_all: bool = False) -> tuple[dict, charspec.SpectrumResult | None]:
+                witness_all: bool = False) -> tuple[dict, SpectrumResult | None]:
     """One report row, served from the result cache when it matches the configuration.
 
     An engine runs only when its rank is requested and not already in the cached
@@ -242,10 +261,12 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     t0 = time.monotonic()
     spectrum = blocks = None
     if run_gf2:
+        from .gf2rank import rank2_by_characters
         blocks = geometry.base_blocks(f, setup)
         rank_gf2, by_character = rank2_by_characters(setup, *blocks)
     if run_spectrum:
-        spectrum = charspec.spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
+        from .charspec import spectrum_size
+        spectrum = spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
         rank_spec = spectrum.size
     if run_gf2 and run_spectrum:
         counts = spectrum.members.sum(axis=1)
@@ -340,7 +361,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     return 0
 
 
-def _witness_csv(result: charspec.SpectrumResult):
+def _witness_csv(result: SpectrumResult):
     """The witness CSV, one u-slice of q^2 lines per chunk."""
     q = result.q
     vw = [f"{v},{w}," for v in range(q) for w in range(q)]
@@ -367,7 +388,8 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     row, result = compute_row(cfg, tower, f, setup, False, True,
                               witness_all=witness_all)
     if result is None:
-        result = charspec.spectrum_size(setup, f, witness_all=witness_all)
+        from .charspec import spectrum_size
+        result = spectrum_size(setup, f, witness_all=witness_all)
     bitmap_hex = format(result.bitmap, "x")
     doc = {"config": head, "rows": [row], "bitmap_hex": bitmap_hex}
     path = os.path.join(cfg.out_dir, f"spectrum_q{q}_{f.name}.json")
@@ -379,6 +401,7 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
 
 
 def cmd_kloosterman(cfg: RunConfig) -> int:
+    from .kloosterman import count_classes, kloosterman_table, make_atlas
     fld = make_field(cfg.p, cfg.m)
     head = {"p": cfg.p, "m": cfg.m, "q": fld.n,
             "modulus": _joined(fld.modulus)}
@@ -395,11 +418,10 @@ def cmd_kloosterman(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
-    fixed = RunConfig()
-    for key in ("f", "theta", "modulus"):
-        if getattr(cfg, key) != getattr(fixed, key):
-            raise FieldError(f"report takes no {key} (got {getattr(cfg, key)!r}): it runs "
-                             "every registry f with theta = auto and the default moduli")
+    from .charspec import spectrum_size
+    from .kloosterman import count_classes, criterion_grid, kloosterman_table
+    if len(set(q_list)) != len(q_list):
+        raise FieldError(f"report takes no repeated q (got {','.join(map(str, q_list))})")
     _print_header({"q_list": ",".join(str(q) for q in q_list),
                    "engine": cfg.engine, "cache_dir": cfg.cache_dir,
                    "out_dir": cfg.out_dir})
@@ -417,7 +439,7 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
             rows.append(row)
             if p == 3 and f.family == "square" and q >= 9:
                 if res is None:
-                    res = charspec.spectrum_size(setup, f)
+                    res = spectrum_size(setup, f)
                 met = criterion_grid(setup, table)[:, 1:, 1:]
                 members = np.stack([res.members[1:, 0, 1:], res.members[0, 1:, 1:]])
                 bad = int(np.count_nonzero(met & ~members))
@@ -475,6 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        refuse_unread(args.command, cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "find-theta":

@@ -317,9 +317,6 @@ class FieldCtx:
             return f"{int(bad[0])} + neg({int(bad[0])}) != 0"
         return None
 
-    def vneg(self, a):
-        return self.neg_table[a].astype(np.int32)
-
     def vsub(self, a, b):
         return self.vadd(a, self.neg_table[b])
 
@@ -422,9 +419,6 @@ class TowerCtx:
 
     def decompose(self, x: int) -> tuple[int, int]:
         return int(self.dec0[x]), int(self.dec1[x])
-
-    def recompose(self, x0: int, x1: int) -> int:
-        return self.ext.add(int(self.embed[x0]), self.ext.mul(int(self.embed[x1]), self.xi))
 
 
 def _minimal_poly(base: FieldCtx, x: int) -> list[int]:

@@ -2,16 +2,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import FieldError, VerificationError
 from .fields import FieldCtx, ThetaSetup, quadratic_character, trace_table
-from .planar import _GATHER_LIMIT
+
+# Trace values that _trace_counts gathers at once, a block of rows of `a` per gather.
+_GATHER_LIMIT = 1 << 18
 
 class CyclotomicInt:
-    """Sum of N_j * zeta_p^j with integer counts; canonical form has N_{p-1} = 0."""
+    """Sum of N_j * zeta_p^j with integer counts; counts that differ by a constant agree."""
 
     __slots__ = ("p", "counts")
 
@@ -22,35 +23,8 @@ class CyclotomicInt:
         self.p = p
         self.counts = counts
 
-    def canonical(self) -> tuple[int, ...]:
-        last = self.counts[-1]
-        return tuple(c - last for c in self.counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self.p == other.p and self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.canonical()))
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        if self.p != other.p:
-            raise FieldError("mixed cyclotomic orders")
-        return CyclotomicInt(self.p, [a + b for a, b in zip(self.counts, other.counts)])
-
     def __repr__(self) -> str:
         return f"CyclotomicInt(p={self.p}, counts={self.counts})"
-
-    def is_real(self) -> bool:
-        return all(self.counts[j] == self.counts[self.p - j]
-                   for j in range(1, self.p))
-
-    def to_int(self) -> int:
-        can = self.canonical()
-        if any(can[1:]):
-            raise FieldError(f"{self!r} is not a rational integer")
-        return can[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +141,13 @@ def count_classes(table: KloostermanTable) -> dict:
         raise FieldError("classification requires characteristic 3")
     m, q = table.fld.m, table.fld.n
     count_a, count_b, count_c = np.bincount(table.case[1:], minlength=len(CASES)).tolist()
-    if m % 2:
-        want_b = Fraction(5, 12) * q - Fraction(5, 4)
-        want_c = Fraction(q + 1, 4)
-    else:
-        want_b = Fraction(5, 12) * q - Fraction(3, 4)
-        want_c = Fraction(q - 1, 4)
-    if count_b != want_b or count_c != want_c:
+    # count_b = (5q - 15)/12 or (5q - 9)/12, count_c = (q + 1)/4 or (q - 1)/4, at odd or
+    # even m; compared multiplied out, in integers
+    want_b, want_c = (5 * q - 15, q + 1) if m % 2 else (5 * q - 9, q - 1)
+    if 12 * count_b != want_b or 4 * count_c != want_c:
         raise VerificationError(
             f"m = {m}: tallies (b, c) = ({count_b}, {count_c}), "
-            f"formulas give ({want_b}, {want_c})")
+            f"formulas give ({want_b}/12, {want_c}/4)")
     return {"count_a": count_a, "count_b": count_b, "count_c": count_c}
 
 

@@ -1,7 +1,6 @@
 """Planar functions on GF(q^2): registry, planarity and normality checks."""
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +50,7 @@ def do_spec(ext: FieldCtx, entries: list[tuple[int, int, int]], name: str | None
             term = ext.vmul(np.full(ext.n, a, dtype=np.int32), ext.vpow(idx, ext.p**i + ext.p**j))
             tbl = ext.vadd(tbl, term)
     if name is None:
+        import hashlib      # loads OpenSSL; only this name needs it
         digest = hashlib.sha1(
             ",".join(f"{i}:{j}:{a}" for i, j, a in sorted(entries)).encode()).hexdigest()[:8]
         name = f"do-{digest}"

@@ -6,11 +6,74 @@ from __future__ import annotations
 
 import numpy as np
 
-from shiftunital import (FieldCtx, FieldError, PlanarSpec, UnitalDesign, VerificationError,
-                         make_char_field, trace_table)
+from shiftunital import (FieldCtx, FieldError, PlanarSpec, SpectrumResult, TowerCtx,
+                         UnitalDesign, VerificationError, make_char_field, trace_table)
 from shiftunital.charspec import SpectrumCtx
 from shiftunital.fields import CharFieldCtx
 from shiftunital.geometry import _cover_exactly_once
+from shiftunital.kloosterman import CyclotomicInt
+
+
+def vneg(fld: FieldCtx, a) -> np.ndarray:
+    """-a elementwise, from the negation table."""
+    return fld.neg_table[a].astype(np.int32)
+
+
+def recompose(tower: TowerCtx, x0: int, x1: int) -> int:
+    """x0 + x1*xi in GF(q^2), the inverse of tower.decompose."""
+    ext = tower.ext
+    return ext.add(int(tower.embed[x0]), ext.mul(int(tower.embed[x1]), tower.xi))
+
+
+def member(res: SpectrumResult, u: int, v: int, w: int) -> bool:
+    return bool(res.members[u, v, w])
+
+
+def witnesses(res: SpectrumResult) -> dict:
+    """Character index (u*q + v)*q + w -> witness, for every member in index order.
+
+    The witness is the lowest certifying beta, 0 for w = 0; with witness_all,
+    members with w != 0 map to the tuple of every certifying beta. One entry
+    per member: q^3 - q + 1 of them when the upper bound is met.
+    """
+    q = res.q
+    out = {}
+    for u in range(q):
+        idx = np.flatnonzero(res.members[u])
+        vals = res.lowest[u].ravel()[idx].tolist()
+        if res.certifying is not None:
+            sets = res.certifying_sets(u)
+            vals = [sets[i] or low for i, low in zip(idx.tolist(), vals)]
+        out.update(zip((idx + u * q * q).tolist(), vals))
+    return out
+
+
+def canonical(c: CyclotomicInt) -> tuple[int, ...]:
+    """The counts shifted so that N_{p-1} = 0; equal values have equal canonical forms."""
+    return tuple(n - c.counts[-1] for n in c.counts)
+
+
+def cyclotomic_key(c: CyclotomicInt) -> tuple:
+    """(p, canonical form): equal exactly when the two values are equal."""
+    return c.p, canonical(c)
+
+
+def cyclotomic_add(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
+    if a.p != b.p:
+        raise FieldError("mixed cyclotomic orders")
+    return CyclotomicInt(a.p, [x + y for x, y in zip(a.counts, b.counts)])
+
+
+def is_real(c: CyclotomicInt) -> bool:
+    """Whether the value is fixed by complex conjugation: N_j = N_{p-j} for every j."""
+    return all(c.counts[j] == c.counts[c.p - j] for j in range(1, c.p))
+
+
+def to_int(c: CyclotomicInt) -> int:
+    can = canonical(c)
+    if any(can[1:]):
+        raise FieldError(f"{c!r} is not a rational integer")
+    return can[0]
 
 
 def trace(ctx: FieldCtx, x: int) -> int:

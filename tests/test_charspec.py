@@ -12,7 +12,7 @@ from shiftunital import (FieldCtx, FieldError, VerificationError, base_blocks, b
 from shiftunital import charspec
 
 import oracles
-from oracles import chi_array, chi_block, in_spectrum_by_scan, s_beta
+from oracles import chi_array, chi_block, in_spectrum_by_scan, member, s_beta, witnesses
 from paper_checks import verify_chi_square_lemma, verify_orthogonality, verify_trace_criterion
 from test_geometry import swap_one_point
 
@@ -40,7 +40,7 @@ def test_in_spectrum_matches_scan_exhaustively(instances, q):
     tower, f, setup, design = instances[q, "square"]
     res = spectrum_size(setup, f)
     for ch in all_chars(q):
-        assert res.member(*ch) == in_spectrum_by_scan(design, ch)
+        assert member(res, *ch) == in_spectrum_by_scan(design, ch)
 
 
 def test_in_spectrum_matches_scan_sampled_q9(instances):
@@ -49,7 +49,7 @@ def test_in_spectrum_matches_scan_sampled_q9(instances):
     rng = np.random.default_rng(5)
     for _ in range(60):
         ch = tuple(int(x) for x in rng.integers(0, 9, 3))
-        assert res.member(*ch) == in_spectrum_by_scan(design, ch)
+        assert member(res, *ch) == in_spectrum_by_scan(design, ch)
 
 
 def test_w_zero_always_member_and_uv_zero_never(instances):
@@ -57,9 +57,9 @@ def test_w_zero_always_member_and_uv_zero_never(instances):
         res = spectrum_size(setup, f)
         for u in range(q):
             for v in range(q):
-                assert res.member(u, v, 0)
+                assert member(res, u, v, 0)
         for w in range(1, q):
-            assert not res.member(0, 0, w)
+            assert not member(res, 0, 0, w)
 
 
 def test_witnesses_certify_membership(instances):
@@ -67,7 +67,8 @@ def test_witnesses_certify_membership(instances):
     res = spectrum_size(setup, f)
     ctx = charspec.make_spectrum_ctx(setup, f)
     q = 3
-    for idx, wit in res.witnesses.items():
+    wits = witnesses(res)
+    for idx, wit in wits.items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
         if w == 0:
@@ -78,7 +79,7 @@ def test_witnesses_certify_membership(instances):
     # non-members carry no witness
     for ch in all_chars(q):
         idx = (ch[0] * q + ch[1]) * q + ch[2]
-        assert (idx in res.witnesses) == res.member(*ch)
+        assert (idx in wits) == member(res, *ch)
     with pytest.raises(FieldError, match="witness_all"):
         res.certifying_sets(0)
 
@@ -88,7 +89,7 @@ def test_witness_all_lists_every_nonzero_beta(instances):
     res = spectrum_size(setup, f, witness_all=True)
     ctx = charspec.make_spectrum_ctx(setup, f)
     q = 3
-    for idx, wit in res.witnesses.items():
+    for idx, wit in witnesses(res).items():
         w = idx % q
         if w == 0:
             continue
@@ -266,7 +267,7 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
     q = 27
     assert res.size == q**3 - q + 1
     ctx = charspec.make_spectrum_ctx(setup, f)
-    for idx, wit in res.witnesses.items():
+    for idx, wit in witnesses(res).items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
         if w:
@@ -277,7 +278,7 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
         else:
             assert wit == 0
     assert lowest.max() >= 6 and charspec._FIRST_CIRCLES < 6
-    for idx, wit in full.witnesses.items():
+    for idx, wit in witnesses(full).items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
         if w:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import shiftunital
-from shiftunital import charspec, cli, geometry, planar
+from shiftunital import charspec, cli, geometry, gf2rank, planar
 from shiftunital.cli import main, resolve_config, resolve_engines, RunConfig
 
 ROW_KEYS = ["q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
@@ -66,7 +66,8 @@ def test_cached_rank_survives_the_other_engine(workdir, monkeypatch):
     assert (row["rank_gf2"], row["rank_spectrum"]) == (721, 721)
     assert len(calls) == 1
     # both ranks are cached now: neither engine runs again
-    monkeypatch.setattr(cli, "rank2_by_characters", lambda *a: pytest.fail("gf2 ran again"))
+    monkeypatch.setattr(gf2rank, "rank2_by_characters",
+                        lambda *a: pytest.fail("gf2 ran again"))
     assert main(["rank", "--p", "3", "--m", "2", "--engine", "both"]) == 0
     out = json.loads((workdir / "out" / "rank_q9_square.json").read_text())["rows"][0]
     assert out == row
@@ -142,7 +143,7 @@ def test_cached_row_failing_the_row_check_is_recomputed(workdir, capsys, engine,
 
 
 def test_computed_row_outside_the_bounds_is_an_error(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "rank2_by_characters", lambda *a: (24, None))
+    monkeypatch.setattr(gf2rank, "rank2_by_characters", lambda *a: (24, None))
     assert main(["rank", "--p", "3", "--m", "1", "--engine", "gf2"]) == 1
     assert capsys.readouterr().err == "error: rank 24 outside the proven bounds at q = 3\n"
     assert not (workdir / "cache" / KEY_Q3 / "result.json").exists()
@@ -151,14 +152,14 @@ def test_computed_row_outside_the_bounds_is_an_error(workdir, capsys, monkeypatc
 def test_engines_compared_per_character(workdir, capsys, monkeypatch):
     # equal totals do not hide a component that disagrees: gf2 ranks with two
     # (u, w) entries traded are caught and the first bad (u, w) is named
-    real = cli.rank2_by_characters
+    real = gf2rank.rank2_by_characters
 
     def traded(*args):
         total, ranks = real(*args)
         ranks = ranks.copy()
         ranks[0, 2], ranks[1, 2] = ranks[1, 2], ranks[0, 2]
         return total, ranks
-    monkeypatch.setattr(cli, "rank2_by_characters", traded)
+    monkeypatch.setattr(gf2rank, "rank2_by_characters", traded)
     assert main(["rank", "--p", "3", "--m", "1", "--engine", "both"]) == 1
     assert capsys.readouterr().err == (
         "error: engine disagreement at q = 3, f = square, (u, w) = (0, 2): "
@@ -327,6 +328,33 @@ def test_report_rejects_theta_modulus_and_f(workdir, capsys, key, argv, entry):
     assert captured.err.startswith(f"error: report takes no {key} ")
     assert captured.out == ""
     assert not (workdir / "out").exists()
+
+
+# every command refuses an option it does not read, as report does above, so a
+# flag is never silently dropped; --out-dir and --cache-dir pass everywhere
+@pytest.mark.parametrize("argv,key", [
+    (["verify", "--p", "3", "--m", "1", "--engine", "gf2"], "engine"),
+    (["find-theta", "--p", "3", "--m", "1", "--theta", "8"], "theta"),
+    (["build", "--p", "3", "--m", "1", "--engine", "both"], "engine"),
+    (["spectrum", "--p", "3", "--m", "1", "--engine", "gf2"], "engine"),
+    (["kloosterman", "--p", "3", "--m", "2", "--modulus", "1,0,1"], "modulus"),
+    (["kloosterman", "--p", "3", "--m", "2", "--f", "cm:3"], "f"),
+    (["kloosterman", "--p", "3", "--m", "2", "--theta", "8"], "theta"),
+    (["kloosterman", "--p", "3", "--m", "2", "--engine", "gf2"], "engine"),
+    (["report", "--q", "3", "--p", "5"], "p"),
+    (["report", "--q", "3,3"], "repeated q"),
+], ids=["verify", "find-theta", "build", "spectrum", "kloosterman", "kloosterman-f",
+        "kloosterman-theta", "kloosterman-engine", "report-p", "report-q"])
+def test_command_refuses_options_it_does_not_read(workdir, capsys, argv, key):
+    assert main([*argv, "--cache-dir", "c", "--out-dir", "o"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {argv[0]} takes no {key} ")
+    assert captured.out == ""
+    assert not (workdir / "o").exists() and not (workdir / "c").exists()
+
+
+def test_spectrum_takes_the_spectrum_engine(workdir):
+    assert main(["spectrum", "--p", "3", "--m", "1", "--engine", "spectrum"]) == 0
 
 
 def test_config_file_and_env(workdir, monkeypatch):

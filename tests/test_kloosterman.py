@@ -1,4 +1,5 @@
 """Kloosterman sums, mod-4 classification, and the membership criterion."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftunital import (FieldError, construct_theta, count_classes, kloosterman,
-                         kloosterman_table, make_atlas, make_char_field, make_field,
-                         make_tower, quadratic_character, spectrum_size,
+from shiftunital import (FieldError, VerificationError, construct_theta, count_classes,
+                         kloosterman, kloosterman_table, make_atlas, make_char_field,
+                         make_field, make_tower, quadratic_character, spectrum_size,
                          thm_membership_criterion)
 from shiftunital.kloosterman import CASES, CyclotomicInt, criterion_grid
 
-from oracles import chi_array, trace
+from oracles import (chi_array, cyclotomic_add, cyclotomic_key, is_real, member, to_int,
+                     trace)
 from paper_checks import lambda_vanishes_mod2
 
 
@@ -48,7 +50,7 @@ def test_weil_bound_and_reality(m):
     for a in range(fld.n):
         rec = kloosterman(fld, a)
         assert rec.value * rec.value <= 4 * fld.n
-        assert rec.cyclotomic.is_real()
+        assert is_real(rec.cyclotomic)
     assert kloosterman(fld, 0).value == -1
 
 
@@ -149,14 +151,24 @@ def test_atlas_pinned(p, m):
     assert hashlib.sha256(atlas.encode()).hexdigest() == ATLAS_DIGESTS[p, m]
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_count_classes_rejects_one_a_moved_from_case_c_to_b(m):
+    # the tallies are checked as 12 count_b = 5q - 15 | 5q - 9, 4 count_c = q +- 1
+    table = kloosterman_table(make_field(3, m))
+    count_classes(table)
+    case = table.case.copy()
+    case[np.flatnonzero(case == CASES.index("case_c"))[0]] = CASES.index("case_b")
+    with pytest.raises(VerificationError, match=f"m = {m}: tallies"):
+        count_classes(dataclasses.replace(table, case=case))
+
+
 def test_cyclotomic_int_identities():
     zeta_plus_zeta2 = CyclotomicInt(3, (0, 1, 1))
     minus_one = CyclotomicInt(3, (-1, 0, 0))
-    assert zeta_plus_zeta2 == minus_one
-    assert hash(zeta_plus_zeta2) == hash(minus_one)
-    assert (CyclotomicInt(3, (1, 2, 3)) + CyclotomicInt(3, (1, 1, 1))) == \
-        CyclotomicInt(3, (2, 3, 4))
-    assert CyclotomicInt(3, (5, 2, 2)).to_int() == 3
+    assert cyclotomic_key(zeta_plus_zeta2) == cyclotomic_key(minus_one)
+    total = cyclotomic_add(CyclotomicInt(3, (1, 2, 3)), CyclotomicInt(3, (1, 1, 1)))
+    assert cyclotomic_key(total) == cyclotomic_key(CyclotomicInt(3, (2, 3, 4)))
+    assert to_int(CyclotomicInt(3, (5, 2, 2))) == 3
     with pytest.raises(FieldError):
         CyclotomicInt(3, (1, 2))
 
@@ -165,8 +177,9 @@ def test_cyclotomic_int_identities():
        st.integers(-50, 50))
 @settings(max_examples=100, deadline=None)
 def test_cyclotomic_shift_invariance(a, b, c, k):
-    assert CyclotomicInt(3, (a, b, c)) == CyclotomicInt(3, (a + k, b + k, c + k))
-    assert CyclotomicInt(3, (a, b, b)).is_real()
+    assert cyclotomic_key(CyclotomicInt(3, (a, b, c))) == \
+        cyclotomic_key(CyclotomicInt(3, (a + k, b + k, c + k)))
+    assert is_real(CyclotomicInt(3, (a, b, b)))
 
 
 def test_lambda_vanishes_mod2_matches_gf4_sum():
@@ -197,7 +210,7 @@ def test_atlas_p5_degrades_gracefully():
     fld = make_field(5, 1)
     rec = kloosterman(fld, 2)
     assert isinstance(rec.value, CyclotomicInt)
-    assert rec.value.is_real()
+    assert is_real(rec.value)
     assert rec.mod4 is None
     atlas = make_atlas(kloosterman_table(fld))
     for line in atlas.splitlines()[2:]:
@@ -227,7 +240,7 @@ def test_membership_criterion_sound_q9(instances):
                 checked += 1
                 if out["criterion_met"]:
                     met += 1
-                    assert res.member(*ch)
+                    assert member(res, *ch)
     assert checked == 2 * 8 * 8
     assert met == 64
 
@@ -267,4 +280,4 @@ def test_membership_criterion_sound_q3(instances):
             for ch in ((u, 0, w), (0, u, w)):
                 out = thm_membership_criterion(setup, *ch[:2], ch[2])
                 if out["criterion_met"]:
-                    assert res.member(*ch)
+                    assert member(res, *ch)
