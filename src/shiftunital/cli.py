@@ -47,19 +47,33 @@ def refuse_unread(command: str, cfg: RunConfig) -> None:
             raise FieldError(f"{command} takes no {key} (got {val!r})")
 
 
-def _parse_int(text: str, what: str = "value") -> int:
+def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise FieldError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _parse_modulus(text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(c, "modulus coefficient") for c in text.split(","))
+def _parse_modulus(text: str, what: str) -> tuple[int, ...]:
+    return tuple(_parse_int(c, f"{what} coefficient") for c in text.split(","))
 
 
-_CONFIG_KEYS = {"p": _parse_int, "m": _parse_int, "modulus": _parse_modulus, "f": str,
-                "theta": str, "engine": str, "out_dir": str, "cache_dir": str}
+_ENGINES = {"gf2": (True, False), "spectrum": (False, True), "both": (True, True)}
+
+
+def _parse_engine(text: str, what: str) -> str:
+    if text != "auto" and text not in _ENGINES:
+        raise FieldError(f"{what} must be auto, gf2, spectrum or both, got {text!r}")
+    return text
+
+
+def _text(text: str, what: str) -> str:
+    return text
+
+
+# option -> parser(text, option name), for flags and config-file entries alike
+_CONFIG_KEYS = {"p": _parse_int, "m": _parse_int, "modulus": _parse_modulus, "f": _text,
+                "theta": _text, "engine": _parse_engine, "out_dir": _text, "cache_dir": _text}
 
 
 def _read_text(path: str) -> str:
@@ -84,13 +98,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             key = key.strip()
             if not sep or key not in _CONFIG_KEYS:
                 raise FieldError(f"{args.config}:{lineno}: bad entry {raw!r}")
-            setattr(cfg, key, _CONFIG_KEYS[key](val.strip()))
-    for key in ("p", "m", "f", "theta", "engine", "out_dir", "cache_dir"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "modulus", None) is not None:
-        cfg.modulus = _parse_modulus(args.modulus)
+            setattr(cfg, key, _CONFIG_KEYS[key](val.strip(), key))
+    for key, parse in _CONFIG_KEYS.items():
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, parse(getattr(args, key), key))
     return cfg
 
 
@@ -127,16 +138,9 @@ def resolve_theta(cfg: RunConfig, f: planar.PlanarSpec, tower: TowerCtx) -> Thet
 
 def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool]:
     """(run_gf2, run_spectrum); auto runs both for q <= 9, else the spectrum alone."""
-    engine = cfg.engine
-    if engine == "auto":
-        engine = "both" if q <= 9 else "spectrum"
-    if engine == "gf2":
-        return True, False
-    if engine == "spectrum":
-        return False, True
-    if engine == "both":
-        return True, True
-    raise FieldError(f"unknown engine {engine!r}")
+    if cfg.engine == "auto":
+        return _ENGINES["both" if q <= 9 else "spectrum"]
+    return _ENGINES[cfg.engine]
 
 
 def _joined(coeffs: tuple[int, ...]) -> str:
@@ -472,12 +476,12 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value config file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--p")
+    sp.add_argument("--m")
     sp.add_argument("--modulus", help="extension-field modulus, comma-separated")
     sp.add_argument("--f", help="square | cm:k | user:path")
     sp.add_argument("--theta", help="auto | index")
-    sp.add_argument("--engine", choices=["auto", "gf2", "spectrum", "both"])
+    sp.add_argument("--engine", help="auto | gf2 | spectrum | both")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--cache-dir", dest="cache_dir")
 
@@ -498,24 +502,15 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         refuse_unread(args.command, cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "find-theta":
-            return cmd_find_theta(cfg)
-        if args.command == "build":
-            return cmd_build(cfg)
-        if args.command == "rank":
-            return cmd_rank(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, witness_all=args.witness_all)
-        if args.command == "kloosterman":
-            return cmd_kloosterman(cfg)
-        if args.command == "report":
-            return cmd_report(cfg, [_parse_int(s, "q") for s in args.q.split(",")])
+        commands = {"verify": cmd_verify, "find-theta": cmd_find_theta, "build": cmd_build,
+                    "rank": cmd_rank, "kloosterman": cmd_kloosterman,
+                    "spectrum": lambda c: cmd_spectrum(c, witness_all=args.witness_all),
+                    "report": lambda c: cmd_report(
+                        c, [_parse_int(s, "q") for s in args.q.split(",")])}
+        return commands[args.command](cfg)
     except (DesignError, FieldError, VerificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -41,17 +41,6 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Polynomial helpers over GF(p).  Coefficient lists, index 0 = constant term.
 # ---------------------------------------------------------------------------
@@ -113,17 +102,12 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
-def _root_is_primitive(poly: list[int], p: int) -> bool:
-    """Whether the class of y generates the multiplicative group of GF(p)[y]/(poly)."""
-    m = len(poly) - 1
-    order = p**m - 1
-    y = [0, 1]
-    if _poly_powmod(y, order, poly, p) != [1]:
-        return False
-    for r in _factorize(order):
-        if _poly_powmod(y, order // r, poly, p) == [1]:
-            return False
-    return True
+def _is_primitive(a: list[int], f: list[int], p: int) -> bool:
+    """Whether a generates the multiplicative group of GF(p)[y]/(f): a^N = 1 with
+    N = p^deg(f) - 1, and a^(N/r) != 1 for every prime r dividing N."""
+    order = p**(len(f) - 1) - 1
+    return (_poly_powmod(a, order, f, p) == [1]
+            and all(_poly_powmod(a, order // r, f, p) != [1] for r in _factorize(order)))
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -140,12 +124,12 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     candidates = ([c0, *tail, 1] for c0 in consts
                   for tail in itertools.product(range(p), repeat=m - 1))
     return next(tuple(f) for f in candidates
-                if _is_irreducible(f, p) and _root_is_primitive(f, p))
+                if _is_irreducible(f, p) and _is_primitive([0, 1], f, p))
 
 
 def _check_degree(p: int, m: int) -> None:
     """FieldError unless p is an odd prime and m >= 1."""
-    if not _is_prime(p) or p == 2:
+    if p % 2 == 0 or _factorize(p) != [p]:
         raise FieldError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise FieldError(f"extension degree must be positive, got {m}")
@@ -201,36 +185,19 @@ class FieldCtx:
 
     # -- construction internals -------------------------------------------
 
-    def _mul_bootstrap(self, a: int, b: int) -> int:
-        pa = _poly_trim([int(c) for c in self._digits[a]])
-        pb = _poly_trim([int(c) for c in self._digits[b]])
-        prod = _poly_mulmod(pa, pb, list(self.modulus), self.p)
-        idx = 0
-        for i, c in enumerate(prod):
-            idx += c * int(self._pows[i])
-        return idx
-
-    def _pow_bootstrap(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_bootstrap(result, a)
-            a = self._mul_bootstrap(a, a)
-            e >>= 1
-        return result
+    def _poly(self, a: int) -> list[int]:
+        """Digit polynomial of a, constant term first."""
+        return self._digits[a].tolist()
 
     def _find_primitive(self) -> int:
-        order = self.n - 1
-        primes = _factorize(order)
-        for g in range(2, self.n):
-            if all(self._pow_bootstrap(g, order // r) != 1 for r in primes):
-                return g
-        raise FieldError("no primitive element found")  # pragma: no cover
+        mod = list(self.modulus)
+        return next(g for g in range(2, self.n) if _is_primitive(self._poly(g), mod, self.p))
 
     def _mul_matrix(self, c: int) -> np.ndarray:
         """(m, m) matrix of x -> c x on digit columns: column j holds the digits of c y^j."""
-        cols = [self._mul_bootstrap(c, self.p**j) for j in range(self.m)]
-        return self._digits[cols].T.astype(np.int64)
+        a, m = self._poly(c), self.m
+        cols = [_poly_mulmod(a, [0] * j + [1], list(self.modulus), self.p) for j in range(m)]
+        return np.array([col + [0] * (m - len(col)) for col in cols], dtype=np.int64).T
 
     def _build_logs(self) -> tuple[np.ndarray, np.ndarray]:
         """exp in blocks of B = ceil(sqrt(n - 1)) powers of omega, then log by one scatter.
@@ -346,21 +313,17 @@ _FIELD_CACHE: dict[tuple, FieldCtx] = {}
 
 
 def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> FieldCtx:
-    """Shared immutable context for GF(p^m); default modulus per default_modulus."""
+    """Shared immutable context for GF(p^m); default modulus per default_modulus.
+
+    make_field(p, m) is make_field(p, m, default_modulus(p, m)): one context per modulus.
+    """
     _check_degree(p, m)
-    if modulus is None:
-        key = (p, m, None)
-        ctx = _FIELD_CACHE.get(key)
-        if ctx is None:
-            ctx = make_field(p, m, default_modulus(p, m))
-            _FIELD_CACHE[key] = ctx
-        return ctx
-    modulus = tuple(int(c) for c in modulus)
-    key = (p, m, modulus)
+    key = (p, m, None if modulus is None else tuple(int(c) % p for c in modulus))
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
-        ctx = FieldCtx(p, m, modulus)
-        _FIELD_CACHE[key] = ctx
+        modulus = default_modulus(p, m) if modulus is None else key[2]
+        ctx = _FIELD_CACHE.get((p, m, modulus)) or FieldCtx(p, m, modulus)
+        _FIELD_CACHE[key] = _FIELD_CACHE[p, m, modulus] = ctx
     return ctx
 
 
@@ -421,40 +384,24 @@ class TowerCtx:
         return int(self.dec0[x]), int(self.dec1[x])
 
 
-def _minimal_poly(base: FieldCtx, x: int) -> list[int]:
-    """Minimal polynomial of x over the prime field, coefficients as small ints."""
-    conjugates = []
-    y = x
-    while y not in conjugates:
-        conjugates.append(y)
-        y = base.pow(y, base.p)
-    poly = [1]
-    for c in conjugates:
-        nxt = [0] * (len(poly) + 1)
-        negc = base.neg(c)
-        for i, a in enumerate(poly):
-            nxt[i + 1] = base.add(nxt[i + 1], a)
-            nxt[i] = base.add(nxt[i], base.mul(a, negc))
-        poly = nxt
-    if any(c >= base.p for c in poly):
-        raise FieldError("minimal polynomial has non-prime-field coefficients")  # pragma: no cover
-    return poly
-
-
 def make_tower(base: FieldCtx, ext_modulus: tuple[int, ...] | None = None) -> TowerCtx:
     """Build GF(q^2) over base = GF(q) with the pinned xi = omega^((q+1)/2)."""
     q = base.n
     ext = make_field(base.p, 2 * base.m, ext_modulus)
 
-    # the roots of omega's minimal polynomial lie in GF(q)* = {omega_ext^((q+1)k)} in GF(q^2)
+    def horner(poly, xs):
+        acc = np.zeros(len(xs), dtype=np.int32)
+        for c in reversed(poly):
+            acc = ext.vadd(ext.vmul(acc, xs), c)
+        return acc
+
+    # an embedding sends y to a root s of base.modulus in GF(q)* = {omega_ext^((q+1)k)},
+    # so omega to its digit polynomial at s: a conjugate of omega; r is the least one
     cands = ext.exp[(q + 1) * np.arange(q - 1)]
-    acc = np.zeros(q - 1, dtype=np.int32)
-    for c in reversed(_minimal_poly(base, base.omega)):
-        acc = ext.vadd(ext.vmul(acc, cands), c)
-    roots = cands[acc == 0]
+    roots = cands[horner(base.modulus, cands) == 0]
     if len(roots) != base.m:
         raise FieldError("embedding root count mismatch")  # pragma: no cover
-    r = int(roots.min())
+    r = int(horner(base._poly(base.omega), roots).min())
     j = int(ext.log[r])
     embed = np.zeros(q, dtype=np.int32)
     ks = np.arange(q - 1, dtype=np.int64)
@@ -599,8 +546,7 @@ _CHAR_CACHE: dict[int, CharFieldCtx] = {}
 
 def make_char_field(p: int) -> CharFieldCtx:
     """GF(2^e) with the smallest-bitmask modulus and smallest eps of order p."""
-    if not _is_prime(p) or p == 2:
-        raise FieldError(f"p must be an odd prime, got {p}")
+    _check_degree(p, 1)
     ctx = _CHAR_CACHE.get(p)
     if ctx is not None:
         return ctx

@@ -418,22 +418,31 @@ def test_cache_key_includes_modulus(workdir, capsys):
     assert not any(line.startswith("{") for line in out.splitlines())
 
 
-@pytest.mark.parametrize("argv", [
-    ["rank", "--p", "3", "--m", "1", "--f", "cm:x"],
-    ["rank", "--p", "3", "--m", "1", "--theta", "99"],
-    ["rank", "--p", "3", "--m", "1", "--theta", "0"],
-    ["rank", "--p", "3", "--m", "1", "--theta", "x"],
-    ["rank", "--p", "3", "--m", "1", "--modulus", "2,x,1"],
-    ["report", "--q", "3,x"],
-    ["report", "--q", "1"],
-    ["rank", "--config", "binary.cfg"],
-    ["verify", "--p", "3", "--m", "-1"],
+@pytest.mark.parametrize("argv,message", [
+    (["rank", "--p", "3", "--m", "1", "--f", "cm:x"], "k in cm:k must be an integer"),
+    (["rank", "--p", "3", "--m", "1", "--theta", "99"], "theta index 99"),
+    (["rank", "--p", "3", "--m", "1", "--theta", "0"], "theta index 0"),
+    (["rank", "--p", "3", "--m", "1", "--theta", "x"], "theta must be an integer"),
+    (["rank", "--p", "3", "--m", "1", "--modulus", "2,x,1"], "modulus coefficient must be"),
+    (["report", "--q", "3,x"], "q must be an integer"),
+    (["report", "--q", "1"], "q = 1 is not a prime power"),
+    (["rank", "--config", "binary.cfg"], "binary.cfg: not a text file"),
+    (["verify", "--p", "3", "--m", "-1"], "extension degree must be positive"),
+    (["verify", "--p", "x"], "p must be an integer"),
+    (["rank", "--m", "x"], "m must be an integer"),
+    (["rank", "--engine", "bogus"], "engine must be auto, gf2, spectrum or both"),
+    (["rank", "--config", "engine.cfg"], "engine must be auto, gf2, spectrum or both"),
 ], ids=["cm-suffix", "theta-range", "theta-zero", "theta-int", "modulus-int",
-        "q-int", "q-one", "config-bytes", "m-negative"])
-def test_bad_input_exits_with_error(workdir, capsys, argv):
+        "q-int", "q-one", "config-bytes", "m-negative", "p-flag-int", "m-flag-int",
+        "engine-flag", "engine-config"])
+def test_bad_input_exits_with_error(workdir, capsys, argv, message):
     (workdir / "binary.cfg").write_bytes(b"p=3\xff\n")
+    (workdir / "engine.cfg").write_text("p=3\nm=1\nengine=bogus\n")
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and message in err
+    # report prints its q list before it resolves each q; every other case fails first
+    assert argv[0] == "report" or not out
 
 
 def _refuse_blocks(*args, **kwargs):

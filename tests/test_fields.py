@@ -1,5 +1,6 @@
 """Field towers, traces, characters, and quadratic form counts."""
 import hashlib
+import itertools
 import time
 import tracemalloc
 
@@ -465,3 +466,69 @@ def test_tower_tables_pinned(p, m):
         h.update(np.ascontiguousarray(arr, dtype=np.int32).tobytes())
     h.update(repr((tower.xi, tower.alpha)).encode())
     assert h.hexdigest() == TOWER_DIGESTS[p, m]
+
+
+# Same digest as TOWER_DIGESTS, over base moduli whose root y is not primitive, so
+# omega != y and the embedding must pick the least conjugate of omega, not of y;
+# recorded from the minimal-polynomial root search that preceded the conjugates.
+NON_DEFAULT_TOWER_DIGESTS = {
+    (3, 2, (1, 0, 1)): (4, "8822874463333bab10bf6f62a7a97bcb4a569c3af3c1369c18ebbce3c2531783"),
+    (5, 2, (2, 0, 1)): (6, "ee8b0d3f9466dd9cfdf0c0215b3331c43804c296f5298f714a2cfb6ddee1c796"),
+}
+
+
+@pytest.mark.parametrize("p,m,modulus", NON_DEFAULT_TOWER_DIGESTS)
+def test_tower_tables_pinned_over_non_default_base(p, m, modulus):
+    omega, digest = NON_DEFAULT_TOWER_DIGESTS[p, m, modulus]
+    tower = make_tower(make_field(p, m, modulus))
+    assert tower.base.omega == omega
+    h = hashlib.sha256()
+    for arr in (tower.embed, tower.unembed, tower.dec0, tower.dec1):
+        h.update(np.ascontiguousarray(arr, dtype=np.int32).tobytes())
+    h.update(repr((tower.xi, tower.alpha)).encode())
+    assert h.hexdigest() == digest
+
+
+def _order_of_y(f, p):
+    """Least k >= 1 with y^k = 1 modulo monic f, by repeated multiplication by y; or None."""
+    d = len(f) - 1
+    one = [1] + [0] * (d - 1)
+    cur = one
+    for k in range(1, p**d):
+        # y * cur = shifted cur - lead * f, since y^d = -(f_0 + ... + f_(d-1) y^(d-1))
+        cur = [(a - cur[-1] * c) % p for a, c in zip([0] + cur[:-1], f)]
+        if cur == one:
+            return k
+    return None
+
+
+# phi(p^d - 1) / d primitive polynomials of each degree d: (3, 1) 1, (3, 2) 2, (3, 3) 4, (5, 2) 4
+@pytest.mark.parametrize("p,d,primitive", [(3, 1, 1), (3, 2, 2), (3, 3, 4), (5, 2, 4)])
+def test_is_primitive_matches_order_count(p, d, primitive):
+    found = 0
+    for tail in itertools.product(range(p), repeat=d):
+        f = [*tail, 1]
+        got = fields._is_primitive([0, 1], f, p)
+        assert got == (_order_of_y(f, p) == p**d - 1), f
+        if f[0] == 0 or not fields._is_irreducible(f, p):
+            assert not got, f
+        found += got
+    assert found == primitive
+
+
+@pytest.mark.parametrize("explicit_first", [False, True])
+def test_make_field_one_context_per_modulus(monkeypatch, explicit_first):
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    mod = default_modulus(3, 2)
+    ctx = make_field(3, 2, mod if explicit_first else None)
+    assert make_field(3, 2) is ctx and make_field(3, 2, mod) is ctx
+    # coefficients are taken mod p
+    assert make_field(3, 2, tuple(c + 3 for c in mod)) is ctx
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15])
+def test_fields_and_char_fields_share_the_odd_prime_check(p):
+    with pytest.raises(FieldError, match="odd prime"):
+        make_field(p, 1)
+    with pytest.raises(FieldError, match="odd prime"):
+        make_char_field(p)
