@@ -31,16 +31,11 @@ class RunConfig:
     cache_dir: str = "cache"
 
 
-# command -> the options it does not read; --out-dir and --cache-dir pass everywhere
-_UNREAD = {"verify": ("engine",), "find-theta": ("theta", "engine"), "build": ("engine",),
-           "spectrum": ("engine",), "kloosterman": ("modulus", "f", "theta", "engine"),
-           "report": ("p", "m", "modulus", "f", "theta")}
-
-
 def refuse_unread(command: str, cfg: RunConfig) -> None:
     """FieldError if a flag or config entry sets an option that command does not read."""
     fixed = RunConfig()
-    for key in _UNREAD.get(command, ()):
+    reads = _COMMANDS[command][1].split() + ["out_dir", "cache_dir"]
+    for key in (k for k in _CONFIG_KEYS if k not in reads):
         val = getattr(cfg, key)
         # set means not the default; spectrum also takes engine = spectrum
         if val != getattr(fixed, key) and (command, val) != ("spectrum", "spectrum"):
@@ -147,15 +142,14 @@ def _joined(coeffs: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in coeffs)
 
 
-def config_header(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec | None,
+def config_header(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
                   setup: ThetaSetup | None) -> dict:
     head = {"p": cfg.p, "m": cfg.m, "q": tower.base.n,
             "base_modulus": _joined(tower.base.modulus),
             "modulus": _joined(tower.ext.modulus),
             "xi": tower.xi, "alpha": tower.alpha,
-            "engine": cfg.engine, "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir}
-    if f is not None:
-        head["f"] = f.name
+            "engine": cfg.engine, "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir,
+            "f": f.name}
     if setup is not None:
         head.update({"theta_index": setup.theta, "theta0": setup.theta0,
                      "theta1": setup.theta1})
@@ -297,10 +291,18 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     return row, spectrum
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def _instance(cfg: RunConfig, with_theta: bool = True) -> tuple:
+    """(tower, f, setup, head) of cfg, setup None unless with_theta; prints the header."""
     tower = make_context(cfg)
     f = resolve_f(cfg, tower)
-    _print_header(config_header(cfg, tower, f, None))
+    setup = resolve_theta(cfg, f, tower) if with_theta else None
+    head = config_header(cfg, tower, f, setup)
+    _print_header(head)
+    return tower, f, setup, head
+
+
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    tower, f, _, _ = _instance(cfg, with_theta=False)
     rep = geometry.verify_plane(f)          # DesignError unless f is planar
     normal = planar.is_normal(f)
     print(f"planarity: ok  normality: {'ok' if normal else 'no (allowed)'}")
@@ -319,43 +321,32 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_find_theta(cfg: RunConfig) -> int:
-    tower = make_context(cfg)
-    f = resolve_f(cfg, tower)
-    _print_header(config_header(cfg, tower, f, None))
+def cmd_find_theta(cfg: RunConfig, args: argparse.Namespace) -> int:
+    tower, f, _, head = _instance(cfg, with_theta=False)
     setups = geometry.find_thetas(f, tower)
     rows = [{"theta_index": s.theta, "theta0": s.theta0, "theta1": s.theta1}
             for s in setups]
-    doc = {"config": config_header(cfg, tower, f, None), "count": len(rows),
-           "thetas": rows}
+    doc = {"config": head, "count": len(rows), "thetas": rows}
     path = os.path.join(cfg.out_dir, f"thetas_q{tower.base.n}_{f.name}.json")
     _write_json(path, doc)
     print(f"{len(rows)} admissible theta values -> {path}")
     return 0
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    tower = make_context(cfg)
-    f = resolve_f(cfg, tower)
-    setup = resolve_theta(cfg, f, tower)
-    _print_header(config_header(cfg, tower, f, setup))
+def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _, f, setup, _ = _instance(cfg)
     design = geometry.build_unital(f, setup)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir,
-                        f"design_q{design.q}_{f.name}_t{setup.theta}.txt")
+    path = os.path.join(cfg.out_dir, f"design_q{design.q}_{f.name}_t{setup.theta}.txt")
     geometry.write_design(design, path)
     print(f"2-({design.n_points},{design.q + 1},1) design, "
           f"{design.n_blocks} blocks -> {path}")
     return 0
 
 
-def cmd_rank(cfg: RunConfig) -> int:
-    tower = make_context(cfg)
+def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
+    tower, f, setup, head = _instance(cfg)
     q = tower.base.n
-    f = resolve_f(cfg, tower)
-    setup = resolve_theta(cfg, f, tower)
-    head = config_header(cfg, tower, f, setup)
-    _print_header(head)
     row, _ = compute_row(cfg, tower, f, setup, *resolve_engines(cfg, q))
     doc = {"config": head, "rows": [row]}
     path = os.path.join(cfg.out_dir, f"rank_q{q}_{f.name}.json")
@@ -382,15 +373,10 @@ def _witness_csv(result: SpectrumResult):
         yield head + head.join(map(str.__add__, vw, tails))
 
 
-def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
-    tower = make_context(cfg)
-    q = tower.base.n
-    f = resolve_f(cfg, tower)
-    setup = resolve_theta(cfg, f, tower)
-    head = config_header(cfg, tower, f, setup)
-    _print_header(head)
-    row, result = compute_row(cfg, tower, f, setup, False, True,
-                              witness_all=witness_all)
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
+    tower, f, setup, head = _instance(cfg)
+    q, witness_all = tower.base.n, args.witness_all
+    row, result = compute_row(cfg, tower, f, setup, False, True, witness_all=witness_all)
     if result is None:
         from .charspec import spectrum_size
         result = spectrum_size(setup, f, witness_all=witness_all)
@@ -404,11 +390,10 @@ def cmd_spectrum(cfg: RunConfig, witness_all: bool = False) -> int:
     return 0
 
 
-def cmd_kloosterman(cfg: RunConfig) -> int:
+def cmd_kloosterman(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .kloosterman import count_classes, kloosterman_table, make_atlas
     fld = make_field(cfg.p, cfg.m)
-    head = {"p": cfg.p, "m": cfg.m, "q": fld.n,
-            "modulus": _joined(fld.modulus)}
+    head = {"p": cfg.p, "m": cfg.m, "q": fld.n, "modulus": _joined(fld.modulus)}
     _print_header(head)
     table = kloosterman_table(fld)
     path = os.path.join(cfg.out_dir, f"kloosterman_p{cfg.p}m{cfg.m}.csv")
@@ -421,19 +406,19 @@ def cmd_kloosterman(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
+def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .charspec import spectrum_size
     from .kloosterman import count_classes, criterion_grid, kloosterman_table
+    q_list = [_parse_int(s, "q") for s in args.q.split(",")]
     if len(set(q_list)) != len(q_list):
         raise FieldError(f"report takes no repeated q (got {','.join(map(str, q_list))})")
-    _print_header({"q_list": ",".join(str(q) for q in q_list),
-                   "engine": cfg.engine, "cache_dir": cfg.cache_dir,
-                   "out_dir": cfg.out_dir})
+    powers = [prime_power(q) for q in q_list]      # every q resolves before any output
+    _print_header({"q_list": ",".join(str(q) for q in q_list), "engine": cfg.engine,
+                   "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir})
     rows = []
     criterion_checks = []
     kloo = []
-    for q in q_list:
-        p, m = prime_power(q)
+    for q, (p, m) in zip(q_list, powers):
         sub = RunConfig(**{**cfg.__dict__, "p": p, "m": m})
         tower = make_context(sub)
         table = kloosterman_table(tower.base) if p == 3 else None
@@ -474,6 +459,23 @@ def cmd_report(cfg: RunConfig, q_list: list[int]) -> int:
     return 0
 
 
+# command -> (handler, the options it reads); --out-dir and --cache-dir pass everywhere
+_COMMANDS = {"verify": (cmd_verify, "p m modulus f theta"),
+             "find-theta": (cmd_find_theta, "p m modulus f"),
+             "build": (cmd_build, "p m modulus f theta"),
+             "rank": (cmd_rank, "p m modulus f theta engine"),
+             "kloosterman": (cmd_kloosterman, "p m"),
+             "spectrum": (cmd_spectrum, "p m modulus f theta"),
+             "report": (cmd_report, "engine")}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise FieldError, so they exit 1 through main's one error line."""
+
+    def error(self, message: str):
+        raise FieldError(message)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value config file")
     sp.add_argument("--p")
@@ -487,27 +489,17 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="shiftunital",
-                                     description="Unitals in shift planes")
+    parser = _Parser(prog="shiftunital", description="Unitals in shift planes")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "find-theta", "build", "rank", "kloosterman"):
+    for name in _COMMANDS:
         _add_common(subs.add_parser(name))
-    sp = subs.add_parser("spectrum")
-    _add_common(sp)
-    sp.add_argument("--witness-all", action="store_true")
-    sp = subs.add_parser("report")
-    _add_common(sp)
-    sp.add_argument("--q", required=True, help="comma-separated q list")
-    args = parser.parse_args(argv)
+    subs.choices["spectrum"].add_argument("--witness-all", action="store_true")
+    subs.choices["report"].add_argument("--q", required=True, help="comma-separated q list")
     try:
+        args = parser.parse_args(argv)
         cfg = resolve_config(args)
         refuse_unread(args.command, cfg)
-        commands = {"verify": cmd_verify, "find-theta": cmd_find_theta, "build": cmd_build,
-                    "rank": cmd_rank, "kloosterman": cmd_kloosterman,
-                    "spectrum": lambda c: cmd_spectrum(c, witness_all=args.witness_all),
-                    "report": lambda c: cmd_report(
-                        c, [_parse_int(s, "q") for s in args.q.split(",")])}
-        return commands[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg, args)
     except (DesignError, FieldError, VerificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -436,7 +436,6 @@ class ThetaSetup:
     theta: int    # ext index
     theta0: int   # base index
     theta1: int   # base index
-    xi: int       # ext index
     alpha: int    # base index
 
 
@@ -445,8 +444,7 @@ def theta_setup(tower: TowerCtx, theta: int) -> ThetaSetup:
     if not 0 < theta < tower.ext.n:
         raise FieldError(f"theta index {theta} is outside 1..{tower.ext.n - 1}")
     t0, t1 = tower.decompose(theta)
-    return ThetaSetup(tower=tower, theta=theta, theta0=t0, theta1=t1,
-                      xi=tower.xi, alpha=tower.alpha)
+    return ThetaSetup(tower=tower, theta=theta, theta0=t0, theta1=t1, alpha=tower.alpha)
 
 
 def construct_theta(tower: TowerCtx) -> ThetaSetup:

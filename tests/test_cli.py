@@ -2,14 +2,17 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import shiftunital
 from shiftunital import charspec, cli, geometry, gf2rank, planar
 from shiftunital.cli import main, resolve_config, resolve_engines, RunConfig
+from shiftunital.errors import FieldError
 
 ROW_KEYS = ["q", "p", "m", "modulus", "f", "theta_index", "rank_gf2",
             "rank_spectrum", "upper_bound", "lx_bound", "corollary_bound",
@@ -357,6 +360,75 @@ def test_spectrum_takes_the_spectrum_engine(workdir):
     assert main(["spectrum", "--p", "3", "--m", "1", "--engine", "spectrum"]) == 0
 
 
+# the README's `command | refuses` table, verbatim; rank reads every option
+README_REFUSES = """\
+| command | refuses |
+| --- | --- |
+| `verify`, `build` | `engine` |
+| `find-theta` | `theta`, `engine` |
+| `spectrum` | `engine` other than `spectrum` |
+| `kloosterman` | `modulus`, `f`, `theta`, `engine` |
+| `report` | `p`, `m`, `modulus`, `f`, `theta`, and a `--q` list that repeats a `q` |
+"""
+# a valid value other than the default for every option
+NON_DEFAULT = {"p": 5, "m": 2, "modulus": (2, 2, 1), "f": "cm:3", "theta": "8",
+               "engine": "gf2", "out_dir": "o", "cache_dir": "c"}
+
+
+def _refusal_table() -> dict[str, set[str]]:
+    """command -> the options it refuses, read from README_REFUSES."""
+    table = {"rank": set()}
+    for row in README_REFUSES.splitlines()[2:]:
+        commands, keys = row.strip("| ").split(" | ")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            table[command] = {k for k in re.findall(r"`([a-z_]+)`", keys) if k in NON_DEFAULT}
+    return table
+
+
+REFUSES = _refusal_table()
+
+
+def test_refusal_table_is_the_readme_table():
+    assert README_REFUSES in (Path(__file__).parents[1] / "README.md").read_text()
+    assert set(REFUSES) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(REFUSES))
+def test_refuse_unread_follows_the_refusal_table(command):
+    # every option the command reads may be set at once
+    cli.refuse_unread(command, RunConfig(**{k: v for k, v in NON_DEFAULT.items()
+                                            if k not in REFUSES[command]}))
+    for key in REFUSES[command]:
+        with pytest.raises(FieldError, match=f"^{command} takes no {key} "):
+            cli.refuse_unread(command, RunConfig(**{key: NON_DEFAULT[key]}))
+    if command == "spectrum":
+        cli.refuse_unread(command, RunConfig(engine="spectrum"))
+
+
+# argument-parser usage errors take the same exit as every other bad input
+@pytest.mark.parametrize("argv,name", [
+    (["rank", "--bogus"], "--bogus"),
+    (["report"], "--q"),
+    ([], "command"),
+    (["bogus"], "bogus"),
+    (["rank", "--p"], "--p"),
+], ids=["unknown-flag", "report-without-q", "no-command", "unknown-command",
+        "flag-without-value"])
+def test_usage_error_exits_with_error(workdir, capsys, argv, name):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    assert not out
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["report", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: shiftunital")
+
+
 def test_config_file_and_env(workdir, monkeypatch):
     (workdir / "run.cfg").write_text("p=3\nm=1\nout_dir=alt\n# comment\n")
     monkeypatch.setenv("UNITAL_CACHE_DIR", str(workdir / "envcache"))
@@ -441,8 +513,7 @@ def test_bad_input_exits_with_error(workdir, capsys, argv, message):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error:") and message in err
-    # report prints its q list before it resolves each q; every other case fails first
-    assert argv[0] == "report" or not out
+    assert not out
 
 
 def _refuse_blocks(*args, **kwargs):
