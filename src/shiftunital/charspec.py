@@ -9,7 +9,7 @@ import numpy as np
 from .errors import FieldError, VerificationError
 from .fields import ThetaSetup, make_char_field, trace_form_table
 from .geometry import base_blocks
-from .planar import PlanarSpec, is_normal
+from .planar import _GATHER_LIMIT, PlanarSpec, is_normal
 
 @dataclass(frozen=True, eq=False)
 class SpectrumCtx:
@@ -94,58 +94,49 @@ class SpectrumResult:
         return [tuple(betas[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
-# Circles beta = 1.._FIRST_CIRCLES are evaluated for every character of a u-slice
-# in one gather; later circles only for the characters still without a witness.
-_FIRST_CIRCLES = 3
-# Elements in one first-circles gather, above which it is split over v.
-_GATHER_LIMIT = 1 << 22
-
-
 def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
                   blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumResult:
     """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design.
 
-    chi_{u,v,0} is a member via B_a. For each u, S(beta) of every (v, w != 0) on the
-    first circles comes from one gather; past them, each character still without a
-    witness is evaluated circle by circle up to its first nonzero sum, so its witness
-    is the lowest certifying beta. u = v = 0 is thereby scanned on every circle (the
-    exclusion lemma). witness_all takes every circle as a first circle and records
-    all certifying betas. Every sum is a sum of three trace values looked up in
-    epsx, then xor-reduced. The S(beta) criterion holds for normal f only;
-    FieldError otherwise. `blocks` passes on to make_spectrum_ctx.
+    chi_{u,v,0} is a member via B_a. For each u, S(beta) is evaluated circle by
+    circle, beta = 1..q-1, for every (v, w != 0) still pending, at most
+    _GATHER_LIMIT // (q + 1) of them per gather. A character leaves the pending set
+    at its first nonzero sum, so its witness is the lowest certifying beta, and
+    u = v = 0 is scanned on every circle (the exclusion lemma). witness_all keeps
+    every character pending and records all certifying betas. Every sum is a sum of
+    three trace values looked up in epsx, then xor-reduced. The S(beta) criterion
+    holds for normal f only; FieldError otherwise. `blocks` passes on to
+    make_spectrum_ctx.
     """
     ctx = make_spectrum_ctx(setup, f, blocks)
     q = setup.tower.base.n
-    first = q - 1 if witness_all else min(_FIRST_CIRCLES, q - 1)
-    v_step = max(1, _GATHER_LIMIT // ((q - 1) * first * (q + 1)))
-    w_first = ctx.tr_wt[None, :, :first]
+    step = max(1, _GATHER_LIMIT // (q + 1))
     lowest = np.zeros((q, q, q), dtype=np.uint16)   # lowest witness beta; 0: none yet
     certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
                   if witness_all else None)
     for u in range(q):
         uv = ctx.tr_ux0[u] + ctx.tr_vx1                                # (v, beta, point)
-        nz = np.concatenate([
-            np.bitwise_xor.reduce(
-                np.take(ctx.epsx, uv[v0:v0 + v_step, None, :first] + w_first),
-                axis=3) != 0
-            for v0 in range(0, q, v_step)])                            # (v, w, beta)
         low = lowest[u, :, 1:]
-        has = nz.any(axis=2)
-        low[has] = nz.argmax(axis=2)[has] + 1
-        pv, pw = np.nonzero(~has)
-        for beta in range(first + 1, q):
+        pv, pw = np.indices((q, q - 1)).reshape(2, -1)                 # pending (v, w - 1)
+        for beta in range(1, q):
             if not pv.size:
                 break
-            hit = np.bitwise_xor.reduce(
-                np.take(ctx.epsx, uv[pv, beta - 1] + ctx.tr_wt[pw, beta - 1]),
-                axis=1) != 0
-            low[pv[hit], pw[hit]] = beta
-            pv, pw = pv[~hit], pw[~hit]
+            hit = np.empty(pv.size, dtype=bool)
+            for i in range(0, pv.size, step):
+                k = uv[pv[i:i + step], beta - 1]
+                k += ctx.tr_wt[pw[i:i + step], beta - 1]
+                hit[i:i + step] = np.bitwise_xor.reduce(np.take(ctx.epsx, k), axis=1) != 0
+            hv, hw = pv[hit], pw[hit]
+            if witness_all:
+                certifying[u, hv, hw + 1, (beta - 1) // 8] |= 1 << (beta - 1) % 8
+                new = low[hv, hw] == 0
+                hv, hw = hv[new], hw[new]
+            else:
+                pv, pw = pv[~hit], pw[~hit]
+            low[hv, hw] = beta
         if u == 0 and low[0].any():
             raise VerificationError(
                 "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
-        if witness_all:
-            certifying[u, :, 1:] = np.packbits(nz, axis=2, bitorder="little")
     return SpectrumResult(q=q, lowest=lowest, certifying=certifying)
 
 

@@ -128,7 +128,9 @@ def resolve_theta(cfg: RunConfig, f: planar.PlanarSpec, tower: TowerCtx) -> Thet
         if not setups:
             raise DesignError(f"no admissible theta for f = {f.name}")
         return setups[0]
-    return theta_setup(tower, _parse_int(cfg.theta, "theta"))
+    setup = theta_setup(tower, _parse_int(cfg.theta, "theta"))
+    geometry.fiber_map(setup, f)            # DesignError unless theta is admissible
+    return setup
 
 
 def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool]:
@@ -291,23 +293,22 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     return row, spectrum
 
 
-def _instance(cfg: RunConfig, with_theta: bool = True) -> tuple:
-    """(tower, f, setup, head) of cfg, setup None unless with_theta; prints the header."""
+def _instance(cfg: RunConfig, with_theta: bool = True, theta_in_header: bool = True) -> tuple:
+    """(tower, f, setup, head) of cfg, setup None unless with_theta; prints the header last."""
     tower = make_context(cfg)
     f = resolve_f(cfg, tower)
     setup = resolve_theta(cfg, f, tower) if with_theta else None
-    head = config_header(cfg, tower, f, setup)
+    head = config_header(cfg, tower, f, setup if theta_in_header else None)
     _print_header(head)
     return tower, f, setup, head
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    tower, f, _, _ = _instance(cfg, with_theta=False)
+    tower, f, setup, _ = _instance(cfg, theta_in_header=False)
     rep = geometry.verify_plane(f)          # DesignError unless f is planar
     normal = planar.is_normal(f)
     print(f"planarity: ok  normality: {'ok' if normal else 'no (allowed)'}")
     print(f"plane axioms: ok {rep}")
-    setup = resolve_theta(cfg, f, tower)
     x, t = geometry.base_blocks(f, setup)   # VerificationError unless a difference family
     q = tower.base.n
     print(f"design 2-({q**3 + 1},{q + 1},1): ok")

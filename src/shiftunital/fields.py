@@ -30,7 +30,7 @@ def _factorize(n: int) -> list[int]:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m; FieldError unless q is a prime power."""
+    """(p, m) with q = p^m; FieldError unless q is a power of an odd prime."""
     primes = _factorize(q)
     if len(primes) != 1:
         raise FieldError(f"q = {q} is not a prime power")
@@ -38,6 +38,7 @@ def prime_power(q: int) -> tuple[int, int]:
     while q > 1:
         q //= p
         m += 1
+    _check_degree(p, m)
     return p, m
 
 
@@ -436,7 +437,6 @@ class ThetaSetup:
     theta: int    # ext index
     theta0: int   # base index
     theta1: int   # base index
-    alpha: int    # base index
 
 
 def theta_setup(tower: TowerCtx, theta: int) -> ThetaSetup:
@@ -444,7 +444,7 @@ def theta_setup(tower: TowerCtx, theta: int) -> ThetaSetup:
     if not 0 < theta < tower.ext.n:
         raise FieldError(f"theta index {theta} is outside 1..{tower.ext.n - 1}")
     t0, t1 = tower.decompose(theta)
-    return ThetaSetup(tower=tower, theta=theta, theta0=t0, theta1=t1, alpha=tower.alpha)
+    return ThetaSetup(tower=tower, theta=theta, theta0=t0, theta1=t1)
 
 
 def construct_theta(tower: TowerCtx) -> ThetaSetup:

@@ -178,7 +178,7 @@ def criterion_constants(setup: ThetaSetup) -> tuple[int, int, int]:
     base = setup.tower.base
     if base.p != 3:
         raise FieldError("the criterion is implemented for characteristic 3 only")
-    alpha = setup.alpha
+    alpha = setup.tower.alpha
     inv64 = base.inv(base.element_from_int(64))
     if base.n % 4 == 1:
         if (setup.theta0, setup.theta1) != (0, 1):

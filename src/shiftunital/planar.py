@@ -82,9 +82,9 @@ def parse_do_table(text: str) -> list[tuple[int, int, int]]:
     return entries
 
 
-# Elements of the difference maps evaluated in one gather. At 1 << 22, 4 MB of
-# freed block temporaries stayed resident after a q = 27 check and raised the
-# peak of the steps after it.
+# Elements evaluated in one gather, here and in geometry and charspec. At 1 << 22,
+# 4 MB of freed block temporaries stayed resident after a q = 27 check and raised
+# the peak of the steps after it.
 _GATHER_LIMIT = 1 << 18
 
 

@@ -49,7 +49,7 @@ def _printed_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int]]
     """The parametrization exactly as printed, before any correction."""
     base = setup.tower.base
     q = base.n
-    alpha = setup.alpha
+    alpha = setup.tower.alpha
     pts = set()
     if q % 4 == 1:
         if beta == 1:
@@ -101,7 +101,7 @@ def _corrected_points(setup: ThetaSetup, beta: int) -> tuple[list[tuple[int, int
     """Sign/scale-repaired q = 3 (mod 4) parametrizations (the q = 1 case needs none)."""
     base = setup.tower.base
     q = base.n
-    alpha = setup.alpha
+    alpha = setup.tower.alpha
     th0 = setup.theta0
     at = base.sub(alpha, base.mul(th0, th0))
     pts = set()
@@ -137,8 +137,8 @@ def parametrize_circle(setup: ThetaSetup, case: int, beta: int) -> CircleParam:
     q = base.n
     if case not in (1, 3) or q % 4 != case:
         raise FieldError(f"case {case} does not match q = {q} (mod 4)")
-    if beta not in (1, setup.alpha):
-        raise FieldError(f"beta must be 1 or alpha = {setup.alpha}")
+    if beta not in (1, setup.tower.alpha):
+        raise FieldError(f"beta must be 1 or alpha = {setup.tower.alpha}")
     f = square_spec(setup.tower.ext)
     enum = circle(setup, f, 0, beta)
     tower = setup.tower

@@ -219,13 +219,13 @@ def test_criterion_09_circle_parametrizations(capsys):
     for q in (5, 9):
         p, m = (3, 2) if q == 9 else (q, 1)
         setup = construct_theta(make_tower(make_field(p, m)))
-        for beta in (1, setup.alpha):
+        for beta in (1, setup.tower.alpha):
             par = parametrize_circle(setup, 1, beta)
             ok = ok and par.source == "printed" and len(par.points) == q + 1
         printed.append(q)
     for q in (3, 7, 11):
         setup = construct_theta(make_tower(make_field(q, 1)))
-        for beta in (1, setup.alpha):
+        for beta in (1, setup.tower.alpha):
             par = parametrize_circle(setup, 3, beta)
             ok = ok and par.source == "corrected" and len(par.points) == q + 1
             ok = ok and par.discrepancy is not None

@@ -247,7 +247,7 @@ def _check_against_full_scan(setup, f):
     assert np.array_equal(res.members[:, :, 1:], lowest > 0)
     assert np.array_equal(res.lowest[:, :, 1:], lowest)
     full = spectrum_size(setup, f, witness_all=True)
-    assert full.bitmap == res.bitmap
+    assert full.bitmap == res.bitmap and np.array_equal(full.lowest, res.lowest)
     q = setup.tower.base.n
     for u in range(q):
         sets = full.certifying_sets(u)
@@ -260,7 +260,7 @@ def _check_against_full_scan(setup, f):
 
 
 def test_witness_is_lowest_certifying_circle_q27(tower27):
-    # at q = 27 the lowest witnesses reach beta 6-7, past the first circles
+    # at q = 27 the lowest witnesses reach beta 6-7
     f = square_spec(tower27.ext)
     setup = construct_theta(tower27)
     nonzero, lowest, res, full = _check_against_full_scan(setup, f)
@@ -277,7 +277,7 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
             assert all(s_beta(ctx, (u, v, w), b) == 0 for b in range(1, wit))
         else:
             assert wit == 0
-    assert lowest.max() >= 6 and charspec._FIRST_CIRCLES < 6
+    assert lowest.max() >= 6
     for idx, wit in witnesses(full).items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)

@@ -504,9 +504,15 @@ def test_cache_key_includes_modulus(workdir, capsys):
     (["rank", "--m", "x"], "m must be an integer"),
     (["rank", "--engine", "bogus"], "engine must be auto, gf2, spectrum or both"),
     (["rank", "--config", "engine.cfg"], "engine must be auto, gf2, spectrum or both"),
+    (["report", "--q", "4"], "p must be an odd prime, got 2"),
+    (["report", "--q", "3,2"], "p must be an odd prime, got 2"),
+    (["verify", "--p", "3", "--m", "1", "--theta", "0"], "theta index 0"),
+    (["verify", "--p", "3", "--m", "1", "--theta", "5"], "fiber condition fails"),
+    (["rank", "--p", "3", "--m", "1", "--theta", "5"], "fiber condition fails"),
 ], ids=["cm-suffix", "theta-range", "theta-zero", "theta-int", "modulus-int",
         "q-int", "q-one", "config-bytes", "m-negative", "p-flag-int", "m-flag-int",
-        "engine-flag", "engine-config"])
+        "engine-flag", "engine-config", "q-even", "q-list-even", "verify-theta-zero",
+        "verify-theta-fiber", "rank-theta-fiber"])
 def test_bad_input_exits_with_error(workdir, capsys, argv, message):
     (workdir / "binary.cfg").write_bytes(b"p=3\xff\n")
     (workdir / "engine.cfg").write_text("p=3\nm=1\nengine=bogus\n")

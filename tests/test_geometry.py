@@ -428,7 +428,7 @@ def test_beta_tables(setup9):
 @pytest.mark.parametrize("q", [5, 9])
 def test_parametrize_circle_case1(towers, q):
     setup = construct_theta(towers[q])
-    for beta in (1, setup.alpha):
+    for beta in (1, setup.tower.alpha):
         par = parametrize_circle(setup, 1, beta)
         assert par.source == "printed"
         assert par.discrepancy is None
@@ -439,7 +439,7 @@ def test_parametrize_circle_case1(towers, q):
 def test_parametrize_circle_case3(request, p):
     tower = request.getfixturevalue({3: "tower3", 7: "tower7", 11: "tower11"}[p])
     setup = construct_theta(tower)
-    for beta in (1, setup.alpha):
+    for beta in (1, setup.tower.alpha):
         par = parametrize_circle(setup, 3, beta)
         assert par.source == "corrected"
         assert par.discrepancy is not None
