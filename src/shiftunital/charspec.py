@@ -7,20 +7,22 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import ThetaSetup, make_char_field, trace_form_table
+from .fields import ThetaSetup, _chunk_rows, make_char_field, trace_form_table
 from .geometry import base_blocks
-from .planar import _GATHER_LIMIT, PlanarSpec, is_normal
+from .planar import PlanarSpec, is_normal
 
 @dataclass(frozen=True, eq=False)
 class SpectrumCtx:
     """Trace values of the character arguments on the base blocks of one unital.
 
     Tr is additive, so chi_{u,v,w}(x, t) = eps^(Tr(u*x0) + Tr(v*x1) + Tr(w*t)).
-    Each trace array is indexed [u | v | w - 1, beta - 1, point], and epsx is
-    eps_pows tiled three times, so a sum of three traces indexes it directly.
+    Tr(u*x0) is read from trace_form per u and circle; the other two trace arrays
+    are indexed [v | w - 1, beta - 1, point]. epsx is eps_pows tiled three times,
+    so a sum of three traces indexes it directly.
     """
 
-    tr_ux0: np.ndarray = field(repr=False)    # (q, q - 1, q + 1) Tr(u*x0)
+    trace_form: np.ndarray = field(repr=False)  # (q, q) Tr(a*b)
+    x0: np.ndarray = field(repr=False)        # (q - 1, q + 1) x0 of each point of D_beta
     tr_vx1: np.ndarray = field(repr=False)    # (q, q - 1, q + 1) Tr(v*x1)
     tr_wt: np.ndarray = field(repr=False)     # (q - 1, q - 1, q + 1) Tr(w*t), w != 0
     epsx: np.ndarray = field(repr=False)      # (3p,) eps^(k mod p)
@@ -43,7 +45,7 @@ def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec,
     x, t = base_blocks(f, setup) if blocks is None else blocks
     trace_form = trace_form_table(base)
     eps = np.array(cf.eps_pows, dtype=np.min_scalar_type((1 << cf.e) - 1))
-    return SpectrumCtx(tr_ux0=trace_form[:, tower.dec0[x]],
+    return SpectrumCtx(trace_form=trace_form, x0=tower.dec0[x],
                        tr_vx1=trace_form[:, tower.dec1[x]],
                        tr_wt=trace_form[1:, t], epsx=np.tile(eps, 3))
 
@@ -94,46 +96,57 @@ class SpectrumResult:
         return [tuple(betas[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
+def _nonzero(epsx: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """S != 0 for each row of trace sums k: eps^k, xor-reduced over the last axis."""
+    return np.bitwise_xor.reduce(np.take(epsx, k), axis=-1) != 0
+
+
 def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
                   blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumResult:
     """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design.
 
     chi_{u,v,0} is a member via B_a. For each u, S(beta) is evaluated circle by
-    circle, beta = 1..q-1, for every (v, w != 0) still pending, at most
-    _GATHER_LIMIT // (q + 1) of them per gather. A character leaves the pending set
-    at its first nonzero sum, so its witness is the lowest certifying beta, and
-    u = v = 0 is scanned on every circle (the exclusion lemma). witness_all keeps
-    every character pending and records all certifying betas. Every sum is a sum of
-    three trace values looked up in epsx, then xor-reduced. The S(beta) criterion
-    holds for normal f only; FieldError otherwise. `blocks` passes on to
-    make_spectrum_ctx.
+    circle, beta = 1..q-1, for every (v, w != 0) still pending, in chunks that
+    fit the working-memory budget. A character leaves the pending set at its
+    first nonzero sum, so its witness is the lowest certifying beta, and u = v = 0
+    is scanned on every circle (the exclusion lemma). witness_all keeps every
+    character pending and records all certifying betas. While every pair is
+    pending, a block of v is summed against every w by broadcast; after that the
+    pending pairs are gathered. Every sum is a sum of three trace values looked
+    up in epsx, then xor-reduced. The S(beta) criterion holds for normal f only;
+    FieldError otherwise. `blocks` passes on to make_spectrum_ctx.
     """
     ctx = make_spectrum_ctx(setup, f, blocks)
     q = setup.tower.base.n
-    step = max(1, _GATHER_LIMIT // (q + 1))
-    lowest = np.zeros((q, q, q), dtype=np.uint16)   # lowest witness beta; 0: none yet
+    row = 8 * (q + 1)               # np.take widens each pair's q + 1 trace sums to intp
+    step, vstep = _chunk_rows(row), _chunk_rows(row * (q - 1))
+    lowest = np.zeros((q, q, q), dtype=np.min_scalar_type(q - 1))   # 0: no witness yet
     certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
                   if witness_all else None)
     for u in range(q):
-        uv = ctx.tr_ux0[u] + ctx.tr_vx1                                # (v, beta, point)
         low = lowest[u, :, 1:]
-        pv, pw = np.indices((q, q - 1)).reshape(2, -1)                 # pending (v, w - 1)
+        pv = pw = None                                  # None: every (v, w - 1) pending
         for beta in range(1, q):
-            if not pv.size:
-                break
-            hit = np.empty(pv.size, dtype=bool)
-            for i in range(0, pv.size, step):
-                k = uv[pv[i:i + step], beta - 1]
-                k += ctx.tr_wt[pw[i:i + step], beta - 1]
-                hit[i:i + step] = np.bitwise_xor.reduce(np.take(ctx.epsx, k), axis=1) != 0
-            hv, hw = pv[hit], pw[hit]
-            if witness_all:
-                certifying[u, hv, hw + 1, (beta - 1) // 8] |= 1 << (beta - 1) % 8
-                new = low[hv, hw] == 0
-                hv, hw = hv[new], hw[new]
-            else:
+            uv = ctx.trace_form[u, ctx.x0[beta - 1]] + ctx.tr_vx1[:, beta - 1]  # (v, point)
+            wt = ctx.tr_wt[:, beta - 1]                                   # (w - 1, point)
+            if pv is None:
+                hit = np.concatenate([_nonzero(ctx.epsx, uv[i:i + vstep, None] + wt)
+                                      for i in range(0, q, vstep)])
+                if witness_all:
+                    bits = hit.view(np.uint8) << (beta - 1) % 8
+                    certifying[u, :, 1:, (beta - 1) // 8] |= bits
+                    hit &= low == 0
+                else:
+                    pv, pw = np.nonzero(~hit)
+                low[hit] = beta
+            elif pv.size:
+                hit = np.concatenate([
+                    _nonzero(ctx.epsx, uv[pv[i:i + step]] + wt[pw[i:i + step]])
+                    for i in range(0, pv.size, step)])
+                low[pv[hit], pw[hit]] = beta
                 pv, pw = pv[~hit], pw[~hit]
-            low[hv, hw] = beta
+            else:
+                break
         if u == 0 and low[0].any():
             raise VerificationError(
                 "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")

@@ -293,18 +293,18 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     return row, spectrum
 
 
-def _instance(cfg: RunConfig, with_theta: bool = True, theta_in_header: bool = True) -> tuple:
+def _instance(cfg: RunConfig, with_theta: bool = True) -> tuple:
     """(tower, f, setup, head) of cfg, setup None unless with_theta; prints the header last."""
     tower = make_context(cfg)
     f = resolve_f(cfg, tower)
     setup = resolve_theta(cfg, f, tower) if with_theta else None
-    head = config_header(cfg, tower, f, setup if theta_in_header else None)
+    head = config_header(cfg, tower, f, setup)
     _print_header(head)
     return tower, f, setup, head
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    tower, f, setup, _ = _instance(cfg, theta_in_header=False)
+    tower, f, setup, _ = _instance(cfg)
     rep = geometry.verify_plane(f)          # DesignError unless f is planar
     normal = planar.is_normal(f)
     print(f"planarity: ok  normality: {'ok' if normal else 'no (allowed)'}")

@@ -136,6 +136,19 @@ def _check_degree(p: int, m: int) -> None:
         raise FieldError(f"extension degree must be positive, got {m}")
 
 
+# Bytes of working memory that one chunk of a kernel may take. Every chunked kernel
+# (planarity, difference family, transitivity, spectrum, gf2 rows and stacks,
+# Kloosterman counts) divides it by the bytes that one row of its chunk takes in
+# its widest temporaries. Larger chunks buy no speed: freed chunk temporaries stay
+# resident and set the peak RSS of small runs.
+_WORK_BYTES = 1 << 18
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows of row_bytes each that one chunk holds within _WORK_BYTES; at least 1."""
+    return max(1, _WORK_BYTES // row_bytes)
+
+
 # ---------------------------------------------------------------------------
 # GF(p^m) context
 # ---------------------------------------------------------------------------
@@ -181,7 +194,7 @@ class FieldCtx:
             tbl = level.reshape(p**(k + 1), p**(k + 1))
         self._add_tbl = tbl
         self._half = p**h
-        self._hi, self._lo = np.divmod(idx, self._half)
+        self._hi, self._lo = (a.astype(np.int32) for a in np.divmod(idx, self._half))
         self._hi_row, self._lo_row = self._hi * self._half, self._lo * self._half
 
     # -- construction internals -------------------------------------------
@@ -268,10 +281,15 @@ class FieldCtx:
     # -- vector arithmetic on numpy index arrays -----------------------------
 
     def vadd(self, a, b):
-        """Digit-wise sum mod p, each half of the digits gathered from the one table."""
+        """Digit-wise sum mod p, each half of the digits gathered from the one table.
+
+        The index tables and the result are int32, and the halves combine in place.
+        """
         tbl = self._add_tbl.ravel()
-        return (tbl[self._lo_row[a] + self._lo[b]]
-                + self._half * tbl[self._hi_row[a] + self._hi[b]])
+        out = tbl[self._hi_row[a] + self._hi[b]]
+        out *= self._half
+        out += tbl[self._lo_row[a] + self._lo[b]]
+        return out
 
     def addition_witness(self) -> str | None:
         """Where + fails to be the digit-wise group (Z/p)^m with inverse neg, or None."""

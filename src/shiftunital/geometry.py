@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignError, FieldError, VerificationError
-from .fields import ThetaSetup, TowerCtx, theta_setup
-from .planar import _GATHER_LIMIT, PlanarSpec, is_normal, planarity_witness
+from .fields import ThetaSetup, TowerCtx, _chunk_rows, theta_setup
+from .planar import PlanarSpec, is_normal, planarity_witness
 
 @dataclass(frozen=True, eq=False)
 class UnitalDesign:
@@ -130,35 +130,68 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
     return x, t
 
 
+def _difference_codes(setup: ThetaSetup, x, t, x0, t0) -> np.ndarray:
+    """Codes dx*q + dt of the differences (x - x0, t - t0), broadcast.
+
+    int32 while q^3 < 2^31 (q <= 1290), int64 beyond; formed in place.
+    """
+    tower = setup.tower
+    q = tower.base.n
+    codes = tower.ext.vsub(x, x0)
+    if q**3 >= 2**31:
+        codes = codes.astype(np.int64)
+    codes *= q
+    codes += tower.base.vsub(t, t0)
+    return codes
+
+
+def _block_differences(setup: ThetaSetup, x: np.ndarray, t: np.ndarray):
+    """Per chunk of base blocks, codes[b, i, j] of point j minus point i of block b.
+
+    A chunk holds as many blocks as fit the working-memory budget at 8 bytes per
+    code, the width of an int64 code: int32 codes and the int32 arrays of the
+    vsub that forms them then stay within twice the budget.
+    """
+    step = _chunk_rows(8 * x.shape[1]**2)
+    for lo in range(0, x.shape[0], step):
+        xs, ts = x[lo:lo + step, None, :], t[lo:lo + step, None, :]
+        yield _difference_codes(setup, xs, ts, xs.transpose(0, 2, 1), ts.transpose(0, 2, 1))
+
+
 def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> None:
     """The differences inside the base blocks cover G minus {0} x GF(q) exactly once.
 
     With the short orbit, this is exactly the 2-(q^3+1, q+1, 1) property of the
     development (a relative difference family; Beth-Jungnickel-Lenz, Design Theory).
-    The differences are taken a chunk of base blocks at a time, at most
-    _GATHER_LIMIT pairs per chunk, as q^3 - q codes dx*q + dt: exact iff, sorted,
-    they rise strictly from q to q^3 - 1. Else, at the first i where code i is
-    not q + i, the least code with a wrong count is code i (a repeat, or below q)
-    or the missing q + i, whichever is smaller.
+    The differences of distinct points are codes dx*q + dt, taken a chunk of base
+    blocks at a time and marked in a q^3-entry bool array, each chunk in ascending
+    order so that the marks miss the cache less; a point minus itself marks 0.
+    Exact: when there are q^3 - q codes of distinct points and they mark q^3 - q
+    entries in [q, q^3), they all lie there (dx != 0) and no two are equal. Else
+    the counts are taken again, and the message names the least code with a
+    wrong count: one below q, a repeat, or a missing one.
     """
-    tower = setup.tower
-    q = tower.base.n
-    off_diagonal = ~np.eye(q + 1, dtype=bool)
-    per_block = q * (q + 1)
-    codes = np.empty(x.shape[0] * per_block, dtype=np.min_scalar_type(q**3))
-    step = max(1, _GATHER_LIMIT // (q + 1)**2)
-    for lo in range(0, x.shape[0], step):
-        xs, ts = x[lo:lo + step], t[lo:lo + step]
-        dx = tower.ext.vsub(xs[:, :, None], xs[:, None, :]).astype(np.int64)
-        dt = tower.base.vsub(ts[:, :, None], ts[:, None, :])
-        pairs = (dx * q + dt)[:, off_diagonal]
-        codes[lo * per_block:lo * per_block + pairs.size] = pairs.ravel()
-    codes.sort()
-    if codes[0] == q and codes[-1] == q**3 - 1 and np.all(codes[1:] > codes[:-1]):
+    q = setup.tower.base.n
+    k = x.shape[1]
+    seen = np.zeros(q**3, dtype=bool)
+    for codes in _block_differences(setup, x, t):
+        codes = codes.ravel()
+        codes.sort()
+        seen[codes] = True
+    if x.shape[0] * k * (k - 1) == q**3 - q and np.count_nonzero(seen[q:]) == q**3 - q:
         return
-    i = int(np.argmax(codes != np.arange(q, q + codes.size, dtype=codes.dtype)))
-    c = min(int(codes[i]), q + i)
-    count = int(np.searchsorted(codes, c, "right") - np.searchsorted(codes, c))
+    off_diagonal = ~np.eye(k, dtype=bool)
+    twice = np.zeros(q**3, dtype=bool)
+    seen[:] = False
+    for codes in _block_differences(setup, x, t):
+        codes, n = np.unique(codes[:, off_diagonal], return_counts=True)
+        twice[codes[(n > 1) | seen[codes]]] = True
+        seen[codes] = True
+    np.logical_not(seen[q:], out=seen[q:])      # seen now marks the codes counted wrong
+    seen |= twice
+    c = int(np.argmax(seen))
+    count = sum(int(np.count_nonzero(codes[:, off_diagonal] == c))
+                for codes in _block_differences(setup, x, t))
     raise VerificationError(
         f"difference ({c // q}, {c % q}) arises {count} times in the "
         f"base blocks, expected {int(c >= q)}")
@@ -281,12 +314,16 @@ def verify_unital_in_plane(f: PlanarSpec, setup: ThetaSetup) -> dict:
     A shift x -> x + u fixes U and maps L_{a,b} onto L_{a-u,b}, so the meets of
     the family L_{0,b} are those of every L_{a,b}.
     """
-    q = setup.tower.base.n
-    n = setup.tower.ext.n
-    # (x, t*theta) lies on L_{0,b} for b = bvals[x, t] = f(x) - t*theta
-    bvals = setup.tower.ext.vsub(f.table.astype(np.int64)[:, None],
-                                 theta_multiples(setup)[None, :])
-    cnt = np.bincount(bvals.ravel(), minlength=n)
+    ext = setup.tower.ext
+    q, n = setup.tower.base.n, ext.n
+    # (x, t*theta) lies on L_{0,b} for b = f(x) - t*theta, so with fib[y] = |f^-1(y)|
+    # the line meets U in cnt[b] = sum over t of fib[b + t*theta] points
+    fib = np.bincount(f.table, minlength=n)
+    shifts = theta_multiples(setup)
+    idx = np.arange(n)
+    cnt = np.zeros(n, dtype=np.int64)
+    for s in shifts:
+        cnt += fib[ext.vadd(idx, s)]
     ok = (cnt == 1) | (cnt == q + 1)
     if not np.all(ok):
         b = int(np.flatnonzero(~ok)[0])
@@ -298,8 +335,9 @@ def verify_unital_in_plane(f: PlanarSpec, setup: ThetaSetup) -> dict:
     if (tangents, secants) != (q**3 + 1, q**4 - q**3 + q**2):
         raise VerificationError(
             f"tangent/secant totals ({tangents}, {secants}) are off")
-    # (y, t*theta) lies on L_{x-y, b[x, t]} for every x; N_y is a secant
-    per_point = (cnt[bvals] == 1).sum(axis=0)
+    # (y, t*theta) lies on L_{x-y, f(x) - t*theta} for every x; N_y is a secant
+    tangent = cnt == 1
+    per_point = np.array([fib[tangent[ext.vsub(idx, s)]].sum() for s in shifts])
     if not np.all(per_point == 1):
         t = int(np.flatnonzero(per_point != 1)[0])
         raise VerificationError(
@@ -334,18 +372,31 @@ def verify_transitivity(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> dict
     base blocks (x, t from base_blocks), and D_beta + g = D_beta' + g' with
     (beta, g) != (beta', g') iff two of the q^2 - 1 translates D_beta - P, P in
     D_beta, are equal. All of them are compared, so G permutes the q^3 (q - 1)
-    distinct translates regularly.
+    distinct translates regularly. Two translates that differ in their least
+    nonzero code differ; those that share it are compared point by point.
     """
-    tower = setup.tower
-    q = tower.base.n
-    dx = tower.ext.vsub(x[:, None, :], x[:, :, None]).astype(np.int64)
-    dt = tower.base.vsub(t[:, None, :], t[:, :, None])
-    translates = np.sort((dx * q + dt).reshape(-1, q + 1), axis=1)
-    ranked = translates[np.lexsort(translates.T)]          # equal rows end up adjacent
-    n_distinct = 1 + int(np.count_nonzero(np.any(ranked[1:] != ranked[:-1], axis=1)))
-    if n_distinct != translates.shape[0]:
+    q = setup.tower.base.n
+    k = x.shape[1]
+    diagonal = np.arange(k)
+    least = np.empty(x.shape, dtype=np.int64)           # least nonzero code of D_beta - P
+    lo = 0
+    for codes in _block_differences(setup, x, t):
+        codes[:, diagonal, diagonal] = q**3
+        least[lo:lo + codes.shape[0]] = codes.min(axis=2)
+        lo += codes.shape[0]
+    least = least.ravel()
+    order = np.argsort(least, kind="stable")
+    tied = np.zeros(least.size, dtype=bool)
+    same = least[order[1:]] == least[order[:-1]]
+    tied[order[1:][same]] = tied[order[:-1][same]] = True
+    beta, pt = np.divmod(np.flatnonzero(tied), k)
+    rows = np.sort(_difference_codes(setup, x[beta], t[beta], x[beta, pt, None],
+                                     t[beta, pt, None]), axis=1)
+    rows = rows[np.lexsort(rows.T)]                     # equal rows end up adjacent
+    n_distinct = least.size - int(np.count_nonzero(~np.any(rows[1:] != rows[:-1], axis=1)))
+    if n_distinct != least.size:
         raise VerificationError(
-            f"only {n_distinct} of the {translates.shape[0]} base-block translates "
+            f"only {n_distinct} of the {least.size} base-block translates "
             f"through the origin are distinct")
     return {"group_order": q**3, "regular": True, "blocks_closed": "exhaustive",
             "ok": True}

@@ -11,13 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import ThetaSetup, make_char_field, trace_form_table
+from .fields import ThetaSetup, _chunk_rows, make_char_field, trace_form_table
 from .geometry import UnitalDesign
 
 _ORDER_SEED = 0
 _SLACK = 8                 # (a1, beta) rows beyond q in a component's first batch
-_CHUNK_WORDS = 1 << 20     # point values built at once, to keep temporaries small
-_STACK_WORDS = 1 << 22     # words of one stack of components eliminated together
 
 
 class RankAccumulator:
@@ -203,15 +201,19 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
         new[:, 1:] = word[:, 1:] != word[:, :-1]
         starts = np.flatnonzero(new)
         seg_word, seg_row = word[new], np.nonzero(new)[0]
-        step = max(1, _STACK_WORDS // (width * e * size))
-        sub = max(1, _CHUNK_WORDS // (e * cols.size))
+        # per component: its stack words and _eliminate's temporary of the same size,
+        # and, while its rows are built, an int64 index and a uint64 value per point
+        # and power of eps
+        step = _chunk_rows(16 * width * e * size)
+        sub = _chunk_rows(16 * e * cols.size)
         for lo in range(0, todo.size, step):
             chunk = todo[lo:lo + step]
             stack = np.zeros((width, chunk.size, e, size), dtype=np.uint64)
             for j in range(0, chunk.size, sub):
                 part = chunk[j:j + sub]
                 k = tr_u[part][:, x0[pts]] + tr_w[part][:, t[pts]]
-                vals = eps[k[:, None] + powers[None, :, None, None]] << slot
+                vals = eps[k[:, None] + powers[None, :, None, None]]
+                vals <<= slot
                 stack[seg_word, j:j + sub, :, seg_row] = np.bitwise_xor.reduceat(
                     vals.reshape(part.size, e, -1), starts, axis=2).transpose(2, 0, 1)
             got[chunk] = _eliminate(stack.reshape(width, chunk.size, e * size))

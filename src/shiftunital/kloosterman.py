@@ -6,10 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import FieldCtx, ThetaSetup, quadratic_character, trace_table
-
-# Trace values that _trace_counts gathers at once, a block of rows of `a` per gather.
-_GATHER_LIMIT = 1 << 18
+from .fields import FieldCtx, ThetaSetup, _chunk_rows, quadratic_character, trace_table
 
 class CyclotomicInt:
     """Sum of N_j * zeta_p^j with integer counts; counts that differ by a constant agree."""
@@ -49,7 +46,7 @@ def _trace_counts(fld: FieldCtx, a) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(seq, n - 1)   # win[j, k] = Tr(omega^(j+k))
     inv_tr = seq[(-np.arange(n - 1)) % (n - 1)]                  # Tr(1/x) at x = omega^k
     counts = np.empty((len(a), p), dtype=np.int64)
-    step = max(1, _GATHER_LIMIT // (n - 1))
+    step = _chunk_rows(2 * (n - 1))               # int16 trace values, n - 1 per row
     for lo in range(0, len(a), step):
         rows = a[lo:lo + step]
         tr = win[fld.log[rows]]

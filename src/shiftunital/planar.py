@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignError, FieldError
-from .fields import FieldCtx
+from .fields import FieldCtx, _chunk_rows
 
 @dataclass(frozen=True, eq=False)
 class PlanarSpec:
@@ -82,12 +82,6 @@ def parse_do_table(text: str) -> list[tuple[int, int, int]]:
     return entries
 
 
-# Elements evaluated in one gather, here and in geometry and charspec. At 1 << 22,
-# 4 MB of freed block temporaries stayed resident after a q = 27 check and raised
-# the peak of the steps after it.
-_GATHER_LIMIT = 1 << 18
-
-
 def _multiplicative(spec: PlanarSpec) -> bool:
     """Whether f(0) = 0, f(1) = 1 and f(g*x) = f(g)*f(x) for the primitive g and every x.
 
@@ -112,7 +106,7 @@ def planarity_witness(spec: PlanarSpec) -> int | None:
     tbl = spec.table
     idx = np.arange(n)
     last = 2 if _multiplicative(spec) else n
-    step = max(1, _GATHER_LIMIT // n)
+    step = _chunk_rows(4 * n)                # int32 sums and differences, n per row
     for lo in range(1, last, step):
         a = idx[lo:min(lo + step, last), None]
         diffs = np.sort(ctx.vsub(tbl[ctx.vadd(a, idx[None, :])], tbl[None, :]), axis=1)

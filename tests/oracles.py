@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from shiftunital import (FieldCtx, FieldError, PlanarSpec, SpectrumResult, TowerCtx,
-                         UnitalDesign, VerificationError, make_char_field, trace_table)
+from shiftunital import (FieldCtx, FieldError, PlanarSpec, SpectrumResult, ThetaSetup,
+                         TowerCtx, UnitalDesign, VerificationError, make_char_field,
+                         trace_table)
 from shiftunital.charspec import SpectrumCtx
 from shiftunital.fields import CharFieldCtx
 from shiftunital.geometry import _cover_exactly_once
@@ -125,7 +126,7 @@ def s_beta(ctx: SpectrumCtx, chi: tuple[int, int, int], beta: int) -> int:
     if beta == 0:
         raise FieldError("beta must be nonzero")
     u, v, w = chi
-    k = ctx.tr_ux0[u, beta - 1] + ctx.tr_vx1[v, beta - 1]
+    k = ctx.trace_form[u, ctx.x0[beta - 1]] + ctx.tr_vx1[v, beta - 1]
     if w:
         k = k + ctx.tr_wt[w - 1, beta - 1]
     return int(np.bitwise_xor.reduce(ctx.epsx[k]))
@@ -219,3 +220,27 @@ def _verify_plane_small(plane: ShiftPlane) -> dict:
                 raise VerificationError(f"shift map ({u},{v}) does not permute the lines")
     return {"axiom_pairs": "exhaustive", "axiom_meets": "exhaustive",
             "axiom_shifts": "exhaustive"}
+
+
+def difference_family_fault(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> str | None:
+    """What geometry._check_difference_family raises for the base blocks x, t, or None.
+
+    Every difference of two distinct points of a block, all at once, counted by
+    np.unique against the wanted counts: 1 for each code in [q, q^3), 0 below q.
+    """
+    tower = setup.tower
+    q = tower.base.n
+    i, j = np.nonzero(~np.eye(x.shape[1], dtype=bool))
+    codes = (tower.ext.vsub(x[:, j], x[:, i]).astype(np.int64) * q
+             + tower.base.vsub(t[:, j], t[:, i]))
+    count = np.zeros(q**3, dtype=np.int64)
+    vals, n = np.unique(codes, return_counts=True)
+    count[vals] = n
+    want = np.ones(q**3, dtype=np.int64)
+    want[:q] = 0
+    bad = np.flatnonzero(count != want)
+    if not bad.size:
+        return None
+    c = int(bad[0])
+    return (f"difference ({c // q}, {c % q}) arises {count[c]} times in the "
+            f"base blocks, expected {want[c]}")

@@ -1,0 +1,87 @@
+"""Working memory of the chunked kernels: a small multiple of the one budget, traced.
+
+Each kernel sizes its chunks from fields._WORK_BYTES. tracemalloc sees every numpy
+buffer, so the traced peak of one call is the memory it holds at once. It may hold
+a few chunk temporaries of at most the budget each, plus what stays resident: its
+outputs and the arrays of a size fixed by q (the q^3 seen array of the
+difference-family check, the spectrum's trace tables and lowest witnesses).
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from shiftunital import (construct_theta, fields, geometry, make_field, make_tower,
+                         spectrum_size, square_spec)
+from shiftunital.gf2rank import rank2_by_characters
+from shiftunital.kloosterman import _trace_counts
+
+
+
+def traced_peak(call):
+    """(result, peak bytes) of call(), traced from a clean start."""
+    call()          # first calls load lazy numpy internals; those are not the kernel's
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _square(p, m):
+    tower = make_tower(make_field(p, m))
+    f = square_spec(tower.ext)
+    setup = construct_theta(tower)
+    return f, setup, geometry.base_blocks(f, setup)
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    """name -> (call, resident bytes of its result, budget-sized temporaries held at once).
+
+    The last is the measured count rounded up with room to spare: the difference
+    codes and the int32 arrays of the vsub that forms them; the trace sums and
+    their intp indices; a stack and _eliminate's copy of it, or the row values
+    and their indices; a chunk of least codes; none (the t loop holds q^2-entry
+    vectors); the trace values and one compare.
+    """
+    f49, s49, b49 = _square(7, 2)
+    f19, s19, b19 = _square(19, 1)
+    f27, s27, b27 = _square(3, 3)
+    k7 = make_field(3, 7)
+    return {
+        "base_blocks q=49": (lambda: geometry.base_blocks(f49, s49),
+                             lambda r: r[0].nbytes + r[1].nbytes + 49**3, 4),
+        "spectrum_size q=49": (lambda: spectrum_size(s49, f49, blocks=b49),
+                               lambda r: r.lowest.nbytes + 2 * 49**3, 2),
+        "rank2_by_characters q=19": (lambda: rank2_by_characters(s19, *b19),
+                                     lambda r: r[1].nbytes, 3),
+        "verify_transitivity q=27": (lambda: geometry.verify_transitivity(s27, *b27),
+                                     lambda r: 0, 2),
+        "verify_unital_in_plane q=27": (lambda: geometry.verify_unital_in_plane(f27, s27),
+                                        lambda r: 0, 1),
+        "_trace_counts m=7": (lambda: _trace_counts(k7, np.arange(k7.n)),
+                              lambda r: r.nbytes, 3),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "base_blocks q=49", "spectrum_size q=49", "rank2_by_characters q=19",
+    "verify_transitivity q=27", "verify_unital_in_plane q=27", "_trace_counts m=7"])
+def test_kernel_peak_within_the_budget(kernels, name):
+    call, resident, chunks = kernels[name]
+    result, peak = traced_peak(call)
+    bound = chunks * fields._WORK_BYTES + resident(result)
+    assert peak <= bound, f"{name}: traced peak {peak} B above {bound} B"
+
+
+def test_vadd_holds_three_int32_arrays():
+    # the int32 index tables keep every temporary of a sum at its result's width:
+    # one half of the sum, the other half's indices and their gather
+    ext = make_tower(make_field(7, 2)).ext
+    a = np.arange(256)[:, None]
+    b = np.arange(ext.n - 256, ext.n)[None, :]
+    result, peak = traced_peak(lambda: ext.vadd(a, b))
+    assert result.dtype == np.int32
+    assert peak <= 3.5 * result.nbytes

@@ -306,7 +306,7 @@ def test_wide_trace_sums_q89():
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
     ctx = charspec.make_spectrum_ctx(setup, f)
-    assert ctx.tr_ux0.dtype == np.uint16
+    assert ctx.trace_form.dtype == ctx.tr_vx1.dtype == ctx.tr_wt.dtype == np.uint16
     chitab = chi_array(make_char_field(base.p), base)
     x, t = base_blocks(f, setup)
     x0 = tower.dec0[x].astype(np.int64)

@@ -180,13 +180,13 @@ def test_verify_ok(workdir, capsys):
 # the developed block array; q = 81 when verify_plane still checked each shift
 # generator on all n^2 pairs
 VERIFY_DIGESTS = {
-    "--p 3 --m 1": "98bbd441270124a160a37ef225d2e98be675c94bd5f9ad021afa7d680995530b",
-    "--p 3 --m 2": "7c73900e46bd15aa284b72533139310fc41c12e835ea59dce7a66e988504eab6",
-    "--p 3 --m 3": "b849d5ddf06892118776dfca185a0ca71295bd4d9625ca634e0cb93913d0a6cd",
-    "--p 3 --m 4": "b7787322f060d95adcbde2d3b8d312f0426e824f8c0283788194771c657ff4e7",
-    "--p 5 --m 1": "54d5a2655b84b8ee128fd56fdaff1499d4fd62340c22d4d32b53cefdb2f2dc26",
+    "--p 3 --m 1": "29e41921161fc5bed0f2166e151aa3f5828c6e250e9278285e850b6c34fa0a20",
+    "--p 3 --m 2": "bc18d2f70a130233dd31fcaf15d3c7b9f42b1c9df66394e3b94c3acf94667365",
+    "--p 3 --m 3": "0896b2c024390a202d46c86e00e795e510d932d7917cfaee43692504453276cf",
+    "--p 3 --m 4": "e89246b472b4a93752258b683615d8178c53e6043dbd4839195cf077c0d0beab",
+    "--p 5 --m 1": "9d8ff2b45aba334d4daeef266d61a6ac98dac329e68a2a6fb7c8c65a38445b44",
     "--p 3 --m 2 --f cm:3":
-        "d87a7795844dd099108b8d2e68155fd3eeef3935dc86951d543ffb2a27684410",
+        "be26a359aa1261d66cee6777b9df8f6c48b5d5d7e10cc5fbcbfee98618521569",
 }
 
 
@@ -195,6 +195,18 @@ def test_verify_stdout_pinned(workdir, capsys, args):
     assert main(["verify", *args.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[args]
+
+
+def test_verify_header_names_theta(workdir, capsys):
+    # auto picks theta = 8 at q = 3; theta = 3 checks another unital
+    outs = []
+    for extra in ([], ["--theta", "3"]):
+        assert main(["verify", "--p", "3", "--m", "1", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    heads = [out.splitlines()[0] for out in outs]
+    assert heads[0].endswith(" theta_index=8 theta0=1 theta1=1")
+    assert heads[1].endswith(" theta_index=3 theta0=1 theta1=2")
+    assert outs[0] != outs[1]
 
 
 @pytest.mark.parametrize("m", ["1", "2"])

@@ -10,12 +10,12 @@ from shiftunital import (DesignError, FieldError, VerificationError, base_blocks
                          find_thetas, quadratic_character, read_design, square_spec,
                          theta_setup, verify_design, verify_ovals, verify_plane,
                          verify_transitivity, verify_unital_in_plane, write_design)
-from shiftunital import geometry, make_field, make_tower, planarity_witness
+from shiftunital import fields, geometry, make_field, make_tower, planarity_witness
 from shiftunital.fields import FieldCtx
 from shiftunital.geometry import (_cover_exactly_once, beta_of_table, circles_of, fiber_map,
                                   theta_multiples)
 
-from oracles import ShiftPlane, _verify_plane_small
+from oracles import ShiftPlane, _verify_plane_small, difference_family_fault
 from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
 
@@ -356,7 +356,7 @@ def test_difference_family_check_in_chunks(setup9, square9, monkeypatch):
     swap_one_point(monkeypatch, 7, 8)
     with pytest.raises(VerificationError, match="difference") as whole:
         base_blocks(square9, setup9)
-    monkeypatch.setattr(geometry, "_GATHER_LIMIT", 1)
+    monkeypatch.setattr(fields, "_WORK_BYTES", 1)
     calls = []
     real = FieldCtx.vsub
     monkeypatch.setattr(FieldCtx, "vsub", lambda *a: calls.append(1) or real(*a))
@@ -369,10 +369,12 @@ def test_difference_family_check_in_chunks(setup9, square9, monkeypatch):
 # Moving one point of D_1 loses the differences it made with the other points
 # and makes new ones. Moving (1, 0) to (1, 1) loses (1, 0), the least bad code;
 # moving (27, 6) to (27, 0) repeats (11, 3) before it loses anything smaller.
-@pytest.mark.parametrize("k, t_new, message", [
+LEAST_BAD = [
     (0, 1, "difference (1, 0) arises 0 times in the base blocks, expected 1"),
-    (4, 0, "difference (11, 3) arises 2 times in the base blocks, expected 1")],
-    ids=["missing", "repeated"])
+    (4, 0, "difference (11, 3) arises 2 times in the base blocks, expected 1")]
+
+
+@pytest.mark.parametrize("k, t_new, message", LEAST_BAD, ids=["missing", "repeated"])
 def test_difference_family_names_least_bad_difference(setup9, square9, k, t_new, message):
     x, t = base_blocks(square9, setup9)
     assert [(int(x[0, j]), int(t[0, j])) for j in (0, 4)] == [(1, 0), (27, 6)]
@@ -381,6 +383,64 @@ def test_difference_family_names_least_bad_difference(setup9, square9, k, t_new,
     with pytest.raises(VerificationError) as err:
         geometry._check_difference_family(setup9, x, t)
     assert str(err.value) == message
+
+
+def test_difference_family_messages_with_one_block_per_chunk(setup9, square9, monkeypatch):
+    monkeypatch.setattr(fields, "_WORK_BYTES", 1)
+    x, t = base_blocks(square9, setup9)
+    # (11, 5) arises in D_6 only; moving (27, 6) to (27, 1) makes it again in D_1,
+    # so with one block per chunk the repeat spans two chunks
+    owner = [b for b, codes in enumerate(geometry._block_differences(setup9, x, t))
+             if np.any(codes == 11 * 9 + 5)]
+    assert owner == [5]
+    cases = [*LEAST_BAD,
+             (4, 1, "difference (11, 5) arises 2 times in the base blocks, expected 1")]
+    for k, t_new, message in cases:
+        moved = t.copy()
+        moved[0, k] = t_new
+        with pytest.raises(VerificationError) as err:
+            geometry._check_difference_family(setup9, x, moved)
+        assert str(err.value) == message
+    # (1, 0) and (1, 1) in D_1: their differences (0, +-1) lie below q
+    xs, ts = x.copy(), t.copy()
+    xs[0, 1], ts[0, 1] = xs[0, 0], 1
+    with pytest.raises(VerificationError) as err:
+        geometry._check_difference_family(setup9, xs, ts)
+    assert str(err.value) == ("difference (0, 1) arises 1 times in the base blocks, "
+                              "expected 0")
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2)])
+@pytest.mark.parametrize("budget", [None, 1, 4096])
+def test_difference_family_agrees_with_unique_counts(p, m, budget, monkeypatch):
+    # planted perturbations: 1 to 3 coordinates of random points moved at random
+    tower = make_tower(make_field(p, m))
+    f = square_spec(tower.ext)
+    setup = construct_theta(tower)
+    x, t = base_blocks(f, setup)
+    q = tower.base.n
+    if budget is not None:
+        monkeypatch.setattr(fields, "_WORK_BYTES", budget)
+    rng = np.random.default_rng(q)
+    faults = set()
+    for trial in range(40):
+        xs, ts = x.copy(), t.copy()
+        for _ in range(1 + trial % 3):
+            b, j = rng.integers(q - 1), rng.integers(q + 1)
+            if rng.integers(2):
+                xs[b, j] = rng.integers(q * q)
+            else:
+                ts[b, j] = rng.integers(q)
+        want = difference_family_fault(setup, xs, ts)
+        try:
+            geometry._check_difference_family(setup, xs, ts)
+            got = None
+        except VerificationError as exc:
+            got = str(exc)
+        assert got == want, (trial, xs[xs != x], ts[ts != t])
+        faults.add(want)
+    assert difference_family_fault(setup, x, t) is None
+    assert len(faults) > 10
 
 
 def test_shifted_square_has_no_admissible_theta(tower3, tower5):

@@ -6,7 +6,7 @@ from shiftunital import (DesignError, FieldError, PlanarSpec, construct_theta,
                          coulter_matthews_spec, do_spec, is_normal,
                          is_planar, make_field, make_tower, parse_do_table,
                          planarity_witness, registry_list, square_spec)
-from shiftunital import planar
+from shiftunital import fields, planar
 from shiftunital.geometry import fiber_map
 from shiftunital.fields import prime_power
 
@@ -131,7 +131,7 @@ def test_planarity_scan_finds_a_late_witness(tower9, monkeypatch):
     f = corrupted_square_spec(ext, 5, 2)
     want = reference_witness(f)
     assert want is not None and want > 2
-    monkeypatch.setattr(planar, "_GATHER_LIMIT", 1)
+    monkeypatch.setattr(fields, "_WORK_BYTES", 1)
     assert planarity_witness(f) == want
 
 
