@@ -1,4 +1,4 @@
-"""Character-spectrum rank engine over GF(2^e): spectrum size and bounds."""
+"""The character context of both rank engines; the spectrum engine over GF(2^e); rank bounds."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -13,41 +13,35 @@ from .planar import PlanarSpec, is_normal
 
 @dataclass(frozen=True, eq=False)
 class SpectrumCtx:
-    """Trace values of the character arguments on the base blocks of one unital.
+    """The character data of one unital's base blocks, read by both rank engines.
 
-    Tr is additive, so chi_{u,v,w}(x, t) = eps^(Tr(u*x0) + Tr(v*x1) + Tr(w*t)).
-    Tr(u*x0) is read from trace_form per u and circle; the other two trace arrays
-    are indexed [v | w - 1, beta - 1, point]. epsx is eps_pows tiled three times,
-    so a sum of three traces indexes it directly.
+    Tr is additive, so chi_{u,v,w}(x, t) = eps^(Tr(u*x0) + Tr(v*x1) + Tr(w*t)), and
+    each trace is read from trace_form at a block's coordinates: trace_form[u, x0]
+    and so on. x0, x1 and t are GF(q) indices, row beta - 1 for D_beta. epsx is
+    eps_pows tiled three times, so a sum of three traces indexes it directly.
     """
 
     trace_form: np.ndarray = field(repr=False)  # (q, q) Tr(a*b)
     x0: np.ndarray = field(repr=False)        # (q - 1, q + 1) x0 of each point of D_beta
-    tr_vx1: np.ndarray = field(repr=False)    # (q, q - 1, q + 1) Tr(v*x1)
-    tr_wt: np.ndarray = field(repr=False)     # (q - 1, q - 1, q + 1) Tr(w*t), w != 0
+    x1: np.ndarray = field(repr=False)        # (q - 1, q + 1) x1 of each point of D_beta
+    t: np.ndarray = field(repr=False)         # (q - 1, q + 1) t of each point of D_beta
     epsx: np.ndarray = field(repr=False)      # (3p,) eps^(k mod p)
+    e: int                                    # eps lies in GF(2^e), e = ord_p(2)
 
 
-def make_spectrum_ctx(setup: ThetaSetup, f: PlanarSpec,
-                      blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumCtx:
-    """The tables for a normal f; FieldError otherwise (the S(beta) criterion needs it).
+def make_spectrum_ctx(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> SpectrumCtx:
+    """The character data of the base blocks x, t of base_blocks.
 
-    FieldError too when a character value needs more than 64 bits (e > 64).
-    `blocks` is the checked (x, t) of base_blocks, built here when None.
+    FieldError when a character value needs more than 64 bits (e > 64).
     """
-    if not is_normal(f):
-        raise FieldError("spectrum engine requires a normal f")
     tower = setup.tower
     base = tower.base
     cf = make_char_field(base.p)
     if cf.e > 64:
         raise FieldError(f"character values of GF(2^{cf.e}) do not fit in 64 bits")
-    x, t = base_blocks(f, setup) if blocks is None else blocks
-    trace_form = trace_form_table(base)
     eps = np.array(cf.eps_pows, dtype=np.min_scalar_type((1 << cf.e) - 1))
-    return SpectrumCtx(trace_form=trace_form, x0=tower.dec0[x],
-                       tr_vx1=trace_form[:, tower.dec1[x]],
-                       tr_wt=trace_form[1:, t], epsx=np.tile(eps, 3))
+    return SpectrumCtx(trace_form=trace_form_table(base), x0=tower.dec0[x],
+                       x1=tower.dec1[x], t=t, epsx=np.tile(eps, 3), e=cf.e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +108,13 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
     pending, a block of v is summed against every w by broadcast; after that the
     pending pairs are gathered. Every sum is a sum of three trace values looked
     up in epsx, then xor-reduced. The S(beta) criterion holds for normal f only;
-    FieldError otherwise. `blocks` passes on to make_spectrum_ctx.
+    FieldError otherwise. `blocks` is the checked (x, t) of base_blocks, built here
+    when None.
     """
-    ctx = make_spectrum_ctx(setup, f, blocks)
+    if not is_normal(f):
+        raise FieldError("spectrum engine requires a normal f")
+    ctx = make_spectrum_ctx(setup, *(base_blocks(f, setup) if blocks is None else blocks))
+    tf = ctx.trace_form
     q = setup.tower.base.n
     row = 8 * (q + 1)               # np.take widens each pair's q + 1 trace sums to intp
     step, vstep = _chunk_rows(row), _chunk_rows(row * (q - 1))
@@ -127,8 +125,8 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
         low = lowest[u, :, 1:]
         pv = pw = None                                  # None: every (v, w - 1) pending
         for beta in range(1, q):
-            uv = ctx.trace_form[u, ctx.x0[beta - 1]] + ctx.tr_vx1[:, beta - 1]  # (v, point)
-            wt = ctx.tr_wt[:, beta - 1]                                   # (w - 1, point)
+            uv = tf[u, ctx.x0[beta - 1]] + tf[:, ctx.x1[beta - 1]]      # (v, point)
+            wt = tf[1:, ctx.t[beta - 1]]                                # (w - 1, point)
             if pv is None:
                 hit = np.concatenate([_nonzero(ctx.epsx, uv[i:i + vstep, None] + wt)
                                       for i in range(0, q, vstep)])

@@ -168,8 +168,8 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) ->
     order so that the marks miss the cache less; a point minus itself marks 0.
     Exact: when there are q^3 - q codes of distinct points and they mark q^3 - q
     entries in [q, q^3), they all lie there (dx != 0) and no two are equal. Else
-    the counts are taken again, and the message names the least code with a
-    wrong count: one below q, a repeat, or a missing one.
+    the codes of distinct points are counted in one more pass, and the message
+    names the least code with a wrong count: one below q, a repeat, or a missing one.
     """
     q = setup.tower.base.n
     k = x.shape[1]
@@ -181,19 +181,14 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) ->
     if x.shape[0] * k * (k - 1) == q**3 - q and np.count_nonzero(seen[q:]) == q**3 - q:
         return
     off_diagonal = ~np.eye(k, dtype=bool)
-    twice = np.zeros(q**3, dtype=bool)
-    seen[:] = False
+    count = np.zeros(q**3, dtype=np.int32)
     for codes in _block_differences(setup, x, t):
-        codes, n = np.unique(codes[:, off_diagonal], return_counts=True)
-        twice[codes[(n > 1) | seen[codes]]] = True
-        seen[codes] = True
-    np.logical_not(seen[q:], out=seen[q:])      # seen now marks the codes counted wrong
-    seen |= twice
-    c = int(np.argmax(seen))
-    count = sum(int(np.count_nonzero(codes[:, off_diagonal] == c))
-                for codes in _block_differences(setup, x, t))
+        np.add.at(count, codes[:, off_diagonal], 1)
+    wrong = count != 1
+    wrong[:q] = count[:q] != 0
+    c = int(np.argmax(wrong))
     raise VerificationError(
-        f"difference ({c // q}, {c % q}) arises {count} times in the "
+        f"difference ({c // q}, {c % q}) arises {count[c]} times in the "
         f"base blocks, expected {int(c >= q)}")
 
 

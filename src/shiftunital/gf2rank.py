@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import ThetaSetup, _chunk_rows, make_char_field, trace_form_table
+from .charspec import make_spectrum_ctx
+from .fields import ThetaSetup, _chunk_rows
 from .geometry import UnitalDesign
 
 _ORDER_SEED = 0
@@ -156,16 +157,13 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     total is exact; above q^3 - q + 1, the proven bound, it is an error.
     FieldError when e > 64.
     """
-    tower = setup.tower
-    base = tower.base
+    base = setup.tower.base
     q, p = base.n, base.p
-    cf = make_char_field(p)
-    e = cf.e
-    if e > 64:
-        raise FieldError(f"character values of GF(2^{e}) do not fit in 64 bits")
+    ctx = make_spectrum_ctx(setup, x, t)
+    e = ctx.e
     slots = 64 // e
     width = -(-q // slots)
-    eps = np.tile(np.array(cf.eps_pows, dtype=np.uint64), 3)
+    eps = ctx.epsx.astype(np.uint64)
     # one (u, w) per orbit of x2 with w != 0: the least u q + w in its orbit
     pair = np.arange(q * q).reshape(q, q)[:, 1:].ravel()
     double = base.vmul(2 % p, np.arange(q))
@@ -177,9 +175,8 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)
     even = not np.any(meets & 1)
     caps = np.where((reps // q == 0) & even, e * (q - 1), e * q)
-    trace_form = trace_form_table(base)
-    tr_u, tr_w = trace_form[reps // q], trace_form[reps % q]
-    x0, x1, t = tower.dec0[x].ravel(), tower.dec1[x], t.ravel()
+    tr_u, tr_w = ctx.trace_form[reps // q], ctx.trace_form[reps % q]
+    x0, x1, t = ctx.x0.ravel(), ctx.x1, ctx.t.ravel()
     powers = np.arange(e)                   # K-row r gives the GF(2) rows eps^i r
     n_pairs = q * (q - 1)
     order = _seeded_order(n_pairs)

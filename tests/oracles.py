@@ -126,9 +126,8 @@ def s_beta(ctx: SpectrumCtx, chi: tuple[int, int, int], beta: int) -> int:
     if beta == 0:
         raise FieldError("beta must be nonzero")
     u, v, w = chi
-    k = ctx.trace_form[u, ctx.x0[beta - 1]] + ctx.tr_vx1[v, beta - 1]
-    if w:
-        k = k + ctx.tr_wt[w - 1, beta - 1]
+    tf, b = ctx.trace_form, beta - 1
+    k = tf[u, ctx.x0[b]] + tf[v, ctx.x1[b]] + tf[w, ctx.t[b]]
     return int(np.bitwise_xor.reduce(ctx.epsx[k]))
 
 

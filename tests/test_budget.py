@@ -4,7 +4,7 @@ Each kernel sizes its chunks from fields._WORK_BYTES. tracemalloc sees every num
 buffer, so the traced peak of one call is the memory it holds at once. It may hold
 a few chunk temporaries of at most the budget each, plus what stays resident: its
 outputs and the arrays of a size fixed by q (the q^3 seen array of the
-difference-family check, the spectrum's trace tables and lowest witnesses).
+difference-family check, the spectrum's lowest witnesses).
 """
 import tracemalloc
 
@@ -54,7 +54,7 @@ def kernels():
         "base_blocks q=49": (lambda: geometry.base_blocks(f49, s49),
                              lambda r: r[0].nbytes + r[1].nbytes + 49**3, 4),
         "spectrum_size q=49": (lambda: spectrum_size(s49, f49, blocks=b49),
-                               lambda r: r.lowest.nbytes + 2 * 49**3, 2),
+                               lambda r: r.lowest.nbytes, 2),
         "rank2_by_characters q=19": (lambda: rank2_by_characters(s19, *b19),
                                      lambda r: r[1].nbytes, 3),
         "verify_transitivity q=27": (lambda: geometry.verify_transitivity(s27, *b27),

@@ -65,7 +65,7 @@ def test_w_zero_always_member_and_uv_zero_never(instances):
 def test_witnesses_certify_membership(instances):
     tower, f, setup, design = instances[3, "square"]
     res = spectrum_size(setup, f)
-    ctx = charspec.make_spectrum_ctx(setup, f)
+    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
     q = 3
     wits = witnesses(res)
     for idx, wit in wits.items():
@@ -87,7 +87,7 @@ def test_witnesses_certify_membership(instances):
 def test_witness_all_lists_every_nonzero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
     res = spectrum_size(setup, f, witness_all=True)
-    ctx = charspec.make_spectrum_ctx(setup, f)
+    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
     q = 3
     for idx, wit in witnesses(res).items():
         w = idx % q
@@ -166,8 +166,16 @@ def test_spectrum_rejects_non_normal_f(instances, monkeypatch):
     monkeypatch.setattr(charspec, "is_normal", lambda spec: False)
     with pytest.raises(FieldError, match="normal"):
         spectrum_size(setup, f)
-    with pytest.raises(FieldError, match="normal"):
-        charspec.make_spectrum_ctx(setup, f)
+
+
+def test_spectrum_ctx_holds_no_cubic_array(tower27):
+    # the traces are read from the (q, q) table per circle; nothing is q^3-sized
+    f = square_spec(tower27.ext)
+    setup = construct_theta(tower27)
+    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
+    arrays = [getattr(ctx, fd.name) for fd in dataclasses.fields(ctx)]
+    sizes = [a.size for a in arrays if isinstance(a, np.ndarray)]
+    assert sizes and max(sizes) <= 27**2
 
 
 def test_spectrum_keeps_no_reference_to_setup():
@@ -184,7 +192,7 @@ def test_spectrum_keeps_no_reference_to_setup():
 def test_s_beta_rejects_zero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
     with pytest.raises(FieldError):
-        s_beta(charspec.make_spectrum_ctx(setup, f), (1, 0, 1), 0)
+        s_beta(charspec.make_spectrum_ctx(setup, *base_blocks(f, setup)), (1, 0, 1), 0)
 
 
 def test_chi_block_requires_punctured_block(instances):
@@ -266,7 +274,7 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
     nonzero, lowest, res, full = _check_against_full_scan(setup, f)
     q = 27
     assert res.size == q**3 - q + 1
-    ctx = charspec.make_spectrum_ctx(setup, f)
+    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
     for idx, wit in witnesses(res).items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
@@ -291,7 +299,7 @@ def test_wide_character_values_match_full_scan(p):
     tower = make_tower(make_field(p, 1))
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
-    ctx = charspec.make_spectrum_ctx(setup, f)
+    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
     e = make_char_field(p).e
     assert e > 8 and ctx.epsx.dtype.itemsize * 8 >= e
     assert int(ctx.epsx.max()) >= 1 << 8
@@ -305,10 +313,10 @@ def test_wide_trace_sums_q89():
     q = base.n
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
-    ctx = charspec.make_spectrum_ctx(setup, f)
-    assert ctx.trace_form.dtype == ctx.tr_vx1.dtype == ctx.tr_wt.dtype == np.uint16
-    chitab = chi_array(make_char_field(base.p), base)
     x, t = base_blocks(f, setup)
+    ctx = charspec.make_spectrum_ctx(setup, x, t)
+    assert ctx.trace_form.dtype == np.uint16
+    chitab = chi_array(make_char_field(base.p), base)
     x0 = tower.dec0[x].astype(np.int64)
     x1 = tower.dec1[x].astype(np.int64)
 
