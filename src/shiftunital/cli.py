@@ -15,6 +15,7 @@ from .errors import DesignError, FieldError, VerificationError
 from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
                      prime_power, theta_setup)
 from . import geometry, planar      # charspec, gf2rank, kloosterman: imported where used
+from .geometry import _atomic_write_chunks
 
 if TYPE_CHECKING:
     from .charspec import SpectrumResult
@@ -160,15 +161,6 @@ def config_header(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
 
 def _print_header(head: dict) -> None:
     print("# " + " ".join(f"{k}={v}" for k, v in head.items()))
-
-
-def _atomic_write_chunks(path: str, chunks) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -337,7 +329,6 @@ def cmd_find_theta(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, f, setup, _ = _instance(cfg)
     design = geometry.build_unital(f, setup)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"design_q{design.q}_{f.name}_t{setup.theta}.txt")
     geometry.write_design(design, path)
     print(f"2-({design.n_points},{design.q + 1},1) design, "

@@ -129,7 +129,9 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def _check_degree(p: int, m: int) -> None:
-    """FieldError unless p is an odd prime and m >= 1."""
+    """FieldError unless p is an odd prime, at most 32767 (int16 digits), and m >= 1."""
+    if p > 32767:
+        raise FieldError(f"p must be at most 32767 (int16 digits), got {p}")
     if p % 2 == 0 or _factorize(p) != [p]:
         raise FieldError(f"p must be an odd prime, got {p}")
     if m < 1:
@@ -137,9 +139,9 @@ def _check_degree(p: int, m: int) -> None:
 
 
 # Bytes of working memory that one chunk of a kernel may take. Every chunked kernel
-# (planarity, difference family, transitivity, spectrum, gf2 rows and stacks,
-# Kloosterman counts) divides it by the bytes that one row of its chunk takes in
-# its widest temporaries. Larger chunks buy no speed: freed chunk temporaries stay
+# (planarity, difference family, spectrum, gf2 rows and stacks, Kloosterman counts,
+# design writes) divides it by the bytes that one row of its chunk takes in its
+# widest temporaries. Larger chunks buy no speed: freed chunk temporaries stay
 # resident and set the peak RSS of small runs.
 _WORK_BYTES = 1 << 18
 

@@ -48,7 +48,7 @@ def kernels():
     """
     f49, s49, b49 = _square(7, 2)
     f19, s19, b19 = _square(19, 1)
-    f27, s27, b27 = _square(3, 3)
+    f27, s27, _ = _square(3, 3)
     k7 = make_field(3, 7)
     return {
         "base_blocks q=49": (lambda: geometry.base_blocks(f49, s49),
@@ -57,8 +57,6 @@ def kernels():
                                lambda r: r.lowest.nbytes, 2),
         "rank2_by_characters q=19": (lambda: rank2_by_characters(s19, *b19),
                                      lambda r: r[1].nbytes, 3),
-        "verify_transitivity q=27": (lambda: geometry.verify_transitivity(s27, *b27),
-                                     lambda r: 0, 2),
         "verify_unital_in_plane q=27": (lambda: geometry.verify_unital_in_plane(f27, s27),
                                         lambda r: 0, 1),
         "_trace_counts m=7": (lambda: _trace_counts(k7, np.arange(k7.n)),
@@ -68,7 +66,7 @@ def kernels():
 
 @pytest.mark.parametrize("name", [
     "base_blocks q=49", "spectrum_size q=49", "rank2_by_characters q=19",
-    "verify_transitivity q=27", "verify_unital_in_plane q=27", "_trace_counts m=7"])
+    "verify_unital_in_plane q=27", "_trace_counts m=7"])
 def test_kernel_peak_within_the_budget(kernels, name):
     call, resident, chunks = kernels[name]
     result, peak = traced_peak(call)

@@ -521,10 +521,12 @@ def test_cache_key_includes_modulus(workdir, capsys):
     (["verify", "--p", "3", "--m", "1", "--theta", "0"], "theta index 0"),
     (["verify", "--p", "3", "--m", "1", "--theta", "5"], "fiber condition fails"),
     (["rank", "--p", "3", "--m", "1", "--theta", "5"], "fiber condition fails"),
+    (["verify", "--p", "1000003", "--m", "1"], "p must be at most 32767"),
+    (["report", "--q", "32771"], "p must be at most 32767"),
 ], ids=["cm-suffix", "theta-range", "theta-zero", "theta-int", "modulus-int",
         "q-int", "q-one", "config-bytes", "m-negative", "p-flag-int", "m-flag-int",
         "engine-flag", "engine-config", "q-even", "q-list-even", "verify-theta-zero",
-        "verify-theta-fiber", "rank-theta-fiber"])
+        "verify-theta-fiber", "rank-theta-fiber", "p-above-int16", "q-above-int16"])
 def test_bad_input_exits_with_error(workdir, capsys, argv, message):
     (workdir / "binary.cfg").write_bytes(b"p=3\xff\n")
     (workdir / "engine.cfg").write_text("p=3\nm=1\nengine=bogus\n")
@@ -599,6 +601,21 @@ def test_both_engines_check_the_base_blocks_once(workdir, monkeypatch):
 
     monkeypatch.setattr(geometry, "_check_difference_family", counted)
     assert main(["rank", "--p", "3", "--m", "2", "--engine", "both"]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_forms_the_base_block_differences_once(workdir, monkeypatch):
+    # the difference-family check is the one pass; the shift-regularity line
+    # rests on its exact cover
+    calls = []
+    real = geometry._block_differences
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_block_differences", counted)
+    assert main(["verify", "--p", "3", "--m", "2"]) == 0
     assert len(calls) == 1
 
 
