@@ -139,10 +139,10 @@ def _check_degree(p: int, m: int) -> None:
 
 
 # Bytes of working memory that one chunk of a kernel may take. Every chunked kernel
-# (planarity, difference family, spectrum, gf2 rows and stacks, Kloosterman counts,
-# design writes) divides it by the bytes that one row of its chunk takes in its
-# widest temporaries. Larger chunks buy no speed: freed chunk temporaries stay
-# resident and set the peak RSS of small runs.
+# (planarity, spectrum, gf2 rows and stacks, Kloosterman counts, design writes)
+# divides it by the bytes that one row of its chunk takes in its widest
+# temporaries. Larger chunks buy no speed: freed chunk temporaries stay resident
+# and set the peak RSS of small runs.
 _WORK_BYTES = 1 << 18
 
 

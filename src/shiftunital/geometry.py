@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,32 +133,22 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
     return x, t
 
 
-def _difference_codes(setup: ThetaSetup, x, t, x0, t0) -> np.ndarray:
-    """Codes dx*q + dt of the differences (x - x0, t - t0), broadcast.
+def _multiplier(setup: ThetaSetup, x: np.ndarray, t: np.ndarray):
+    """(|M|, d, rows): the multiplier group M of the base blocks, one row per M-orbit.
 
-    int32 while q^3 < 2^31 (q <= 1290), int64 beyond; formed in place.
+    phi(x, t) = (w x, w^d t), w generating GF(q)*, is an automorphism of G; d is read
+    from the row D_(w^d) holding phi of the first point of D_1. If phi maps each D_beta
+    onto D_(w^d beta) (one sort per row of codes x*q + t, ascending from base_blocks),
+    M = <phi> has order q - 1, and its block orbits, the cosets of <w^d>, have the rows
+    beta = w^i, i < gcd(d, q - 1) (M. Hall Jr., Duke Math. J. 14, 1947). Else M = {1}.
     """
-    tower = setup.tower
-    q = tower.base.n
-    codes = tower.ext.vsub(x, x0)
-    if q**3 >= 2**31:
-        codes = codes.astype(np.int64)
-    codes *= q
-    codes += tower.base.vsub(t, t0)
-    return codes
-
-
-def _block_differences(setup: ThetaSetup, x: np.ndarray, t: np.ndarray):
-    """Per chunk of base blocks, codes[b, i, j] of point j minus point i of block b.
-
-    A chunk holds as many blocks as fit the working-memory budget at 8 bytes per
-    code, the width of an int64 code: int32 codes and the int32 arrays of the
-    vsub that forms them then stay within twice the budget.
-    """
-    step = _chunk_rows(8 * x.shape[1]**2)
-    for lo in range(0, x.shape[0], step):
-        xs, ts = x[lo:lo + step, None, :], t[lo:lo + step, None, :]
-        yield _difference_codes(setup, xs, ts, xs.transpose(0, 2, 1), ts.transpose(0, 2, 1))
+    base, ext, q = setup.tower.base, setup.tower.ext, setup.tower.base.n
+    w = int(setup.tower.embed[base.omega])
+    d = int(base.log[np.argmax((x == ext.mul(w, int(x[0, 0]))).any(axis=1)) + 1])
+    image = np.sort(ext.vmul(w, x).astype(np.int64) * q + base.vmul(base.exp[d], t), axis=1)
+    if np.array_equal(image, (x * q + t)[base.vmul(base.exp[d], np.arange(1, q)) - 1]):
+        return q - 1, d, base.exp[:math.gcd(d, q - 1)] - 1
+    return 1, 0, np.arange(q - 1)
 
 
 def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> None:
@@ -164,33 +156,39 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) ->
 
     With the short orbit, this is exactly the 2-(q^3+1, q+1, 1) property of the
     development (a relative difference family; Beth-Jungnickel-Lenz, Design Theory).
-    The differences of distinct points are codes dx*q + dt, taken a chunk of base
-    blocks at a time and marked in a q^3-entry bool array, each chunk in ascending
-    order so that the marks miss the cache less; a point minus itself marks 0.
-    Exact: when there are q^3 - q codes of distinct points and they mark q^3 - q
-    entries in [q, q^3), they all lie there (dx != 0) and no two are equal. Else
-    the codes of distinct points are counted in one more pass, and the message
-    names the least code with a wrong count: one below q, a repeat, or a missing one.
+    M (_multiplier) permutes the blocks by automorphisms of G, so a difference arises
+    as often as each of its M-images; on dx != 0, M acts freely with orbit labels
+    (k, c^-d dt), dx = z^k c, z generating GF(q^2)*, c in GF(q)*, k < (q^2 - 1)/|M|.
+    The cover is exact iff no row repeats an x and each label arises |rows||M|/(q - 1)
+    times in the rows. Else the message names (0, least dt) or the least code z^k q + dt'
+    of a wrong label, and how often its phi^j-images, j < (q - 1)/|rows|, arise in the
+    rows: with M = {1}, the least code with a wrong count in all blocks.
     """
-    q = setup.tower.base.n
-    k = x.shape[1]
-    seen = np.zeros(q**3, dtype=bool)
-    for codes in _block_differences(setup, x, t):
-        codes = codes.ravel()
-        codes.sort()
-        seen[codes] = True
-    if x.shape[0] * k * (k - 1) == q**3 - q and np.count_nonzero(seen[q:]) == q**3 - q:
-        return
-    off_diagonal = ~np.eye(k, dtype=bool)
-    count = np.zeros(q**3, dtype=np.int32)
-    for codes in _block_differences(setup, x, t):
-        np.add.at(count, codes[:, off_diagonal], 1)
-    wrong = count != 1
-    wrong[:q] = count[:q] != 0
-    c = int(np.argmax(wrong))
+    tower = setup.tower
+    base, ext, q = tower.base, tower.ext, tower.base.n
+    size, d, rows = _multiplier(setup, x, t)
+    xs, ts, off_diagonal = x[rows], t[rows], ~np.eye(x.shape[1], dtype=bool)
+    dx = ext.vsub(xs[:, None, :], xs[:, :, None])[:, off_diagonal]
+    dt = base.vsub(ts[:, None, :], ts[:, :, None])[:, off_diagonal]
+    if np.all(dx):
+        n_classes = (q * q - 1) // size
+        log_dx = ext.log[dx]
+        k = log_dx % n_classes
+        c_to_minus_d = tower.unembed[ext.exp[(log_dx - k) * -d % (q * q - 1)]]
+        labels = k * q + base.vmul(c_to_minus_d, dt)
+        wrong = np.flatnonzero(np.bincount(labels.ravel(), minlength=n_classes * q)
+                               != rows.size * size // (q - 1))
+        if not wrong.size:
+            return
+        gx, gt = divmod(int((ext.exp[wrong // q].astype(np.int64) * q + wrong % q).min()), q)
+    else:
+        gx, gt = 0, int(dt[dx == 0].min())
+    c = base.exp[:(q - 1) // rows.size]
+    images = ext.vmul(tower.embed[c], gx).astype(np.int64) * q + base.vmul(base.vpow(c, d), gt)
+    codes = dx.astype(np.int64) * q + dt
     raise VerificationError(
-        f"difference ({c // q}, {c % q}) arises {count[c]} times in the "
-        f"base blocks, expected {int(c >= q)}")
+        f"difference ({gx}, {gt}) arises {sum(np.count_nonzero(codes == i) for i in images)} "
+        f"times in the base blocks, expected {int(gx != 0)}")
 
 
 def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
@@ -404,23 +402,25 @@ def read_design(path: str) -> UnitalDesign:
     """Parse the canonical text format; field contexts are not reconstructed.
 
     DesignError on a missing or non-integer header entry, points != q^3 + 1, or a
-    body other than `blocks` rows of q + 1 point ids in range(points).
+    body other than `blocks` rows of q + 1 point ids in range(points), a blank line
+    too (np.loadtxt, which parses the body into the block dtype, only warns on it).
     """
-    with open(path) as fh:
-        text = fh.read().splitlines()
-    if not text or text[0] != "UNITAL v1":
-        raise DesignError(f"{path}: not a design file")
-    meta = dict(tok.partition("=")[::2] for line in text[1:3] for tok in line.split())
-    try:
-        p, m, q, theta, n_points, n_blocks = (
-            int(meta[k]) for k in ("p", "m", "q", "theta_index", "points", "blocks"))
-        modulus, f_name = tuple(int(c) for c in meta["modulus"].split(",")), meta["f"]
-        blocks = np.array([[int(v) for v in line.split()] for line in text[3:3 + n_blocks]],
-                          dtype=np.uint16 if q**3 < 2**16 else np.uint32)
-    except KeyError as exc:
-        raise DesignError(f"{path}: header has no {exc.args[0]}= entry") from None
-    except (ValueError, OverflowError) as exc:
-        raise DesignError(f"{path}: malformed header or block row ({exc})") from None
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        head = [fh.readline().rstrip("\n") for _ in range(3)]
+        if head[0] != "UNITAL v1":
+            raise DesignError(f"{path}: not a design file")
+        meta = dict(tok.partition("=")[::2] for line in head[1:] for tok in line.split())
+        try:
+            p, m, q, theta, n_points, n_blocks = (
+                int(meta[k]) for k in ("p", "m", "q", "theta_index", "points", "blocks"))
+            modulus, f_name = tuple(int(c) for c in meta["modulus"].split(",")), meta["f"]
+            blocks = np.loadtxt(fh, dtype=np.uint16 if q**3 < 2**16 else np.uint32,
+                                comments=None, max_rows=n_blocks, ndmin=2)
+        except KeyError as exc:
+            raise DesignError(f"{path}: header has no {exc.args[0]}= entry") from None
+        except (ValueError, OverflowError, UserWarning) as exc:
+            raise DesignError(f"{path}: malformed header or block row ({exc})") from None
     if n_points != q**3 + 1:
         raise DesignError(f"{path}: points={n_points} inconsistent with q={q}")
     if blocks.shape != (n_blocks, q + 1):

@@ -221,11 +221,10 @@ def _verify_plane_small(plane: ShiftPlane) -> dict:
             "axiom_shifts": "exhaustive"}
 
 
-def difference_family_fault(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> str | None:
-    """What geometry._check_difference_family raises for the base blocks x, t, or None.
+def difference_counts(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """count[dx*q + dt]: the ordered pairs of distinct points of a block differing by (dx, dt).
 
-    Every difference of two distinct points of a block, all at once, counted by
-    np.unique against the wanted counts: 1 for each code in [q, q^3), 0 below q.
+    Every difference of every base block, all at once, counted by np.unique.
     """
     tower = setup.tower
     q = tower.base.n
@@ -235,6 +234,17 @@ def difference_family_fault(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> 
     count = np.zeros(q**3, dtype=np.int64)
     vals, n = np.unique(codes, return_counts=True)
     count[vals] = n
+    return count
+
+
+def difference_family_fault(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> str | None:
+    """What geometry._check_difference_family raises for the base blocks x, t, or None.
+
+    The least code whose difference_counts entry differs from the wanted count: 1 for
+    each code in [q, q^3), 0 below q.
+    """
+    q = setup.tower.base.n
+    count = difference_counts(setup, x, t)
     want = np.ones(q**3, dtype=np.int64)
     want[:q] = 0
     bad = np.flatnonzero(count != want)

@@ -3,8 +3,7 @@
 Each kernel sizes its chunks from fields._WORK_BYTES. tracemalloc sees every numpy
 buffer, so the traced peak of one call is the memory it holds at once. It may hold
 a few chunk temporaries of at most the budget each, plus what stays resident: its
-outputs and the arrays of a size fixed by q (the q^3 seen array of the
-difference-family check, the spectrum's lowest witnesses).
+outputs and the arrays of a size fixed by q (the spectrum's lowest witnesses).
 """
 import tracemalloc
 
@@ -40,8 +39,8 @@ def _square(p, m):
 def kernels():
     """name -> (call, resident bytes of its result, budget-sized temporaries held at once).
 
-    The last is the measured count rounded up with room to spare: the difference
-    codes and the int32 arrays of the vsub that forms them; the trace sums and
+    The last is the measured count rounded up with room to spare: the q^2-entry
+    arrays of the circles and of the exact-cover check; the trace sums and
     their intp indices; a stack and _eliminate's copy of it, or the row values
     and their indices; a chunk of least codes; none (the t loop holds q^2-entry
     vectors); the trace values and one compare.
@@ -52,7 +51,7 @@ def kernels():
     k7 = make_field(3, 7)
     return {
         "base_blocks q=49": (lambda: geometry.base_blocks(f49, s49),
-                             lambda r: r[0].nbytes + r[1].nbytes + 49**3, 4),
+                             lambda r: r[0].nbytes + r[1].nbytes, 2),
         "spectrum_size q=49": (lambda: spectrum_size(s49, f49, blocks=b49),
                                lambda r: r.lowest.nbytes, 2),
         "rank2_by_characters q=19": (lambda: rank2_by_characters(s19, *b19),
@@ -83,3 +82,10 @@ def test_vadd_holds_three_int32_arrays():
     result, peak = traced_peak(lambda: ext.vadd(a, b))
     assert result.dtype == np.int32
     assert peak <= 3.5 * result.nbytes
+
+
+def test_base_blocks_hold_no_q3_array():
+    # the exact-cover check counts orbit labels of the multiplier group, O(q^2) of them
+    f, setup, _ = _square(3, 5)
+    _, peak = traced_peak(lambda: geometry.base_blocks(f, setup))
+    assert peak < 243**3

@@ -604,17 +604,16 @@ def test_both_engines_check_the_base_blocks_once(workdir, monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_forms_the_base_block_differences_once(workdir, monkeypatch):
-    # the difference-family check is the one pass; the shift-regularity line
-    # rests on its exact cover
+def test_verify_checks_the_difference_family_once(workdir, monkeypatch):
+    # the shift-regularity line rests on the exact cover that base_blocks checked
     calls = []
-    real = geometry._block_differences
+    real = geometry._check_difference_family
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(geometry, "_block_differences", counted)
+    monkeypatch.setattr(geometry, "_check_difference_family", counted)
     assert main(["verify", "--p", "3", "--m", "2"]) == 0
     assert len(calls) == 1
 

@@ -1,21 +1,26 @@
 """Unital construction, plane axioms, incidence verifications, file round trips."""
 import dataclasses
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
 
 from shiftunital import (DesignError, FieldError, VerificationError, base_blocks,
-                         build_unital, construct_theta, coulter_matthews_spec,
-                         find_thetas, quadratic_character, read_design, square_spec,
+                         build_unital, construct_theta, coulter_matthews_spec, do_spec,
+                         find_thetas, is_normal, quadratic_character, read_design,
+                         registry_list, spectrum_size, square_spec,
                          theta_setup, verify_design, verify_ovals, verify_plane,
                          verify_transitivity, verify_unital_in_plane, write_design)
 from shiftunital import fields, geometry, make_field, make_tower, planarity_witness
-from shiftunital.fields import FieldCtx
+from shiftunital.fields import FieldCtx, prime_power
 from shiftunital.geometry import (_cover_exactly_once, beta_of_table, circles_of, fiber_map,
                                   theta_multiples)
+from shiftunital.gf2rank import rank2_by_characters
 
-from oracles import ShiftPlane, _verify_plane_small, difference_family_fault
+from oracles import (ShiftPlane, _verify_plane_small, difference_counts,
+                     difference_family_fault)
 from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
 
@@ -353,21 +358,6 @@ def test_build_rejects_broken_difference_family(setup9, square9, monkeypatch):
         build_unital(square9, setup9)
 
 
-def test_difference_family_check_in_chunks(setup9, square9, monkeypatch):
-    # the broken blocks D_7, D_8 land in the last chunks when each chunk is one block
-    swap_one_point(monkeypatch, 7, 8)
-    with pytest.raises(VerificationError, match="difference") as whole:
-        base_blocks(square9, setup9)
-    monkeypatch.setattr(fields, "_WORK_BYTES", 1)
-    calls = []
-    real = FieldCtx.vsub
-    monkeypatch.setattr(FieldCtx, "vsub", lambda *a: calls.append(1) or real(*a))
-    with pytest.raises(VerificationError, match="difference") as chunked:
-        base_blocks(square9, setup9)
-    assert str(chunked.value) == str(whole.value)
-    assert len(calls) > 8                    # 8 chunks, two subtractions each
-
-
 # Moving one point of D_1 loses the differences it made with the other points
 # and makes new ones. Moving (1, 0) to (1, 1) loses (1, 0), the least bad code;
 # moving (27, 6) to (27, 0) repeats (11, 3) before it loses anything smaller.
@@ -382,32 +372,19 @@ def test_difference_family_names_least_bad_difference(setup9, square9, k, t_new,
     assert [(int(x[0, j]), int(t[0, j])) for j in (0, 4)] == [(1, 0), (27, 6)]
     t = t.copy()
     t[0, k] = t_new
+    assert geometry._multiplier(setup9, x, t)[0] == 1     # one block edited: M = {1}
     with pytest.raises(VerificationError) as err:
         geometry._check_difference_family(setup9, x, t)
     assert str(err.value) == message
 
 
-def test_difference_family_messages_with_one_block_per_chunk(setup9, square9, monkeypatch):
-    monkeypatch.setattr(fields, "_WORK_BYTES", 1)
-    x, t = base_blocks(square9, setup9)
-    # (11, 5) arises in D_6 only; moving (27, 6) to (27, 1) makes it again in D_1,
-    # so with one block per chunk the repeat spans two chunks
-    owner = [b for b, codes in enumerate(geometry._block_differences(setup9, x, t))
-             if np.any(codes == 11 * 9 + 5)]
-    assert owner == [5]
-    cases = [*LEAST_BAD,
-             (4, 1, "difference (11, 5) arises 2 times in the base blocks, expected 1")]
-    for k, t_new, message in cases:
-        moved = t.copy()
-        moved[0, k] = t_new
-        with pytest.raises(VerificationError) as err:
-            geometry._check_difference_family(setup9, x, moved)
-        assert str(err.value) == message
+def test_difference_family_names_a_repeated_x(setup9, square9):
     # (1, 0) and (1, 1) in D_1: their differences (0, +-1) lie below q
-    xs, ts = x.copy(), t.copy()
-    xs[0, 1], ts[0, 1] = xs[0, 0], 1
+    x, t = (a.copy() for a in base_blocks(square9, setup9))
+    x[0, 1], t[0, 1] = x[0, 0], 1
+    assert geometry._multiplier(setup9, x, t)[0] == 1
     with pytest.raises(VerificationError) as err:
-        geometry._check_difference_family(setup9, xs, ts)
+        geometry._check_difference_family(setup9, x, t)
     assert str(err.value) == ("difference (0, 1) arises 1 times in the base blocks, "
                               "expected 0")
 
@@ -434,6 +411,7 @@ def test_difference_family_agrees_with_unique_counts(p, m, budget, monkeypatch):
             else:
                 ts[b, j] = rng.integers(q)
         want = difference_family_fault(setup, xs, ts)
+        assert want is None or geometry._multiplier(setup, xs, ts)[0] == 1
         try:
             geometry._check_difference_family(setup, xs, ts)
             got = None
@@ -443,6 +421,89 @@ def test_difference_family_agrees_with_unique_counts(p, m, budget, monkeypatch):
         faults.add(want)
     assert difference_family_fault(setup, x, t) is None
     assert len(faults) > 10
+
+
+ODD_Q_UP_TO_81 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53,
+                  59, 61, 67, 71, 73, 79, 81]
+
+
+@pytest.mark.parametrize("q", ODD_Q_UP_TO_81)
+def test_every_registry_f_takes_the_full_multiplier_group(q):
+    # M = {1} gives the same answers, so a broken certificate would hide behind it:
+    # f(cx) = c^d f(x) with d = 2 (square) or (3^k + 1)/2 (cm:k) for c in GF(q)*
+    tower = make_tower(make_field(*prime_power(q)))
+    for f in registry_list(tower.ext):
+        d_f = 2 if f.family == "square" else (3**f.param + 1) // 2
+        setups = find_thetas(f, tower)
+        for setup in (setups[0], setups[-1]):
+            size, d, rows = geometry._multiplier(setup, *base_blocks(f, setup))
+            assert (size, d) == (q - 1, d_f % (q - 1)), (f.name, setup.theta)
+            assert rows.size == math.gcd(d, q - 1)
+
+
+def test_a_table_without_the_symmetry_takes_the_trivial_group(tower9):
+    # f = L(x)^2 with L(x) = x + a x^3 is planar and normal, but no d gives
+    # f(w x) = w^d f(x) for the generator w of GF(9)*: M = {1}, and both engines
+    # still give q^3 - q + 1
+    ext = tower9.ext
+    a = 3
+    f = do_spec(ext, [(0, 0, 1), (0, 1, ext.mul(2, a)), (1, 1, ext.mul(a, a))])
+    assert is_normal(f)
+    w = int(tower9.embed[tower9.base.omega])
+    scaled = f.table[ext.vmul(w, np.arange(ext.n))]
+    assert not any(np.array_equal(scaled, ext.vmul(ext.pow(w, d), f.table)) for d in range(8))
+    setup = find_thetas(f, tower9)[0]
+    x, t = base_blocks(f, setup)
+    size, d, rows = geometry._multiplier(setup, x, t)
+    assert size == 1 and rows.tolist() == list(range(8))
+    assert spectrum_size(setup, f).size == 721
+    assert rank2_by_characters(setup, x, t)[0] == 721
+
+
+def plant_on_block_orbit(setup, x, t, d, j, point):
+    """Blocks with point j of D_1 moved to point = (x', t'), and so every phi_c-image.
+
+    The edited block set is M-invariant, so the certificate still holds.
+    """
+    tower = setup.tower
+    base, ext = tower.base, tower.ext
+    q = base.n
+    x, t = x.copy(), t.copy()
+    moves = []
+    for c in base.exp.tolist():
+        b, k = np.argwhere(x == ext.mul(int(tower.embed[c]), int(x[0, j])))[0]
+        moves.append((b, k, ext.mul(int(tower.embed[c]), point[0]),
+                      base.mul(base.pow(c, d), point[1])))
+    for b, k, xb, tb in moves:
+        x[b, k], t[b, k] = xb, tb
+    order = np.argsort(x * q + t, axis=1)
+    return np.take_along_axis(x, order, axis=1), np.take_along_axis(t, order, axis=1)
+
+
+@pytest.mark.parametrize("onto_x", [False, True], ids=["moved_t", "repeated_x"])
+def test_difference_family_rejects_a_fault_on_a_whole_block_orbit(instances, onto_x):
+    # moving the t of one point (or its x onto another point's x) of D_1 and of all
+    # its phi_c-images keeps the blocks M-invariant: only the orbit sums can fail.
+    # The named difference is a representative of its M-orbit, not always the
+    # oracle's least code, so its count is matched against the oracle's table
+    # (at q = 3 the moved orbit gives another exact cover)
+    pattern = r"difference \((\d+), (\d+)\) arises (\d+) times in the base blocks, expected (\d)"
+    for (q, name), (tower, f, setup, design) in instances.items():
+        if q == 3:
+            continue
+        x, t = base_blocks(f, setup)
+        size, d, rows = geometry._multiplier(setup, x, t)
+        # a point of D_1 outside the M-orbit of point 1, whose x the fault repeats
+        ratios = tower.ext.vmul(x[0], tower.ext.inv(int(x[0, 1])))
+        new_x = int(x[0, np.argmax(tower.unembed[ratios] < 0)]) if onto_x else int(x[0, 1])
+        xs, ts = plant_on_block_orbit(setup, x, t, d, 1, (new_x, (int(t[0, 1]) + 1) % q))
+        assert geometry._multiplier(setup, xs, ts)[:2] == (q - 1, d)
+        with pytest.raises(VerificationError) as err:
+            geometry._check_difference_family(setup, xs, ts)
+        gx, gt, n, want = map(int, re.fullmatch(pattern, str(err.value)).groups())
+        assert n == difference_counts(setup, xs, ts)[gx * q + gt], (q, name)
+        assert n != want == int(gx != 0)
+        assert (gx == 0) == onto_x
 
 
 def test_shifted_square_has_no_admissible_theta(tower3, tower5):
@@ -550,6 +611,7 @@ def test_read_design_rejects_garbage(tmp_path, design3):
     for bad in (["UNITAL v1"],                                           # header only
                 [*lines[:3], *body[:-1], body[-1] + " 5"],               # ragged body
                 [*lines[:3], *body[:-1], body[-1].replace(" ", " x", 1)],  # non-integer
+                [*lines[:3], body[0], "", *body[1:]],                    # blank line
                 [lines[0], lines[1].replace("q=3 ", ""), *lines[2:]],    # no q=
                 [lines[0], lines[1].replace("q=3 ", "q=three "), *lines[2:]],
                 *([*lines[:3], *body[:-1], f"{v} " + body[-1].split(" ", 1)[1]]
