@@ -15,6 +15,14 @@ from shiftunital.geometry import _cover_exactly_once
 from shiftunital.kloosterman import CyclotomicInt
 
 
+def theta_multiples(setup: ThetaSetup) -> np.ndarray:
+    """Extension-field indices of t*theta for t in GF(q), indexed by t."""
+    tower = setup.tower
+    q = tower.base.n
+    return tower.ext.vmul(tower.embed[np.arange(q)],
+                          np.full(q, setup.theta, dtype=np.int64))
+
+
 def vneg(fld: FieldCtx, a) -> np.ndarray:
     """-a elementwise, from the negation table."""
     return fld.neg_table[a].astype(np.int32)

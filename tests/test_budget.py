@@ -42,8 +42,8 @@ def kernels():
     The last is the measured count rounded up with room to spare: the q^2-entry
     arrays of the circles and of the exact-cover check; the trace sums and
     their intp indices; a stack and _eliminate's copy of it, or the row values
-    and their indices; a chunk of least codes; none (the t loop holds q^2-entry
-    vectors); the trace values and one compare.
+    and their indices; a chunk of least codes; none (one histogram of the fibers
+    and q^2-entry vectors); the trace values and one compare.
     """
     f49, s49, b49 = _square(7, 2)
     f19, s19, b19 = _square(19, 1)
@@ -71,6 +71,18 @@ def test_kernel_peak_within_the_budget(kernels, name):
     result, peak = traced_peak(call)
     bound = chunks * fields._WORK_BYTES + resident(result)
     assert peak <= bound, f"{name}: traced peak {peak} B above {bound} B"
+
+
+def test_trivial_multiplier_counts_the_labels_a_chunk_at_a_time(monkeypatch):
+    # forced onto the M = {1} path, the exact-cover check reads every row; it holds
+    # one chunk of differences and labels, and two int64 counts per label: the sum
+    # so far and one chunk's np.bincount
+    f, setup, _ = _square(7, 2)
+    q = setup.tower.base.n
+    monkeypatch.setattr(geometry, "_multiplier", lambda s, x, t: (1, 0, np.arange(q - 1)))
+    (x, t), peak = traced_peak(lambda: geometry.base_blocks(f, setup))
+    bound = 2 * fields._WORK_BYTES + x.nbytes + t.nbytes + 16 * (q**3 - q)
+    assert peak <= bound, f"traced peak {peak} B above {bound} B"
 
 
 def test_vadd_holds_three_int32_arrays():

@@ -15,12 +15,11 @@ from shiftunital import (DesignError, FieldError, VerificationError, base_blocks
                          verify_transitivity, verify_unital_in_plane, write_design)
 from shiftunital import fields, geometry, make_field, make_tower, planarity_witness
 from shiftunital.fields import FieldCtx, prime_power
-from shiftunital.geometry import (_cover_exactly_once, beta_of_table, circles_of, fiber_map,
-                                  theta_multiples)
+from shiftunital.geometry import _cover_exactly_once, beta_of_table, circles_of, fiber_map
 from shiftunital.gf2rank import rank2_by_characters
 
 from oracles import (ShiftPlane, _verify_plane_small, difference_counts,
-                     difference_family_fault)
+                     difference_family_fault, theta_multiples)
 from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
 
@@ -258,6 +257,12 @@ def test_unital_in_plane_rejects_a_table_off_the_design(setup9, square9):
     tbl = square9.table.copy()
     tbl[5] = square9.field.add(int(tbl[5]), 1)
     with pytest.raises(VerificationError, match="meets the unital"):
+        verify_unital_in_plane(dataclasses.replace(square9, table=tbl), setup9)
+    # f translated by delta with beta(delta) != 0: g shifts by beta(delta), so every
+    # line still meets U in 1 or q+1 points, but the tangents are the b with beta(b) = beta(delta)
+    delta = int(np.flatnonzero(beta_of_table(setup9))[0])
+    tbl = square9.field.vadd(square9.table, delta)
+    with pytest.raises(VerificationError, match="tangency does not align"):
         verify_unital_in_plane(dataclasses.replace(square9, table=tbl), setup9)
 
 
