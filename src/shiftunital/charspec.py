@@ -7,8 +7,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FieldError, VerificationError
-from .fields import ThetaSetup, _chunk_rows, make_char_field, trace_form_table
-from .geometry import base_blocks
+from .fields import (FieldCtx, ThetaSetup, _chunk_rows, make_char_field,
+                     trace_form_table)
+from . import geometry
 from .planar import PlanarSpec, is_normal
 
 @dataclass(frozen=True, eq=False)
@@ -46,16 +47,63 @@ def make_spectrum_ctx(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> Spectr
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Witness arrays over all q^3 characters, indexed [u, v, w].
+    """Membership of the q^3 characters chi_{u,v,w}, read off the evaluated u-slices.
 
-    lowest holds the lowest certifying beta of each member with w != 0 and 0
-    elsewhere. With witness_all, certifying holds every certifying beta of each
-    character as little-endian bits, bit beta - 1 of its last axis; else None.
+    slices[u, v, w] holds the lowest certifying beta of each member with w != 0 and
+    0 elsewhere, for every u, or for u = 0 and 1 only when the multiplier group M of
+    the base blocks is GF(q)* (geometry._multiplier): phi_c permutes the blocks, so
+    chi_{u,v,w} is a member iff chi_{cu,cv,c^d w} is, and c = 1/u sends slice u onto
+    slice 1. size, counts and members_of read the slices; lowest, members and bitmap
+    are q^3-sized, and their first read evaluates the other u (ctx). With
+    witness_all, certifying holds every certifying beta of each character as
+    little-endian bits, bit beta - 1 of its last axis; else None.
     """
 
     q: int
-    lowest: np.ndarray = field(repr=False)
+    slices: np.ndarray = field(repr=False)
+    base: FieldCtx = field(repr=False)
+    d: int
+    ctx: SpectrumCtx | None = field(repr=False, default=None)   # None: slices has every u
     certifying: np.ndarray | None = field(repr=False, default=None)
+
+    @cached_property
+    def size(self) -> int:
+        q, n = self.q, np.count_nonzero(self.slices.reshape(len(self.slices), -1), axis=1)
+        # chi_{u,v,0} for every (u, v), then the members with w != 0
+        return q * q + int(n.sum() if self.ctx is None else n[0] + (q - 1) * n[1])
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Members chi_{u,v,w} over v, indexed [u, w]: row u != 0 is row 1 at w u^-d."""
+        q, base = self.q, self.base
+        counts = np.count_nonzero(self.slices, axis=1)
+        counts[:, 0] = q
+        if self.ctx is None:
+            return counts
+        scale = base.vpow(np.arange(1, q), -self.d)
+        return np.concatenate([counts[:1], counts[1][base.vmul(scale[:, None], np.arange(q))]])
+
+    def members_of(self, u: int) -> np.ndarray:
+        """Membership of chi_{u,v,w} as a bool array indexed [v, w], from the slices."""
+        if u < len(self.slices):
+            low = self.slices[u]
+        else:
+            base, ar = self.base, np.arange(self.q)
+            low = self.slices[1][np.ix_(base.vmul(base.vpow(u, -1), ar),
+                                        base.vmul(base.vpow(u, -self.d), ar))]
+        out = low > 0
+        out[:, 0] = True
+        return out
+
+    @cached_property
+    def lowest(self) -> np.ndarray:
+        """The lowest certifying betas of every u, indexed [u, v, w]."""
+        if self.ctx is None:
+            return self.slices
+        lowest = np.zeros((self.q, *self.slices.shape[1:]), dtype=self.slices.dtype)
+        lowest[:2] = self.slices
+        _scan(self.ctx, lowest, start=2)
+        return lowest
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -64,10 +112,6 @@ class SpectrumResult:
         out[:, :, 0] = True
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.members))
 
     @cached_property
     def bitmap(self) -> int:
@@ -95,33 +139,14 @@ def _nonzero(epsx: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(np.take(epsx, k), axis=-1) != 0
 
 
-def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
-                  blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumResult:
-    """Evaluate all q^3 characters; the popcount equals dim C_2 of the punctured design.
-
-    chi_{u,v,0} is a member via B_a. For each u, S(beta) is evaluated circle by
-    circle, beta = 1..q-1, for every (v, w != 0) still pending, in chunks that
-    fit the working-memory budget. A character leaves the pending set at its
-    first nonzero sum, so its witness is the lowest certifying beta, and u = v = 0
-    is scanned on every circle (the exclusion lemma). witness_all keeps every
-    character pending and records all certifying betas. While every pair is
-    pending, a block of v is summed against every w by broadcast; after that the
-    pending pairs are gathered. Every sum is a sum of three trace values looked
-    up in epsx, then xor-reduced. The S(beta) criterion holds for normal f only;
-    FieldError otherwise. `blocks` is the checked (x, t) of base_blocks, built here
-    when None.
-    """
-    if not is_normal(f):
-        raise FieldError("spectrum engine requires a normal f")
-    ctx = make_spectrum_ctx(setup, *(base_blocks(f, setup) if blocks is None else blocks))
+def _scan(ctx: SpectrumCtx, lowest: np.ndarray, certifying: np.ndarray | None = None,
+          start: int = 0) -> None:
+    """Fill lowest[u] (and certifying[u]) for u = start, ..., len(lowest) - 1 by the circle loop."""
     tf = ctx.trace_form
-    q = setup.tower.base.n
+    q = tf.shape[0]
     row = 8 * (q + 1)               # np.take widens each pair's q + 1 trace sums to intp
     step, vstep = _chunk_rows(row), _chunk_rows(row * (q - 1))
-    lowest = np.zeros((q, q, q), dtype=np.min_scalar_type(q - 1))   # 0: no witness yet
-    certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
-                  if witness_all else None)
-    for u in range(q):
+    for u in range(start, len(lowest)):
         low = lowest[u, :, 1:]
         pv = pw = None                                  # None: every (v, w - 1) pending
         for beta in range(1, q):
@@ -130,7 +155,7 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
             if pv is None:
                 hit = np.concatenate([_nonzero(ctx.epsx, uv[i:i + vstep, None] + wt)
                                       for i in range(0, q, vstep)])
-                if witness_all:
+                if certifying is not None:
                     bits = hit.view(np.uint8) << (beta - 1) % 8
                     certifying[u, :, 1:, (beta - 1) // 8] |= bits
                     hit &= low == 0
@@ -148,7 +173,39 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
         if u == 0 and low[0].any():
             raise VerificationError(
                 "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
-    return SpectrumResult(q=q, lowest=lowest, certifying=certifying)
+
+
+def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
+                  blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumResult:
+    """The characters in the spectrum; their number equals dim C_2 of the punctured design.
+
+    chi_{u,v,0} is a member via B_a. For each u, S(beta) is evaluated circle by
+    circle, beta = 1..q-1, for every (v, w != 0) still pending, in chunks that
+    fit the working-memory budget. A character leaves the pending set at its
+    first nonzero sum, so its witness is the lowest certifying beta, and u = v = 0
+    is scanned on every circle (the exclusion lemma). witness_all keeps every
+    character pending and records all certifying betas. While every pair is
+    pending, a block of v is summed against every w by broadcast; after that the
+    pending pairs are gathered. Every sum is a sum of three trace values looked
+    up in epsx, then xor-reduced. When the base blocks have the multiplier group
+    M = GF(q)* and witness_all is off, only u = 0 and 1 are evaluated here
+    (SpectrumResult). The S(beta) criterion holds for normal f only; FieldError
+    otherwise. `blocks` is the checked (x, t) of base_blocks, built here when None.
+    """
+    if not is_normal(f):
+        raise FieldError("spectrum engine requires a normal f")
+    x, t = geometry.base_blocks(f, setup) if blocks is None else blocks
+    ctx = make_spectrum_ctx(setup, x, t)
+    base = setup.tower.base
+    q = base.n
+    size, d, _ = geometry._multiplier(setup, x, t)
+    reduced = size == q - 1 and not witness_all
+    lowest = np.zeros((2 if reduced else q, q, q), dtype=np.min_scalar_type(q - 1))
+    certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
+                  if witness_all else None)
+    _scan(ctx, lowest, certifying)
+    return SpectrumResult(q=q, slices=lowest, base=base, d=d,
+                          ctx=ctx if reduced else None, certifying=certifying)
 
 
 def bounds(q: int, p: int, m: int) -> dict:

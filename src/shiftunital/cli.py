@@ -261,7 +261,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
         spectrum = spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
         rank_spec = spectrum.size
     if run_gf2 and run_spectrum:
-        counts = spectrum.members.sum(axis=1)
+        counts = spectrum.counts
         bad = np.argwhere(by_character != counts)
         if bad.size:
             u, w = bad[0].tolist()
@@ -422,7 +422,8 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
                 if res is None:
                     res = spectrum_size(setup, f)
                 met = criterion_grid(setup, table)[:, 1:, 1:]
-                members = np.stack([res.members[1:, 0, 1:], res.members[0, 1:, 1:]])
+                members = np.stack([[res.members_of(u)[0, 1:] for u in range(1, q)],
+                                    res.members_of(0)[1:, 1:]])
                 bad = int(np.count_nonzero(met & ~members))
                 if bad:
                     raise VerificationError(

@@ -8,12 +8,14 @@ oracle.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import FieldError, VerificationError
 from .charspec import make_spectrum_ctx
 from .fields import ThetaSetup, _chunk_rows
-from .geometry import UnitalDesign
+from . import geometry
 
 _ORDER_SEED = 0
 _SLACK = 8                 # (a1, beta) rows beyond q in a component's first batch
@@ -62,7 +64,7 @@ def row_int(pids, nbytes: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def rank2_of_unital(design: UnitalDesign, include_infinity: bool = True,
+def rank2_of_unital(design: geometry.UnitalDesign, include_infinity: bool = True,
                     early_stop: bool = False) -> int:
     """dim C_2 of the (possibly punctured) incidence matrix, streamed block by block."""
     q = design.q
@@ -143,9 +145,11 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     (a1, beta) and one column per coset x1 = c; entry c sums the character over
     the points of D_beta + (a1 xi, 0) with x1 = c. A shift by (a0, s) only
     scales a row, and the B_a rows vanish. Frobenius gives rank_K(M_{u,w}) =
-    rank_K(M_{2u,2w}), so one (u, w) per orbit of x2 (e members) is eliminated,
-    realified over GF(2): K-row r becomes the e rows eps^i r, whose GF(2) rank
-    is e rank_K. Column c holds its e bits in slot c % (64 // e) of word
+    rank_K(M_{2u,2w}), and when the multiplier group M of the blocks is GF(q)*
+    (geometry._multiplier), phi_c maps the code onto itself, so rank_K(M_{u,w}) =
+    rank_K(M_{cu,c^d w}). One (u, w) per orbit of the group they generate is
+    eliminated, realified over GF(2): K-row r becomes the e rows eps^i r, whose
+    GF(2) rank is e rank_K. Column c holds its e bits in slot c % (64 // e) of word
     c // (64 // e); a row's word is the XOR of eps^(i + k) shifted to the slot
     of each point, the parity of the hit counts of each bit.
 
@@ -164,12 +168,20 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     slots = 64 // e
     width = -(-q // slots)
     eps = ctx.epsx.astype(np.uint64)
-    # one (u, w) per orbit of x2 with w != 0: the least u q + w in its orbit
+    # one (u, w) per orbit with w != 0: the least u q + w over the x2 images of its
+    # M-orbit representative rep, (1, w u^-d) for u != 0 and (0, w') with
+    # log w' = log w mod gcd(d, q - 1) for u = 0; with M = {1}, rep is the identity
     pair = np.arange(q * q).reshape(q, q)[:, 1:].ravel()
+    rep = np.arange(q * q)
+    size, d, _ = geometry._multiplier(setup, x, t)
+    if size == q - 1:
+        u, log_w = pair // q, base.log[pair % q]
+        rep[pair] = np.where(u == 0, base.exp[log_w % math.gcd(d, q - 1)],
+                             q + base.exp[(log_w - d * base.log[u]) % (q - 1)])
     double = base.vmul(2 % p, np.arange(q))
-    least, img = pair.copy(), pair.copy()
+    least = img = rep[pair]             # a gather, so np.minimum never writes into rep
     for _ in range(e - 1):
-        img = double[img // q] * q + double[img % q]
+        img = rep[double[img // q] * q + double[img % q]]
         np.minimum(least, img, out=least)
     reps = pair[least == pair]
     meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)

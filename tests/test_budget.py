@@ -3,7 +3,7 @@
 Each kernel sizes its chunks from fields._WORK_BYTES. tracemalloc sees every numpy
 buffer, so the traced peak of one call is the memory it holds at once. It may hold
 a few chunk temporaries of at most the budget each, plus what stays resident: its
-outputs and the arrays of a size fixed by q (the spectrum's lowest witnesses).
+outputs and the arrays of a size fixed by q (the spectrum's u-slices 0 and 1).
 """
 import tracemalloc
 
@@ -53,7 +53,7 @@ def kernels():
         "base_blocks q=49": (lambda: geometry.base_blocks(f49, s49),
                              lambda r: r[0].nbytes + r[1].nbytes, 2),
         "spectrum_size q=49": (lambda: spectrum_size(s49, f49, blocks=b49),
-                               lambda r: r.lowest.nbytes, 2),
+                               lambda r: r.slices.nbytes, 2),
         "rank2_by_characters q=19": (lambda: rank2_by_characters(s19, *b19),
                                      lambda r: r[1].nbytes, 3),
         "verify_unital_in_plane q=27": (lambda: geometry.verify_unital_in_plane(f27, s27),
@@ -100,4 +100,12 @@ def test_base_blocks_hold_no_q3_array():
     # the exact-cover check counts orbit labels of the multiplier group, O(q^2) of them
     f, setup, _ = _square(3, 5)
     _, peak = traced_peak(lambda: geometry.base_blocks(f, setup))
+    assert peak < 243**3
+
+
+def test_spectrum_count_holds_no_q3_array():
+    # with the multiplier group GF(q)*, the size is read off the u-slices 0 and 1
+    f, setup, _ = _square(3, 5)
+    size, peak = traced_peak(lambda: spectrum_size(setup, f).size)
+    assert size == 243**3 - 243 + 1
     assert peak < 243**3

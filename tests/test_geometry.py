@@ -449,7 +449,8 @@ def test_every_registry_f_takes_the_full_multiplier_group(q):
 def test_a_table_without_the_symmetry_takes_the_trivial_group(tower9):
     # f = L(x)^2 with L(x) = x + a x^3 is planar and normal, but no d gives
     # f(w x) = w^d f(x) for the generator w of GF(9)*: M = {1}, and both engines
-    # still give q^3 - q + 1
+    # still give q^3 - q + 1, the spectrum from every u-slice, and the same count
+    # and rank for each (u, w)
     ext = tower9.ext
     a = 3
     f = do_spec(ext, [(0, 0, 1), (0, 1, ext.mul(2, a)), (1, 1, ext.mul(a, a))])
@@ -461,8 +462,11 @@ def test_a_table_without_the_symmetry_takes_the_trivial_group(tower9):
     x, t = base_blocks(f, setup)
     size, d, rows = geometry._multiplier(setup, x, t)
     assert size == 1 and rows.tolist() == list(range(8))
-    assert spectrum_size(setup, f).size == 721
-    assert rank2_by_characters(setup, x, t)[0] == 721
+    res = spectrum_size(setup, f)
+    assert len(res.slices) == 9 and res.size == 721
+    total, ranks = rank2_by_characters(setup, x, t)
+    assert total == 721
+    assert ranks.tolist() == res.counts.tolist() == res.members.sum(axis=1).tolist()
 
 
 def plant_on_block_orbit(setup, x, t, d, j, point):

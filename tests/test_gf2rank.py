@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from shiftunital import (FieldError, VerificationError, base_blocks, build_unital,
                          construct_theta, coulter_matthews_spec, find_thetas, make_field,
-                         make_tower, rank2_of_unital, spectrum_size, square_spec)
-from shiftunital import gf2rank
-from shiftunital.fields import make_char_field, trace_form_table
+                         make_tower, rank2_of_unital, registry_list, spectrum_size,
+                         square_spec)
+from shiftunital import geometry, gf2rank
+from shiftunital.fields import make_char_field, prime_power, trace_form_table
 from shiftunital.gf2rank import RankAccumulator, _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
 from paper_checks import verify_dual_ovals
+from test_geometry import ODD_Q_UP_TO_81
 
 
 def test_row_int_little_endian_bytes():
@@ -220,6 +222,36 @@ def test_character_ranks_match_spectrum_counts(instances, tower27):
         assert ranks.tolist() == counts.tolist(), (q, f.name)
         assert (ranks[0, 1:] == q - 1).all() and (ranks[1:, 1:] == q).all()
         assert total == int(ranks.sum()) == q**3 - q + 1
+
+
+@pytest.mark.parametrize("q", [q for q in ODD_Q_UP_TO_81 if q <= 49] + [81])
+def test_orbit_reduced_engines_equal_the_unreduced(monkeypatch, q):
+    # every total equals the bound, so the reduction is checked per (u, w): the
+    # spectrum's counts, read off the u-slices 0 and 1, against the member counts of
+    # every u, and the ranks of one (u, w) per multiplier and x2 orbit against those
+    # of one per x2 orbit (M = {1}). The unreduced gf2 run grows with e = ord_p(2),
+    # 1.6-5.3 s a theta at q = 37 to 47 (e = 14 to 36), so it is left out above
+    # e = 12; square only at q = 81
+    p, m = prime_power(q)
+    tower = make_tower(make_field(p, m))
+    with_gf2 = make_char_field(p).e <= 12
+    cases = []
+    for f in registry_list(tower.ext)[:1 if q == 81 else None]:
+        setups = [construct_theta(tower)] if q == 81 else find_thetas(f, tower)
+        for setup in {s.theta: s for s in (setups[0], setups[-1])}.values():
+            blocks = base_blocks(f, setup)
+            res = spectrum_size(setup, f, blocks=blocks)
+            assert len(res.slices) == 2, (f.name, setup.theta)
+            ranks = rank2_by_characters(setup, *blocks)[1] if with_gf2 else None
+            cases.append((f, setup, blocks, res.counts, ranks))
+    monkeypatch.setattr(geometry, "_multiplier", lambda s, x, t: (1, 0, np.arange(q - 1)))
+    for f, setup, blocks, counts, ranks in cases:
+        full = spectrum_size(setup, f, blocks=blocks)
+        assert len(full.slices) == q
+        assert counts.tolist() == full.members.sum(axis=1).tolist(), (f.name, setup.theta)
+        if with_gf2:
+            assert ranks.tolist() == rank2_by_characters(setup, *blocks)[1].tolist(), (
+                f.name, setup.theta)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])
