@@ -4,13 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
-from .errors import FieldError, VerificationError
-from .fields import (FieldCtx, ThetaSetup, _chunk_rows, make_char_field,
-                     trace_form_table)
 from . import geometry
 from .planar import PlanarSpec, is_normal
+from .fields import (FieldCtx, ThetaSetup, _chunk_rows, make_char_field,
+                     trace_form_table)
+from .errors import FieldError, VerificationError
+
+import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class SpectrumCtx:
@@ -45,6 +45,17 @@ def make_spectrum_ctx(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> Spectr
                        x1=tower.dec1[x], t=t, epsx=np.tile(eps, 3), e=cf.e)
 
 
+def slice_one(base: FieldCtx, d: int, u, v, w):
+    """The indices (v/u, w u^-d) of chi_{u,v,w}, u != 0, in slice u = 1; broadcasts.
+
+    phi_c (geometry._multiplier) maps D_beta onto D_(c^d beta), so chi_{u,v,w} sums over
+    D_(c^d beta) as chi_{cu,cv,c^d w} does over D_beta. With c = 1/u, chi_{u,v,w} is a
+    member iff its image in slice 1 is, and its certifying betas are u^-d times those
+    of the image.
+    """
+    return base.vmul(base.vpow(u, -1), v), base.vmul(base.vpow(u, -d), w)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Membership of the q^3 characters chi_{u,v,w}, read off the evaluated u-slices.
@@ -53,56 +64,56 @@ class SpectrumResult:
     0 elsewhere, for every u, or for u = 0 and 1 only when the multiplier group M of
     the base blocks is GF(q)* (geometry._multiplier): phi_c permutes the blocks, so
     chi_{u,v,w} is a member iff chi_{cu,cv,c^d w} is, and c = 1/u sends slice u onto
-    slice 1. size, counts and members_of read the slices; lowest, members and bitmap
-    are q^3-sized, and their first read evaluates the other u (ctx). With
-    witness_all, certifying holds every certifying beta of each character as
-    little-endian bits, bit beta - 1 of its last axis; else None.
+    slice 1 (slice_one). size, counts and members_of read the slices; lowest, members
+    and bitmap are q^3-sized, and their first read evaluates the other u (ctx) and
+    drops ctx. With witness_all, certifying holds every certifying beta of each
+    character as little-endian bits, bit beta - 1 of its last axis; else None.
     """
 
     q: int
     slices: np.ndarray = field(repr=False)
     base: FieldCtx = field(repr=False)
     d: int
-    ctx: SpectrumCtx | None = field(repr=False, default=None)   # None: slices has every u
+    ctx: SpectrumCtx | None = field(repr=False, default=None)   # None: no u left to evaluate
     certifying: np.ndarray | None = field(repr=False, default=None)
 
     @cached_property
     def size(self) -> int:
         q, n = self.q, np.count_nonzero(self.slices.reshape(len(self.slices), -1), axis=1)
         # chi_{u,v,0} for every (u, v), then the members with w != 0
-        return q * q + int(n.sum() if self.ctx is None else n[0] + (q - 1) * n[1])
+        return q * q + int(n.sum() if len(n) == q else n[0] + (q - 1) * n[1])
 
     @cached_property
     def counts(self) -> np.ndarray:
         """Members chi_{u,v,w} over v, indexed [u, w]: row u != 0 is row 1 at w u^-d."""
-        q, base = self.q, self.base
+        q = self.q
         counts = np.count_nonzero(self.slices, axis=1)
         counts[:, 0] = q
-        if self.ctx is None:
+        if len(counts) == q:
             return counts
-        scale = base.vpow(np.arange(1, q), -self.d)
-        return np.concatenate([counts[:1], counts[1][base.vmul(scale[:, None], np.arange(q))]])
+        _, w = slice_one(self.base, self.d, np.arange(1, q)[:, None], 0, np.arange(q))
+        return np.concatenate([counts[:1], counts[1][w]])
 
     def members_of(self, u: int) -> np.ndarray:
         """Membership of chi_{u,v,w} as a bool array indexed [v, w], from the slices."""
         if u < len(self.slices):
             low = self.slices[u]
         else:
-            base, ar = self.base, np.arange(self.q)
-            low = self.slices[1][np.ix_(base.vmul(base.vpow(u, -1), ar),
-                                        base.vmul(base.vpow(u, -self.d), ar))]
+            ar = np.arange(self.q)
+            low = self.slices[1][slice_one(self.base, self.d, u, ar[:, None], ar)]
         out = low > 0
         out[:, 0] = True
         return out
 
     @cached_property
     def lowest(self) -> np.ndarray:
-        """The lowest certifying betas of every u, indexed [u, v, w]."""
-        if self.ctx is None:
+        """The lowest certifying betas of every u, indexed [u, v, w]; drops ctx."""
+        if len(self.slices) == self.q:
             return self.slices
         lowest = np.zeros((self.q, *self.slices.shape[1:]), dtype=self.slices.dtype)
         lowest[:2] = self.slices
         _scan(self.ctx, lowest, start=2)
+        object.__setattr__(self, "ctx", None)       # every u is evaluated
         return lowest
 
     @cached_property

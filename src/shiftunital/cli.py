@@ -9,13 +9,17 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import DesignError, FieldError, VerificationError
-from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
-                     prime_power, theta_setup)
+# Every module imports the package's own modules before numpy, higher layers first,
+# so that a fresh process compiles each eagerly loaded source before numpy's import
+# allocates: with no bytecode cache, a module compiled after numpy raises the peak
+# RSS of every command (tests/test_imports.py keeps the order).
 from . import geometry, planar      # charspec, gf2rank, kloosterman: imported where used
 from .geometry import _atomic_write_chunks
+from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
+                     prime_power, theta_setup)
+from .errors import DesignError, FieldError, VerificationError
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .charspec import SpectrumResult

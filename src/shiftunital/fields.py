@@ -10,9 +10,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import FieldError
+
+import numpy as np
 
 def _factorize(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""

@@ -7,11 +7,11 @@ import os
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DesignError, FieldError, VerificationError
-from .fields import ThetaSetup, TowerCtx, _chunk_rows, theta_setup
 from .planar import PlanarSpec, is_normal, planarity_witness
+from .fields import ThetaSetup, TowerCtx, _chunk_rows, theta_setup
+from .errors import DesignError, FieldError, VerificationError
+
+import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class UnitalDesign:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import FieldError, VerificationError
-from .charspec import make_spectrum_ctx
-from .fields import ThetaSetup, _chunk_rows
+from .charspec import make_spectrum_ctx, slice_one
 from . import geometry
+from .fields import ThetaSetup, _chunk_rows
+from .errors import FieldError, VerificationError
+
+import numpy as np
 
 _ORDER_SEED = 0
 _SLACK = 8                 # (a1, beta) rows beyond q in a component's first batch
@@ -169,15 +169,15 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     width = -(-q // slots)
     eps = ctx.epsx.astype(np.uint64)
     # one (u, w) per orbit with w != 0: the least u q + w over the x2 images of its
-    # M-orbit representative rep, (1, w u^-d) for u != 0 and (0, w') with
+    # M-orbit representative rep, (1, w u^-d) (slice_one) for u != 0 and (0, w') with
     # log w' = log w mod gcd(d, q - 1) for u = 0; with M = {1}, rep is the identity
     pair = np.arange(q * q).reshape(q, q)[:, 1:].ravel()
     rep = np.arange(q * q)
     size, d, _ = geometry._multiplier(setup, x, t)
     if size == q - 1:
-        u, log_w = pair // q, base.log[pair % q]
-        rep[pair] = np.where(u == 0, base.exp[log_w % math.gcd(d, q - 1)],
-                             q + base.exp[(log_w - d * base.log[u]) % (q - 1)])
+        _, w1 = slice_one(base, d, np.arange(q)[:, None], 0, np.arange(1, q))   # [u, w - 1]
+        rep[pair] = np.where(pair < q, base.exp[base.log[pair % q] % math.gcd(d, q - 1)],
+                             q + w1.ravel())
     double = base.vmul(2 % p, np.arange(q))
     least = img = rep[pair]             # a gather, so np.minimum never writes into rep
     for _ in range(e - 1):

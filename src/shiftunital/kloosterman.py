@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import FieldError, VerificationError
 from .fields import FieldCtx, ThetaSetup, _chunk_rows, quadratic_character, trace_table
+from .errors import FieldError, VerificationError
+
+import numpy as np
 
 class CyclotomicInt:
     """Sum of N_j * zeta_p^j with integer counts; counts that differ by a constant agree."""

@@ -4,10 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DesignError, FieldError
 from .fields import FieldCtx, _chunk_rows
+from .errors import DesignError, FieldError
+
+import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class PlanarSpec:

@@ -8,8 +8,9 @@ import pytest
 
 from shiftunital import (FieldCtx, FieldError, VerificationError, base_blocks, bounds,
                          construct_theta, find_thetas, make_char_field, make_field,
-                         make_tower, rank2_of_unital, spectrum_size, square_spec)
-from shiftunital import charspec
+                         make_tower, rank2_of_unital, registry_list, spectrum_size,
+                         square_spec)
+from shiftunital import charspec, geometry
 
 import oracles
 from oracles import chi_array, chi_block, in_spectrum_by_scan, member, s_beta, witnesses
@@ -187,6 +188,46 @@ def test_spectrum_keeps_no_reference_to_setup():
     del setup
     gc.collect()
     assert ref() is None
+
+
+def test_spectrum_drops_its_context_once_every_u_is_evaluated(tower9):
+    f = square_spec(tower9.ext)
+    setup = construct_theta(tower9)
+    fresh, res = spectrum_size(setup, f), spectrum_size(setup, f)
+    assert len(res.slices) == 2                 # M = GF(q)*: a context for the other u
+    ref = weakref.ref(res.ctx)
+    assert res.lowest.shape == (9, 9, 9)
+    gc.collect()
+    assert ref() is None and res.ctx is None
+    # the reduced slices still read as reduced once the context is gone
+    assert res.size == fresh.size == 9**3 - 9 + 1
+    assert np.array_equal(res.counts, fresh.counts)
+    for u in range(9):
+        assert np.array_equal(res.members_of(u), fresh.members_of(u))
+        assert np.array_equal(res.members_of(u), res.members[u])
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
+def test_slice_one_maps_certifying_sets(p, m):
+    # phi_c maps D_beta onto D_(c^d beta), so with c = 1/u the certifying betas of
+    # chi_{u,v,w} are u^-d times those of chi_{1,v',w'}, (v', w') = slice_one(u, v, w);
+    # the sets differ between characters even where every count is maximal
+    tower = make_tower(make_field(p, m))
+    base, q = tower.base, tower.base.n
+    ar = np.arange(q)
+    for f in registry_list(tower.ext):
+        setup = find_thetas(f, tower)[0]
+        x, t = base_blocks(f, setup)
+        assert geometry._multiplier(setup, x, t)[0] == q - 1
+        full = spectrum_size(setup, f, witness_all=True, blocks=(x, t))
+        ones = full.certifying_sets(1)
+        for u in range(2, q):
+            v1, w1 = charspec.slice_one(base, full.d, u, ar[:, None], ar[None, 1:])
+            scale = base.vpow(u, -full.d)
+            got = [tuple(sorted(base.vmul(scale, np.array(ones[k], dtype=np.int64)).tolist()))
+                   for k in (v1 * q + w1).ravel().tolist()]
+            sets = full.certifying_sets(u)
+            assert got == [sets[v * q + w] for v in range(q) for w in range(1, q)], (f.name, u)
 
 
 def test_s_beta_rejects_zero_beta(instances):

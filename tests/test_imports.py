@@ -1,5 +1,7 @@
-"""Each command loads only the modules it runs; the package exports resolve on first use."""
+"""Each command loads only the modules it runs, and compiles them before numpy; the package
+exports resolve on first use."""
 import os
+import shutil
 import subprocess
 import sys
 
@@ -21,6 +23,24 @@ print(" ".join(sorted(name for name in sys.modules
                       if name.startswith("shiftunital.") or name in ("hashlib", "fractions"))))
 """
 BASE = {"cli", "errors", "fields", "planar", "geometry"}
+# imports argv[1] and prints, in order, the package sources it compiles and "numpy"
+# where numpy's import begins
+_COMPILE_PROBE = """
+import importlib, os, sys
+events = []
+
+def hook(event, args):
+    if event == "compile" and os.path.basename(os.path.dirname(str(args[1]))) == "shiftunital":
+        events.append(os.path.basename(args[1]).removesuffix(".py"))
+    elif event == "import" and args[0] == "numpy" and "numpy" not in events:
+        events.append("numpy")
+
+sys.addaudithook(hook)
+importlib.import_module(sys.argv[1])
+print(" ".join(events))
+print(" ".join(name.removeprefix("shiftunital.") for name in sys.modules
+               if name.startswith("shiftunital.")))
+"""
 
 
 def _loaded(cwd, *argv) -> set[str]:
@@ -30,6 +50,21 @@ def _loaded(cwd, *argv) -> set[str]:
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     return {name.removeprefix("shiftunital.") for name in done.stdout.splitlines()[-1].split()}
+
+
+@pytest.mark.parametrize("module", ["cli", *shiftunital._EXPORTS])
+def test_package_sources_compile_before_numpy(tmp_path, module):
+    # a copy without __pycache__, so every package source compiles
+    shutil.copytree(os.path.join(SRC, "shiftunital"), tmp_path / "shiftunital",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, f"shiftunital.{module}"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    events, loaded = (line.split() for line in done.stdout.splitlines()[-2:])
+    assert set(events) - {"numpy"} == {"__init__", *loaded}
+    assert module in loaded
+    # every package source compiles before numpy's import begins; errors loads no numpy
+    assert events[-1] == ("errors" if module == "errors" else "numpy"), events
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
