@@ -30,25 +30,25 @@ class SpectrumCtx:
     e: int                                    # eps lies in GF(2^e), e = ord_p(2)
 
 
-def make_spectrum_ctx(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> SpectrumCtx:
-    """The character data of the base blocks x, t of base_blocks.
+def make_spectrum_ctx(blocks: geometry.BaseBlocks) -> SpectrumCtx:
+    """The character data of the checked base blocks.
 
     FieldError when a character value needs more than 64 bits (e > 64).
     """
-    tower = setup.tower
+    tower = blocks.setup.tower
     base = tower.base
     cf = make_char_field(base.p)
     if cf.e > 64:
         raise FieldError(f"character values of GF(2^{cf.e}) do not fit in 64 bits")
     eps = np.array(cf.eps_pows, dtype=np.min_scalar_type((1 << cf.e) - 1))
-    return SpectrumCtx(trace_form=trace_form_table(base), x0=tower.dec0[x],
-                       x1=tower.dec1[x], t=t, epsx=np.tile(eps, 3), e=cf.e)
+    return SpectrumCtx(trace_form=trace_form_table(base), x0=tower.dec0[blocks.x],
+                       x1=tower.dec1[blocks.x], t=blocks.t, epsx=np.tile(eps, 3), e=cf.e)
 
 
 def slice_one(base: FieldCtx, d: int, u, v, w):
     """The indices (v/u, w u^-d) of chi_{u,v,w}, u != 0, in slice u = 1; broadcasts.
 
-    phi_c (geometry._multiplier) maps D_beta onto D_(c^d beta), so chi_{u,v,w} sums over
+    phi_c (geometry.base_blocks) maps D_beta onto D_(c^d beta), so chi_{u,v,w} sums over
     D_(c^d beta) as chi_{cu,cv,c^d w} does over D_beta. With c = 1/u, chi_{u,v,w} is a
     member iff its image in slice 1 is, and its certifying betas are u^-d times those
     of the image.
@@ -62,7 +62,7 @@ class SpectrumResult:
 
     slices[u, v, w] holds the lowest certifying beta of each member with w != 0 and
     0 elsewhere, for every u, or for u = 0 and 1 only when the multiplier group M of
-    the base blocks is GF(q)* (geometry._multiplier): phi_c permutes the blocks, so
+    the base blocks is GF(q)* (geometry.base_blocks): phi_c permutes the blocks, so
     chi_{u,v,w} is a member iff chi_{cu,cv,c^d w} is, and c = 1/u sends slice u onto
     slice 1 (slice_one). size, counts and members_of read the slices; lowest, members
     and bitmap are q^3-sized, and their first read evaluates the other u (ctx) and
@@ -187,7 +187,7 @@ def _scan(ctx: SpectrumCtx, lowest: np.ndarray, certifying: np.ndarray | None = 
 
 
 def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
-                  blocks: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumResult:
+                  blocks: geometry.BaseBlocks | None = None) -> SpectrumResult:
     """The characters in the spectrum; their number equals dim C_2 of the punctured design.
 
     chi_{u,v,0} is a member via B_a. For each u, S(beta) is evaluated circle by
@@ -201,21 +201,19 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
     up in epsx, then xor-reduced. When the base blocks have the multiplier group
     M = GF(q)* and witness_all is off, only u = 0 and 1 are evaluated here
     (SpectrumResult). The S(beta) criterion holds for normal f only; FieldError
-    otherwise. `blocks` is the checked (x, t) of base_blocks, built here when None.
+    otherwise. `blocks` is base_blocks(f, setup), built here when None.
     """
     if not is_normal(f):
         raise FieldError("spectrum engine requires a normal f")
-    x, t = geometry.base_blocks(f, setup) if blocks is None else blocks
-    ctx = make_spectrum_ctx(setup, x, t)
-    base = setup.tower.base
-    q = base.n
-    size, d, _ = geometry._multiplier(setup, x, t)
-    reduced = size == q - 1 and not witness_all
+    blocks = geometry.base_blocks(f, setup) if blocks is None else blocks
+    ctx = make_spectrum_ctx(blocks)
+    base, q = setup.tower.base, setup.tower.base.n
+    reduced = blocks.size == q - 1 and not witness_all
     lowest = np.zeros((2 if reduced else q, q, q), dtype=np.min_scalar_type(q - 1))
     certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
                   if witness_all else None)
     _scan(ctx, lowest, certifying)
-    return SpectrumResult(q=q, slices=lowest, base=base, d=d,
+    return SpectrumResult(q=q, slices=lowest, base=base, d=blocks.d,
                           ctx=ctx if reduced else None, certifying=certifying)
 
 

@@ -218,7 +218,7 @@ def _cached_row(path: str, config: dict) -> dict | None:
     try:
         with open(path) as fh:
             row = json.load(fh)
-    except (ValueError, OSError):
+    except (ValueError, OSError, RecursionError):
         return None
     if (not isinstance(row, dict) or any(k not in row for k in _ROW_KEYS)
             or not all(_same(row[k], v) for k, v in config.items())
@@ -259,7 +259,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     if run_gf2:
         from .gf2rank import rank2_by_characters
         blocks = geometry.base_blocks(f, setup)
-        rank_gf2, by_character = rank2_by_characters(setup, *blocks)
+        rank_gf2, by_character = rank2_by_characters(blocks)
     if run_spectrum:
         from .charspec import spectrum_size
         spectrum = spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
@@ -305,7 +305,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     normal = planar.is_normal(f)
     print(f"planarity: ok  normality: {'ok' if normal else 'no (allowed)'}")
     print(f"plane axioms: ok {rep}")
-    x, t = geometry.base_blocks(f, setup)   # VerificationError unless a difference family
+    blocks = geometry.base_blocks(f, setup)  # VerificationError unless a difference family
     q = tower.base.n
     print(f"design 2-({q**3 + 1},{q + 1},1): ok")
     rep = geometry.verify_unital_in_plane(f, setup)
@@ -313,7 +313,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if normal:
         rep = geometry.verify_ovals(f, setup)
         print(f"oval decomposition: ok {rep}")
-    rep = geometry.verify_transitivity(setup, x, t)
+    rep = geometry.verify_transitivity(blocks)
     print(f"point-regular shift action: ok {rep}")
     return 0
 

@@ -106,13 +106,25 @@ def _t_axis(setup: ThetaSetup) -> tuple[int, int]:
     return (1, setup.theta1) if setup.theta1 != 0 else (0, setup.theta0)
 
 
-def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (x, t) of D_beta = {(y, f_j(y)/theta_j) : y in C_{0,beta}}, row beta - 1.
+@dataclass(frozen=True, eq=False, repr=False)
+class BaseBlocks:
+    """The checked base blocks of U_theta (base_blocks) and their multiplier group M."""
 
-    Both arrays have shape (q - 1, q + 1); x holds GF(q^2) indices (ascending per
-    row), t GF(q) indices. U_theta is the development of the D_beta under
-    G = GF(q^2) x GF(q), plus the short orbit of {(0, t)} + (inf). The blocks pass
-    the exact difference-family check before they are returned.
+    setup: ThetaSetup
+    x: np.ndarray           # (q - 1, q + 1) GF(q^2) indices, row beta - 1
+    t: np.ndarray           # (q - 1, q + 1) GF(q) indices
+    size: int               # |M|: q - 1 for M = <phi>, 1 for M = {1}
+    d: int                  # phi(x, t) = (w x, w^d t); 0 for M = {1}
+    rows: np.ndarray        # one row per M-orbit of the blocks
+
+
+def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> BaseBlocks:
+    """D_beta = {(y, f_j(y)/theta_j) : y in C_{0,beta}} at row beta - 1, and its certificate.
+
+    x holds GF(q^2) indices (ascending per row), t GF(q) indices. U_theta is the
+    development of the D_beta under G = GF(q^2) x GF(q), plus the short orbit of
+    {(0, t)} + (inf). The blocks pass the exact difference-family check, through the
+    multiplier group computed here once, before they are returned.
     """
     tower = setup.tower
     base = tower.base
@@ -121,8 +133,9 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> tuple[np.ndarray, np.ndarra
     x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
     fj = (tower.dec1 if j else tower.dec0)[f.table[x]].astype(np.int64)
     t = base.vmul(base.inv(theta_j), fj).astype(np.int64)
-    _check_difference_family(setup, x, t)
-    return x, t
+    multiplier = _multiplier(setup, x, t)
+    _check_difference_family(setup, x, t, multiplier)
+    return BaseBlocks(setup, x, t, *multiplier)
 
 
 def _multiplier(setup: ThetaSetup, x: np.ndarray, t: np.ndarray):
@@ -143,12 +156,13 @@ def _multiplier(setup: ThetaSetup, x: np.ndarray, t: np.ndarray):
     return 1, 0, np.arange(q - 1)
 
 
-def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> None:
+def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
+                             multiplier: tuple) -> None:
     """The differences inside the base blocks cover G minus {0} x GF(q) exactly once.
 
     With the short orbit, this is exactly the 2-(q^3+1, q+1, 1) property of the
     development (a relative difference family; Beth-Jungnickel-Lenz, Design Theory).
-    M (_multiplier) permutes the blocks by automorphisms of G, so a difference arises
+    M (multiplier) permutes the blocks by automorphisms of G, so a difference arises
     as often as each of its M-images; on dx != 0, M acts freely with orbit labels
     (k, c^-d dt), dx = z^k c, z generating GF(q^2)*, c in GF(q)*, k < (q^2 - 1)/|M|.
     The cover is exact iff no row repeats an x and each label arises |rows||M|/(q - 1)
@@ -160,7 +174,7 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) ->
     """
     tower = setup.tower
     base, ext, q = tower.base, tower.ext, tower.base.n
-    size, d, rows = _multiplier(setup, x, t)
+    size, d, rows = multiplier
     off_diagonal = ~np.eye(x.shape[1], dtype=bool)
     step = _chunk_rows(52 * q * (q + 1))   # dx, dt, the labels and their temporaries
 
@@ -203,7 +217,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     base, ext = tower.base, tower.ext
     q = base.n
     n = ext.n
-    x, t = base_blocks(f, setup)
+    d_beta = base_blocks(f, setup)
     betas = beta_of_table(setup)
     valid_b = np.flatnonzero(betas != 0)
     slot_of_b = np.full(n, -1, dtype=np.int64)
@@ -222,8 +236,8 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     a_stride = n + a_ids * (n - q)
     for beta in range(1, q):
         bs = np.flatnonzero(betas == beta)
-        xs = ext.vadd(ext.neg_table[:, None], x[beta - 1][None, :]).astype(np.int64)
-        ts = base.vsub(t[beta - 1][None, :], t_shift[bs][:, None])   # (b, point)
+        xs = ext.vadd(ext.neg_table[:, None], d_beta.x[beta - 1][None, :]).astype(np.int64)
+        ts = base.vsub(d_beta.t[beta - 1][None, :], t_shift[bs][:, None])   # (b, point)
         rows = a_stride[:, None] + slot_of_b[bs][None, :]              # (a, b)
         blocks[rows] = (xs[:, None, :] * q + ts[None, :, :]).astype(dtype)
     blocks[n:].sort(axis=1)
@@ -355,19 +369,18 @@ def verify_ovals(f: PlanarSpec, setup: ThetaSetup) -> dict:
             "union_is_unital": True, "pairwise_common": "(inf)", "ok": True}
 
 
-def verify_transitivity(setup: ThetaSetup, x: np.ndarray, t: np.ndarray) -> dict:
+def verify_transitivity(blocks: BaseBlocks) -> dict:
     """G = GF(q^2) x GF(q) acts by shifts (x, t) -> (x + u, t + s) and maps blocks to blocks.
 
-    Precondition: x, t are the arrays base_blocks returned, so the differences of
-    distinct points of the D_beta cover G minus {0} x GF(q) exactly once. The shifts
-    act regularly on the affine points by definition, and B_a + (u, s) = B_{a+u}.
-    The other blocks are the translates D_beta + g. Suppose D_beta + g = D_beta' + g'
-    and pick P != Q in D_beta: their images P' != Q' lie in D_beta', and
-    Q - P = Q' - P'. The exact cover gives each such difference exactly one ordered
+    base_blocks checked that the differences of distinct points of the D_beta cover
+    G minus {0} x GF(q) exactly once. The shifts act regularly on the affine points by
+    definition, and B_a + (u, s) = B_{a+u}; the other blocks are the translates D_beta + g.
+    If D_beta + g = D_beta' + g', pick P != Q in D_beta: their images P' != Q' lie in
+    D_beta', and Q - P = Q' - P'. The exact cover gives each such difference one ordered
     pair in one block, so beta = beta', P = P' and g = g'. Hence the q^3 (q - 1)
     translates are distinct, and G permutes them regularly; nothing is left to compute.
     """
-    q = setup.tower.base.n
+    q = blocks.setup.tower.base.n
     return {"group_order": q**3, "regular": True, "blocks_closed": "exhaustive",
             "ok": True}
 
@@ -400,8 +413,8 @@ def read_design(path: str) -> UnitalDesign:
     """Parse the canonical text format; field contexts are not reconstructed.
 
     DesignError on a missing or non-integer header entry, points != q^3 + 1, or a
-    body other than `blocks` rows of q + 1 point ids in range(points), a blank line
-    too (np.loadtxt, which parses the body into the block dtype, only warns on it).
+    body other than `blocks` rows of q + 1 point ids in range(points): np.loadtxt reads
+    one row more, and a blank line, on which it only warns, raises too.
     """
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
@@ -414,7 +427,7 @@ def read_design(path: str) -> UnitalDesign:
                 int(meta[k]) for k in ("p", "m", "q", "theta_index", "points", "blocks"))
             modulus, f_name = tuple(int(c) for c in meta["modulus"].split(",")), meta["f"]
             blocks = np.loadtxt(fh, dtype=np.uint16 if q**3 < 2**16 else np.uint32,
-                                comments=None, max_rows=n_blocks, ndmin=2)
+                                comments=None, max_rows=n_blocks + 1, ndmin=2)
         except KeyError as exc:
             raise DesignError(f"{path}: header has no {exc.args[0]}= entry") from None
         except (ValueError, OverflowError, UserWarning) as exc:

@@ -12,7 +12,7 @@ import math
 
 from .charspec import make_spectrum_ctx, slice_one
 from . import geometry
-from .fields import ThetaSetup, _chunk_rows
+from .fields import _chunk_rows
 from .errors import FieldError, VerificationError
 
 import numpy as np
@@ -132,9 +132,8 @@ def _eliminate(stack: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
-                        t: np.ndarray) -> tuple[int, np.ndarray]:
-    """dim C_2 of U_theta, punctured or not, from the checked base blocks x, t of base_blocks.
+def rank2_by_characters(blocks: geometry.BaseBlocks) -> tuple[int, np.ndarray]:
+    """dim C_2 of U_theta, punctured or not, from the checked base blocks of base_blocks.
 
     Returns the total and the K-rank of every (u, w) component, indexed [u, w].
     H = V x GF(q), V = {x : x1 = 0}, has odd order and maps blocks to blocks, so
@@ -146,7 +145,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     the points of D_beta + (a1 xi, 0) with x1 = c. A shift by (a0, s) only
     scales a row, and the B_a rows vanish. Frobenius gives rank_K(M_{u,w}) =
     rank_K(M_{2u,2w}), and when the multiplier group M of the blocks is GF(q)*
-    (geometry._multiplier), phi_c maps the code onto itself, so rank_K(M_{u,w}) =
+    (geometry.base_blocks), phi_c maps the code onto itself, so rank_K(M_{u,w}) =
     rank_K(M_{cu,c^d w}). One (u, w) per orbit of the group they generate is
     eliminated, realified over GF(2): K-row r becomes the e rows eps^i r, whose
     GF(2) rank is e rank_K. Column c holds its e bits in slot c % (64 // e) of word
@@ -161,9 +160,9 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     total is exact; above q^3 - q + 1, the proven bound, it is an error.
     FieldError when e > 64.
     """
-    base = setup.tower.base
+    base = blocks.setup.tower.base
     q, p = base.n, base.p
-    ctx = make_spectrum_ctx(setup, x, t)
+    ctx = make_spectrum_ctx(blocks)
     e = ctx.e
     slots = 64 // e
     width = -(-q // slots)
@@ -173,8 +172,8 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
     # log w' = log w mod gcd(d, q - 1) for u = 0; with M = {1}, rep is the identity
     pair = np.arange(q * q).reshape(q, q)[:, 1:].ravel()
     rep = np.arange(q * q)
-    size, d, _ = geometry._multiplier(setup, x, t)
-    if size == q - 1:
+    if blocks.size == q - 1:
+        d = blocks.d
         _, w1 = slice_one(base, d, np.arange(q)[:, None], 0, np.arange(1, q))   # [u, w - 1]
         rep[pair] = np.where(pair < q, base.exp[base.log[pair % q] % math.gcd(d, q - 1)],
                              q + w1.ravel())
@@ -184,7 +183,7 @@ def rank2_by_characters(setup: ThetaSetup, x: np.ndarray,
         img = rep[double[img // q] * q + double[img % q]]
         np.minimum(least, img, out=least)
     reps = pair[least == pair]
-    meets = np.bincount((np.arange(q - 1)[:, None] * q + t).ravel(), minlength=(q - 1) * q)
+    meets = np.bincount((np.arange(q - 1)[:, None] * q + ctx.t).ravel(), minlength=(q - 1) * q)
     even = not np.any(meets & 1)
     caps = np.where((reps // q == 0) & even, e * (q - 1), e * q)
     tr_u, tr_w = ctx.trace_form[reps // q], ctx.trace_form[reps % q]

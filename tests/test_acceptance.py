@@ -109,7 +109,7 @@ def test_criterion_04_q27_engines(computed, capsys):
     res, secs = st["spectrum"], st["spectrum_secs"]
     ok = 13625 <= res.size <= 19657 and secs < 600
     t0 = time.monotonic()
-    r2 = rank2_by_characters(st["setup"], *base_blocks(st["f"], st["setup"]))[0]
+    r2 = rank2_by_characters(base_blocks(st["f"], st["setup"]))[0]
     gf2_secs = time.monotonic() - t0
     ok = ok and r2 == res.size and gf2_secs < 1800
     match = "matches" if res.size == 19657 else "does not match"

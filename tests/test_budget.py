@@ -51,10 +51,10 @@ def kernels():
     k7 = make_field(3, 7)
     return {
         "base_blocks q=49": (lambda: geometry.base_blocks(f49, s49),
-                             lambda r: r[0].nbytes + r[1].nbytes, 2),
+                             lambda r: r.x.nbytes + r.t.nbytes, 2),
         "spectrum_size q=49": (lambda: spectrum_size(s49, f49, blocks=b49),
                                lambda r: r.slices.nbytes, 2),
-        "rank2_by_characters q=19": (lambda: rank2_by_characters(s19, *b19),
+        "rank2_by_characters q=19": (lambda: rank2_by_characters(b19),
                                      lambda r: r[1].nbytes, 3),
         "verify_unital_in_plane q=27": (lambda: geometry.verify_unital_in_plane(f27, s27),
                                         lambda r: 0, 1),
@@ -73,15 +73,16 @@ def test_kernel_peak_within_the_budget(kernels, name):
     assert peak <= bound, f"{name}: traced peak {peak} B above {bound} B"
 
 
-def test_trivial_multiplier_counts_the_labels_a_chunk_at_a_time(monkeypatch):
-    # forced onto the M = {1} path, the exact-cover check reads every row; it holds
-    # one chunk of differences and labels, and two int64 counts per label: the sum
-    # so far and one chunk's np.bincount
-    f, setup, _ = _square(7, 2)
+def test_trivial_multiplier_counts_the_labels_a_chunk_at_a_time():
+    # given M = {1}, the exact-cover check reads every row; it holds one chunk of
+    # differences and labels, and two int64 counts per label: the sum so far and
+    # one chunk's np.bincount
+    _, setup, blocks = _square(7, 2)
     q = setup.tower.base.n
-    monkeypatch.setattr(geometry, "_multiplier", lambda s, x, t: (1, 0, np.arange(q - 1)))
-    (x, t), peak = traced_peak(lambda: geometry.base_blocks(f, setup))
-    bound = 2 * fields._WORK_BYTES + x.nbytes + t.nbytes + 16 * (q**3 - q)
+    trivial = (1, 0, np.arange(q - 1))
+    _, peak = traced_peak(
+        lambda: geometry._check_difference_family(setup, blocks.x, blocks.t, trivial))
+    bound = 2 * fields._WORK_BYTES + 16 * (q**3 - q)
     assert peak <= bound, f"traced peak {peak} B above {bound} B"
 
 

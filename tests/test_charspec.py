@@ -10,7 +10,7 @@ from shiftunital import (FieldCtx, FieldError, VerificationError, base_blocks, b
                          construct_theta, find_thetas, make_char_field, make_field,
                          make_tower, rank2_of_unital, registry_list, spectrum_size,
                          square_spec)
-from shiftunital import charspec, geometry
+from shiftunital import charspec
 
 import oracles
 from oracles import chi_array, chi_block, in_spectrum_by_scan, member, s_beta, witnesses
@@ -66,7 +66,7 @@ def test_w_zero_always_member_and_uv_zero_never(instances):
 def test_witnesses_certify_membership(instances):
     tower, f, setup, design = instances[3, "square"]
     res = spectrum_size(setup, f)
-    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
+    ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
     q = 3
     wits = witnesses(res)
     for idx, wit in wits.items():
@@ -88,7 +88,7 @@ def test_witnesses_certify_membership(instances):
 def test_witness_all_lists_every_nonzero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
     res = spectrum_size(setup, f, witness_all=True)
-    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
+    ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
     q = 3
     for idx, wit in witnesses(res).items():
         w = idx % q
@@ -173,7 +173,7 @@ def test_spectrum_ctx_holds_no_cubic_array(tower27):
     # the traces are read from the (q, q) table per circle; nothing is q^3-sized
     f = square_spec(tower27.ext)
     setup = construct_theta(tower27)
-    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
+    ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
     arrays = [getattr(ctx, fd.name) for fd in dataclasses.fields(ctx)]
     sizes = [a.size for a in arrays if isinstance(a, np.ndarray)]
     assert sizes and max(sizes) <= 27**2
@@ -217,9 +217,9 @@ def test_slice_one_maps_certifying_sets(p, m):
     ar = np.arange(q)
     for f in registry_list(tower.ext):
         setup = find_thetas(f, tower)[0]
-        x, t = base_blocks(f, setup)
-        assert geometry._multiplier(setup, x, t)[0] == q - 1
-        full = spectrum_size(setup, f, witness_all=True, blocks=(x, t))
+        blocks = base_blocks(f, setup)
+        assert blocks.size == q - 1
+        full = spectrum_size(setup, f, witness_all=True, blocks=blocks)
         ones = full.certifying_sets(1)
         for u in range(2, q):
             v1, w1 = charspec.slice_one(base, full.d, u, ar[:, None], ar[None, 1:])
@@ -233,7 +233,7 @@ def test_slice_one_maps_certifying_sets(p, m):
 def test_s_beta_rejects_zero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
     with pytest.raises(FieldError):
-        s_beta(charspec.make_spectrum_ctx(setup, *base_blocks(f, setup)), (1, 0, 1), 0)
+        s_beta(charspec.make_spectrum_ctx(base_blocks(f, setup)), (1, 0, 1), 0)
 
 
 def test_chi_block_requires_punctured_block(instances):
@@ -276,7 +276,8 @@ def _full_scan(setup, f):
     base = tower.base
     q = base.n
     chitab = chi_array(make_char_field(base.p), base)
-    x, t = base_blocks(f, setup)
+    blocks = base_blocks(f, setup)
+    x, t = blocks.x, blocks.t
     x0 = tower.dec0[x].astype(np.int64)
     x1 = tower.dec1[x].astype(np.int64)
     wt = base.vmul(np.arange(1, q)[:, None, None], t[None])        # (w-1, beta-1, point)
@@ -315,7 +316,7 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
     nonzero, lowest, res, full = _check_against_full_scan(setup, f)
     q = 27
     assert res.size == q**3 - q + 1
-    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
+    ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
     for idx, wit in witnesses(res).items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
@@ -340,7 +341,7 @@ def test_wide_character_values_match_full_scan(p):
     tower = make_tower(make_field(p, 1))
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
-    ctx = charspec.make_spectrum_ctx(setup, *base_blocks(f, setup))
+    ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
     e = make_char_field(p).e
     assert e > 8 and ctx.epsx.dtype.itemsize * 8 >= e
     assert int(ctx.epsx.max()) >= 1 << 8
@@ -354,8 +355,9 @@ def test_wide_trace_sums_q89():
     q = base.n
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
-    x, t = base_blocks(f, setup)
-    ctx = charspec.make_spectrum_ctx(setup, x, t)
+    blocks = base_blocks(f, setup)
+    x, t = blocks.x, blocks.t
+    ctx = charspec.make_spectrum_ctx(blocks)
     assert ctx.trace_form.dtype == np.uint16
     chitab = chi_array(make_char_field(base.p), base)
     x0 = tower.dec0[x].astype(np.int64)

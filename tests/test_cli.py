@@ -112,6 +112,22 @@ def test_corrupted_cache_rebuilt(workdir, capsys):
             {k: good[k] for k in ROW_KEYS if k != "wall_ms"}
 
 
+def test_cached_row_nested_too_deep_is_recomputed(workdir, capsys):
+    # json.load raises RecursionError on deep nesting: the entry is unreadable, so
+    # the row is recomputed and rewritten like any other bad row
+    assert main(["rank", "--p", "3", "--m", "1"]) == 0
+    result_path = workdir / "cache" / KEY_Q3 / "result.json"
+    good = json.loads(result_path.read_text())
+    result_path.write_text("[" * 200000 + "]" * 200000)
+    capsys.readouterr()
+    assert main(["rank", "--p", "3", "--m", "1"]) == 0
+    printed = json.loads(capsys.readouterr().out.splitlines()[1])
+    rewritten = json.loads(result_path.read_text())
+    assert rewritten == printed
+    assert {k: rewritten[k] for k in ROW_KEYS if k != "wall_ms"} == \
+        {k: good[k] for k in ROW_KEYS if k != "wall_ms"}
+
+
 @pytest.mark.parametrize("engine, planted", [
     ("spectrum", {"rank_spectrum": 5}),                        # below the window
     ("spectrum", {"rank_spectrum": 26}),                       # above it
@@ -225,6 +241,23 @@ def test_verify_rejects_bad_table(workdir, capsys):
     assert main(["verify", "--p", "3", "--m", "1", "--f", "user:bad.do"]) == 1
     err = capsys.readouterr().err
     assert "not planar" in err and "a = " in err
+
+
+def test_user_table_without_the_symmetry_runs_every_layer(workdir, capsys, tower9):
+    # f = L(x)^2, L(x) = x + a x^3, a = index 3: planar and normal, and its base
+    # blocks take M = {1} (test_a_table_without_the_symmetry_takes_the_trivial_group)
+    ext = tower9.ext
+    a = 3
+    (workdir / "lsq.do").write_text(f"0 0 1\n0 1 {ext.mul(2, a)}\n1 1 {ext.mul(a, a)}\n")
+    argv = ["--p", "3", "--m", "2", "--f", "user:lsq.do"]
+    assert main(["verify", *argv]) == 0
+    checks = [line.partition(": ok")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert checks == ["planarity", "plane axioms", "design 2-(730,10,1)",
+                      "lines meet unital in 1 or q+1", "oval decomposition",
+                      "point-regular shift action"]
+    assert main(["rank", *argv, "--engine", "both"]) == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert row["rank_gf2"] == row["rank_spectrum"] == 721
 
 
 def test_find_theta(workdir, capsys):
@@ -591,7 +624,24 @@ def test_report_evaluates_spectrum_once_per_row(workdir, monkeypatch):
     assert len(calls) == 1
 
 
+def _calls_of(fn, argv) -> int:
+    """How often main(argv), which must exit 0, calls fn; counted by a profile hook."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is fn.__code__:
+            calls.append(event)
+
+    sys.setprofile(hook)
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
 def test_both_engines_check_the_base_blocks_once(workdir, monkeypatch):
+    # one base_blocks value, with its multiplier group, serves both engines
     calls = []
     real = geometry._check_difference_family
 
@@ -600,7 +650,8 @@ def test_both_engines_check_the_base_blocks_once(workdir, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(geometry, "_check_difference_family", counted)
-    assert main(["rank", "--p", "3", "--m", "2", "--engine", "both"]) == 0
+    argv = ["rank", "--p", "3", "--m", "2", "--engine", "both"]
+    assert _calls_of(geometry._multiplier, argv) == 1
     assert len(calls) == 1
 
 

@@ -43,7 +43,7 @@ def test_engines_agree_on_random_instances(data):
     # it keeps the full row rank at q = 13 (about 4.5 s) out of the run
     early = q > 7
     rank = rank2_of_unital(design, early_stop=early)
-    total, ranks = rank2_by_characters(setup, *base_blocks(f, setup))
+    total, ranks = rank2_by_characters(base_blocks(f, setup))
     assert total == rank
     if is_normal(f):
         res = spectrum_size(setup, f)

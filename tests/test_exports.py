@@ -36,3 +36,11 @@ def test_every_export_is_run_by_a_command():
         name in names for mod, names in used.items()
         if mod != getattr(shiftunital, name).__module__.rpartition(".")[2])]
     assert stray == []
+
+
+def test_only_geometry_names_the_multiplier():
+    # base_blocks derives the multiplier group once; every other module reads it off
+    # the BaseBlocks value
+    naming = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py")
+                    and "_multiplier" in _names(os.path.join(PACKAGE, name)))
+    assert naming == ["geometry.py"]

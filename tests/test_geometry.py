@@ -286,7 +286,7 @@ def test_transitivity(instances, tower27):
     setups.append((square_spec(tower27.ext), construct_theta(tower27)))
     for f, setup in setups:
         q = setup.tower.base.n
-        rep = verify_transitivity(setup, *base_blocks(f, setup))
+        rep = verify_transitivity(base_blocks(f, setup))
         assert rep == {"group_order": q**3, "regular": True,
                        "blocks_closed": "exhaustive", "ok": True}
 
@@ -298,11 +298,12 @@ def test_transitivity_rejects_planted_translate(instances):
     # a repeat or a missing difference, so the count is not matched
     for (q, name), (tower, f, setup, design) in instances.items():
         for target in (1, q - 2):
-            x, t = (a.copy() for a in base_blocks(f, setup))
+            blocks = base_blocks(f, setup)
+            x, t = blocks.x.copy(), blocks.t.copy()
             x[target] = tower.ext.vadd(x[0], 1)
             t[target] = t[0]
             with pytest.raises(VerificationError, match="arises"):
-                geometry._check_difference_family(setup, x, t)
+                check_family(setup, x, t)
 
 
 # sha256 of build_unital(...).blocks.tobytes(); the q=27 square theta=636 array
@@ -326,9 +327,15 @@ def test_block_array_is_pinned(towers, instance):
     assert hashlib.sha256(design.blocks.tobytes()).hexdigest() == digest
 
 
+def check_family(setup, x, t):
+    """What base_blocks runs on x, t: the exact-cover check through their multiplier group."""
+    geometry._check_difference_family(setup, x, t, geometry._multiplier(setup, x, t))
+
+
 def test_base_blocks_develop_to_the_design(instances):
     for (q, name), (tower, f, setup, design) in instances.items():
-        x, t = base_blocks(f, setup)
+        blocks = base_blocks(f, setup)
+        x, t = blocks.x, blocks.t
         assert x.shape == t.shape == (q - 1, q + 1)
         assert sorted(x.ravel().tolist()) == list(range(1, q * q))
         # every translate of D_beta by G is a block of U
@@ -373,23 +380,24 @@ LEAST_BAD = [
 
 @pytest.mark.parametrize("k, t_new, message", LEAST_BAD, ids=["missing", "repeated"])
 def test_difference_family_names_least_bad_difference(setup9, square9, k, t_new, message):
-    x, t = base_blocks(square9, setup9)
+    blocks = base_blocks(square9, setup9)
+    x, t = blocks.x, blocks.t.copy()
     assert [(int(x[0, j]), int(t[0, j])) for j in (0, 4)] == [(1, 0), (27, 6)]
-    t = t.copy()
     t[0, k] = t_new
     assert geometry._multiplier(setup9, x, t)[0] == 1     # one block edited: M = {1}
     with pytest.raises(VerificationError) as err:
-        geometry._check_difference_family(setup9, x, t)
+        check_family(setup9, x, t)
     assert str(err.value) == message
 
 
 def test_difference_family_names_a_repeated_x(setup9, square9):
     # (1, 0) and (1, 1) in D_1: their differences (0, +-1) lie below q
-    x, t = (a.copy() for a in base_blocks(square9, setup9))
+    blocks = base_blocks(square9, setup9)
+    x, t = blocks.x.copy(), blocks.t.copy()
     x[0, 1], t[0, 1] = x[0, 0], 1
     assert geometry._multiplier(setup9, x, t)[0] == 1
     with pytest.raises(VerificationError) as err:
-        geometry._check_difference_family(setup9, x, t)
+        check_family(setup9, x, t)
     assert str(err.value) == ("difference (0, 1) arises 1 times in the base blocks, "
                               "expected 0")
 
@@ -401,7 +409,8 @@ def test_difference_family_agrees_with_unique_counts(p, m, budget, monkeypatch):
     tower = make_tower(make_field(p, m))
     f = square_spec(tower.ext)
     setup = construct_theta(tower)
-    x, t = base_blocks(f, setup)
+    blocks = base_blocks(f, setup)
+    x, t = blocks.x, blocks.t
     q = tower.base.n
     if budget is not None:
         monkeypatch.setattr(fields, "_WORK_BYTES", budget)
@@ -418,7 +427,7 @@ def test_difference_family_agrees_with_unique_counts(p, m, budget, monkeypatch):
         want = difference_family_fault(setup, xs, ts)
         assert want is None or geometry._multiplier(setup, xs, ts)[0] == 1
         try:
-            geometry._check_difference_family(setup, xs, ts)
+            check_family(setup, xs, ts)
             got = None
         except VerificationError as exc:
             got = str(exc)
@@ -441,9 +450,9 @@ def test_every_registry_f_takes_the_full_multiplier_group(q):
         d_f = 2 if f.family == "square" else (3**f.param + 1) // 2
         setups = find_thetas(f, tower)
         for setup in (setups[0], setups[-1]):
-            size, d, rows = geometry._multiplier(setup, *base_blocks(f, setup))
-            assert (size, d) == (q - 1, d_f % (q - 1)), (f.name, setup.theta)
-            assert rows.size == math.gcd(d, q - 1)
+            blocks = base_blocks(f, setup)
+            assert (blocks.size, blocks.d) == (q - 1, d_f % (q - 1)), (f.name, setup.theta)
+            assert blocks.rows.size == math.gcd(blocks.d, q - 1)
 
 
 def test_a_table_without_the_symmetry_takes_the_trivial_group(tower9):
@@ -459,12 +468,11 @@ def test_a_table_without_the_symmetry_takes_the_trivial_group(tower9):
     scaled = f.table[ext.vmul(w, np.arange(ext.n))]
     assert not any(np.array_equal(scaled, ext.vmul(ext.pow(w, d), f.table)) for d in range(8))
     setup = find_thetas(f, tower9)[0]
-    x, t = base_blocks(f, setup)
-    size, d, rows = geometry._multiplier(setup, x, t)
-    assert size == 1 and rows.tolist() == list(range(8))
+    blocks = base_blocks(f, setup)
+    assert blocks.size == 1 and blocks.rows.tolist() == list(range(8))
     res = spectrum_size(setup, f)
     assert len(res.slices) == 9 and res.size == 721
-    total, ranks = rank2_by_characters(setup, x, t)
+    total, ranks = rank2_by_characters(blocks)
     assert total == 721
     assert ranks.tolist() == res.counts.tolist() == res.members.sum(axis=1).tolist()
 
@@ -500,15 +508,15 @@ def test_difference_family_rejects_a_fault_on_a_whole_block_orbit(instances, ont
     for (q, name), (tower, f, setup, design) in instances.items():
         if q == 3:
             continue
-        x, t = base_blocks(f, setup)
-        size, d, rows = geometry._multiplier(setup, x, t)
+        blocks = base_blocks(f, setup)
+        x, t, d = blocks.x, blocks.t, blocks.d
         # a point of D_1 outside the M-orbit of point 1, whose x the fault repeats
         ratios = tower.ext.vmul(x[0], tower.ext.inv(int(x[0, 1])))
         new_x = int(x[0, np.argmax(tower.unembed[ratios] < 0)]) if onto_x else int(x[0, 1])
         xs, ts = plant_on_block_orbit(setup, x, t, d, 1, (new_x, (int(t[0, 1]) + 1) % q))
         assert geometry._multiplier(setup, xs, ts)[:2] == (q - 1, d)
         with pytest.raises(VerificationError) as err:
-            geometry._check_difference_family(setup, xs, ts)
+            check_family(setup, xs, ts)
         gx, gt, n, want = map(int, re.fullmatch(pattern, str(err.value)).groups())
         assert n == difference_counts(setup, xs, ts)[gx * q + gt], (q, name)
         assert n != want == int(gx != 0)
@@ -621,6 +629,8 @@ def test_read_design_rejects_garbage(tmp_path, design3):
                 [*lines[:3], *body[:-1], body[-1] + " 5"],               # ragged body
                 [*lines[:3], *body[:-1], body[-1].replace(" ", " x", 1)],  # non-integer
                 [*lines[:3], body[0], "", *body[1:]],                    # blank line
+                [*lines, body[-1]],                                      # a row past blocks=
+                [*lines, "garbage here"],                                # text past them
                 [lines[0], lines[1].replace("q=3 ", ""), *lines[2:]],    # no q=
                 [lines[0], lines[1].replace("q=3 ", "q=three "), *lines[2:]],
                 *([*lines[:3], *body[:-1], f"{v} " + body[-1].split(" ", 1)[1]]

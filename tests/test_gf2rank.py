@@ -1,4 +1,6 @@
 """GF(2) ranks: the per-character engine and the row accumulator against dense oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from shiftunital import (FieldError, VerificationError, base_blocks, build_unita
                          construct_theta, coulter_matthews_spec, find_thetas, make_field,
                          make_tower, rank2_of_unital, registry_list, spectrum_size,
                          square_spec)
-from shiftunital import geometry, gf2rank
+from shiftunital import gf2rank
 from shiftunital.fields import make_char_field, prime_power, trace_form_table
+from shiftunital.geometry import BaseBlocks
 from shiftunital.gf2rank import RankAccumulator, _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
@@ -130,7 +133,12 @@ def test_eliminate_matches_dense_oracle(shapes, seed):
 
 
 def _characters(setup, f):
-    return rank2_by_characters(setup, *base_blocks(f, setup))[0]
+    return rank2_by_characters(base_blocks(f, setup))[0]
+
+
+def _any_blocks(setup, x, t):
+    """Blocks x, t, checked or not, with M = {1}: a multiplier group of any block set."""
+    return BaseBlocks(setup, x, t, 1, 0, np.arange(x.shape[0]))
 
 
 def test_characters_match_row_oracle(instances):
@@ -176,7 +184,8 @@ def test_characters_match_developed_rows_for_any_blocks(q, data):
     # the even meets (no cap then) and the proven bound alike
     tower = make_tower(make_field(q, 1))
     setup = construct_theta(tower)
-    x, t = base_blocks(square_spec(tower.ext), setup)
+    blocks = base_blocks(square_spec(tower.ext), setup)
+    x, t = blocks.x, blocks.t
     if data.draw(st.booleans(), label="redraw x"):
         x = np.array([data.draw(st.permutations(range(q * q)))[:q + 1]
                       for _ in range(q - 1)])
@@ -185,9 +194,9 @@ def test_characters_match_developed_rows_for_any_blocks(q, data):
     want = _developed_rank(setup, x, t)
     if want > q**3 - q + 1:
         with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
-            rank2_by_characters(setup, x, t)
+            rank2_by_characters(_any_blocks(setup, x, t))
     else:
-        total, ranks = rank2_by_characters(setup, x, t)
+        total, ranks = rank2_by_characters(_any_blocks(setup, x, t))
         assert total == want
         assert ranks.tolist() == _member_counts(setup, x, t).tolist()
 
@@ -217,7 +226,7 @@ def test_character_ranks_match_spectrum_counts(instances, tower27):
     f = coulter_matthews_spec(tower27.ext, 5)
     cases.append((27, f, find_thetas(f, tower27)[0]))
     for q, f, setup in cases:
-        total, ranks = rank2_by_characters(setup, *base_blocks(f, setup))
+        total, ranks = rank2_by_characters(base_blocks(f, setup))
         counts = spectrum_size(setup, f).members.sum(axis=1)
         assert ranks.tolist() == counts.tolist(), (q, f.name)
         assert (ranks[0, 1:] == q - 1).all() and (ranks[1:, 1:] == q).all()
@@ -225,7 +234,7 @@ def test_character_ranks_match_spectrum_counts(instances, tower27):
 
 
 @pytest.mark.parametrize("q", [q for q in ODD_Q_UP_TO_81 if q <= 49] + [81])
-def test_orbit_reduced_engines_equal_the_unreduced(monkeypatch, q):
+def test_orbit_reduced_engines_equal_the_unreduced(q):
     # every total equals the bound, so the reduction is checked per (u, w): the
     # spectrum's counts, read off the u-slices 0 and 1, against the member counts of
     # every u, and the ranks of one (u, w) per multiplier and x2 orbit against those
@@ -242,15 +251,15 @@ def test_orbit_reduced_engines_equal_the_unreduced(monkeypatch, q):
             blocks = base_blocks(f, setup)
             res = spectrum_size(setup, f, blocks=blocks)
             assert len(res.slices) == 2, (f.name, setup.theta)
-            ranks = rank2_by_characters(setup, *blocks)[1] if with_gf2 else None
-            cases.append((f, setup, blocks, res.counts, ranks))
-    monkeypatch.setattr(geometry, "_multiplier", lambda s, x, t: (1, 0, np.arange(q - 1)))
+            ranks = rank2_by_characters(blocks)[1] if with_gf2 else None
+            trivial = dataclasses.replace(blocks, size=1, d=0, rows=np.arange(q - 1))
+            cases.append((f, setup, trivial, res.counts, ranks))
     for f, setup, blocks, counts, ranks in cases:
         full = spectrum_size(setup, f, blocks=blocks)
         assert len(full.slices) == q
         assert counts.tolist() == full.members.sum(axis=1).tolist(), (f.name, setup.theta)
         if with_gf2:
-            assert ranks.tolist() == rank2_by_characters(setup, *blocks)[1].tolist(), (
+            assert ranks.tolist() == rank2_by_characters(blocks)[1].tolist(), (
                 f.name, setup.theta)
 
 
@@ -261,10 +270,10 @@ def test_batches_double_until_every_component_is_done(monkeypatch, q):
     p, m = (3, 2) if q == 9 else (q, 1)
     tower = make_tower(make_field(p, m))
     setup = construct_theta(tower)
-    x, t = base_blocks(square_spec(tower.ext), setup)
-    want = rank2_by_characters(setup, x, t)
+    blocks = base_blocks(square_spec(tower.ext), setup)
+    want = rank2_by_characters(blocks)
     monkeypatch.setattr(gf2rank, "_SLACK", 1 - q)
-    got = rank2_by_characters(setup, x, t)
+    got = rank2_by_characters(blocks)
     assert got[0] == want[0] == q**3 - q + 1
     assert got[1].tolist() == want[1].tolist()
 
@@ -282,7 +291,7 @@ def test_character_ranks_match_member_counts_for_seeded_blocks():
         x = np.array([rng.permutation(q * q)[:q + 1] for _ in range(q - 1)])
         t = rng.integers(0, q, size=x.shape)
         try:
-            total, ranks = rank2_by_characters(setup, x, t)
+            total, ranks = rank2_by_characters(_any_blocks(setup, x, t))
         except VerificationError:
             continue
         counts = _member_counts(setup, x, t)
@@ -297,4 +306,4 @@ def test_characters_refuse_character_values_wider_than_a_word():
     tower = make_tower(make_field(67, 1))
     setup = construct_theta(tower)
     with pytest.raises(FieldError, match="do not fit in 64 bits"):
-        rank2_by_characters(setup, *base_blocks(square_spec(tower.ext), setup))
+        rank2_by_characters(base_blocks(square_spec(tower.ext), setup))
