@@ -126,13 +126,14 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> BaseBlocks:
     {(0, t)} + (inf). The blocks pass the exact difference-family check, through the
     multiplier group computed here once, before they are returned.
     """
-    tower = setup.tower
-    base = tower.base
+    tower, base = setup.tower, setup.tower.base
     circles = circles_of(setup, f)
     j, theta_j = _t_axis(setup)
     x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
     fj = (tower.dec1 if j else tower.dec0)[f.table[x]].astype(np.int64)
     t = base.vmul(base.inv(theta_j), fj).astype(np.int64)
+    for a in (x, t):   # read-only: the certificate holds only for these blocks
+        a.setflags(write=False)
     multiplier = _multiplier(setup, x, t)
     _check_difference_family(setup, x, t, multiplier)
     return BaseBlocks(setup, x, t, *multiplier)
@@ -215,8 +216,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     """
     tower = setup.tower
     base, ext = tower.base, tower.ext
-    q = base.n
-    n = ext.n
+    q, n = base.n, ext.n
     d_beta = base_blocks(f, setup)
     betas = beta_of_table(setup)
     valid_b = np.flatnonzero(betas != 0)

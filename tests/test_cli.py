@@ -624,35 +624,16 @@ def test_report_evaluates_spectrum_once_per_row(workdir, monkeypatch):
     assert len(calls) == 1
 
 
-def _calls_of(fn, argv) -> int:
-    """How often main(argv), which must exit 0, calls fn; counted by a profile hook."""
-    calls = []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is fn.__code__:
-            calls.append(event)
-
-    sys.setprofile(hook)
-    try:
-        assert main(argv) == 0
-    finally:
-        sys.setprofile(None)
-    return len(calls)
-
-
 def test_both_engines_check_the_base_blocks_once(workdir, monkeypatch):
-    # one base_blocks value, with its multiplier group, serves both engines
+    # one base_blocks value, with its multiplier group, serves both engines; the
+    # wrappers only count calls and return what the real functions return
     calls = []
-    real = geometry._check_difference_family
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(geometry, "_check_difference_family", counted)
-    argv = ["rank", "--p", "3", "--m", "2", "--engine", "both"]
-    assert _calls_of(geometry._multiplier, argv) == 1
-    assert len(calls) == 1
+    for name in ("_multiplier", "_check_difference_family"):
+        real = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert main(["rank", "--p", "3", "--m", "2", "--engine", "both"]) == 0
+    assert calls == ["_multiplier", "_check_difference_family"]
 
 
 def test_verify_checks_the_difference_family_once(workdir, monkeypatch):

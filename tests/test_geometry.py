@@ -348,6 +348,17 @@ def test_base_blocks_develop_to_the_design(instances):
                     assert tuple(sorted(pids.tolist())) in rows
 
 
+def test_base_blocks_cannot_be_edited_under_their_certificate(instances):
+    # size, d and rows certify these very arrays: an edit in place must fail
+    tower, f, setup, design = instances[9, "square"]
+    blocks = base_blocks(f, setup)
+    for a in (blocks.x, blocks.t):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        blocks.t = blocks.t.copy()
+
+
 def swap_one_point(monkeypatch, b1=1, b2=2):
     """Make circles_of swap one point between C_{0,b1} and C_{0,b2}."""
     real = geometry.circles_of

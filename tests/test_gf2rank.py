@@ -12,7 +12,7 @@ from shiftunital import (FieldError, VerificationError, base_blocks, build_unita
                          square_spec)
 from shiftunital import gf2rank
 from shiftunital.fields import make_char_field, prime_power, trace_form_table
-from shiftunital.geometry import BaseBlocks
+from shiftunital.geometry import BaseBlocks, _multiplier
 from shiftunital.gf2rank import RankAccumulator, _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
@@ -192,13 +192,16 @@ def test_characters_match_developed_rows_for_any_blocks(q, data):
     t = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=t.size,
                                     max_size=t.size), label="t")).reshape(t.shape)
     want = _developed_rank(setup, x, t)
-    if want > q**3 - q + 1:
-        with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
-            rank2_by_characters(_any_blocks(setup, x, t))
-    else:
-        total, ranks = rank2_by_characters(_any_blocks(setup, x, t))
-        assert total == want
-        assert ranks.tolist() == _member_counts(setup, x, t).tolist()
+    # through the blocks' own multiplier group (the orbit-reduced path) and M = {1}
+    for blocks in (BaseBlocks(setup, x, t, *_multiplier(setup, x, t)),
+                   _any_blocks(setup, x, t)):
+        if want > q**3 - q + 1:
+            with pytest.raises(VerificationError, match="exceeds the proven upper bound"):
+                rank2_by_characters(blocks)
+        else:
+            total, ranks = rank2_by_characters(blocks)
+            assert total == want
+            assert ranks.tolist() == _member_counts(setup, x, t).tolist()
 
 
 def _member_counts(setup, x, t) -> np.ndarray:
