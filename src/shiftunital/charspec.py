@@ -64,18 +64,14 @@ class SpectrumResult:
     0 elsewhere, for every u, or for u = 0 and 1 only when the multiplier group M of
     the base blocks is GF(q)* (geometry.base_blocks): phi_c permutes the blocks, so
     chi_{u,v,w} is a member iff chi_{cu,cv,c^d w} is, and c = 1/u sends slice u onto
-    slice 1 (slice_one). size, counts and members_of read the slices; lowest, members
-    and bitmap are q^3-sized, and their first read evaluates the other u (ctx) and
-    drops ctx. With witness_all, certifying holds every certifying beta of each
-    character as little-endian bits, bit beta - 1 of its last axis; else None.
+    slice 1 (slice_one). Nothing held is q^3-sized: other u are evaluated from ctx.
     """
 
     q: int
     slices: np.ndarray = field(repr=False)
     base: FieldCtx = field(repr=False)
     d: int
-    ctx: SpectrumCtx | None = field(repr=False, default=None)   # None: no u left to evaluate
-    certifying: np.ndarray | None = field(repr=False, default=None)
+    ctx: SpectrumCtx = field(repr=False)
 
     @cached_property
     def size(self) -> int:
@@ -105,41 +101,24 @@ class SpectrumResult:
         out[:, 0] = True
         return out
 
-    @cached_property
-    def lowest(self) -> np.ndarray:
-        """The lowest certifying betas of every u, indexed [u, v, w]; drops ctx."""
-        if len(self.slices) == self.q:
-            return self.slices
-        lowest = np.zeros((self.q, *self.slices.shape[1:]), dtype=self.slices.dtype)
-        lowest[:2] = self.slices
-        _scan(self.ctx, lowest, start=2)
-        object.__setattr__(self, "ctx", None)       # every u is evaluated
-        return lowest
+    def lowest_of(self, u: int) -> np.ndarray:
+        """The u-slice of the lowest certifying betas: stored, or evaluated here (_scan)."""
+        return self.slices[u] if u < len(self.slices) else _scan(self.ctx, u)
 
-    @cached_property
-    def members(self) -> np.ndarray:
-        """Membership as a read-only bool array indexed [u, v, w]."""
-        out = self.lowest > 0
-        out[:, :, 0] = True
-        out.setflags(write=False)
-        return out
-
-    @cached_property
+    @property
     def bitmap(self) -> int:
         """Membership as an int, bit (u*q + v)*q + w per character."""
-        return int.from_bytes(
-            np.packbits(self.members, bitorder="little").tobytes(), "little")
+        # eight slices of q^2 bits fill whole bytes, so the chunks concatenate
+        return int.from_bytes(b"".join(
+            np.packbits([self.members_of(u) for u in range(self.q)[lo:lo + 8]],
+                        bitorder="little").tobytes() for lo in range(0, self.q, 8)), "little")
 
     def certifying_sets(self, u: int) -> list[tuple[int, ...]]:
-        """Every certifying beta of each chi_{u,v,w}, ascending, in (v, w) order.
-
-        Needs a witness_all result; FieldError otherwise.
-        """
-        if self.certifying is None:
-            raise FieldError("certifying sets need a witness_all spectrum")
+        """Every certifying beta of each chi_{u,v,w} in (v, w) order, ascending; evaluated."""
         q = self.q
-        bits = np.unpackbits(self.certifying[u], axis=-1, count=q - 1, bitorder="little")
-        rows, cols = np.nonzero(bits.reshape(q * q, q - 1))
+        hits = np.zeros((q, q, q - 1), dtype=bool)
+        _scan(self.ctx, u, hits)
+        rows, cols = np.nonzero(hits.reshape(q * q, q - 1))
         betas = (cols + 1).tolist()
         ends = np.searchsorted(rows, np.arange(q * q + 1)).tolist()
         return [tuple(betas[lo:hi]) for lo, hi in zip(ends, ends[1:])]
@@ -150,43 +129,42 @@ def _nonzero(epsx: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(np.take(epsx, k), axis=-1) != 0
 
 
-def _scan(ctx: SpectrumCtx, lowest: np.ndarray, certifying: np.ndarray | None = None,
-          start: int = 0) -> None:
-    """Fill lowest[u] (and certifying[u]) for u = start, ..., len(lowest) - 1 by the circle loop."""
+def _scan(ctx: SpectrumCtx, u: int, hits: np.ndarray | None = None) -> np.ndarray:
+    """u-slice [v, w] of lowest certifying betas, 0 for none and w = 0; all in hits[v, w]."""
     tf = ctx.trace_form
     q = tf.shape[0]
     row = 8 * (q + 1)               # np.take widens each pair's q + 1 trace sums to intp
     step, vstep = _chunk_rows(row), _chunk_rows(row * (q - 1))
-    for u in range(start, len(lowest)):
-        low = lowest[u, :, 1:]
-        pv = pw = None                                  # None: every (v, w - 1) pending
-        for beta in range(1, q):
-            uv = tf[u, ctx.x0[beta - 1]] + tf[:, ctx.x1[beta - 1]]      # (v, point)
-            wt = tf[1:, ctx.t[beta - 1]]                                # (w - 1, point)
-            if pv is None:
-                hit = np.concatenate([_nonzero(ctx.epsx, uv[i:i + vstep, None] + wt)
-                                      for i in range(0, q, vstep)])
-                if certifying is not None:
-                    bits = hit.view(np.uint8) << (beta - 1) % 8
-                    certifying[u, :, 1:, (beta - 1) // 8] |= bits
-                    hit &= low == 0
-                else:
-                    pv, pw = np.nonzero(~hit)
-                low[hit] = beta
-            elif pv.size:
-                hit = np.concatenate([
-                    _nonzero(ctx.epsx, uv[pv[i:i + step]] + wt[pw[i:i + step]])
-                    for i in range(0, pv.size, step)])
-                low[pv[hit], pw[hit]] = beta
-                pv, pw = pv[~hit], pw[~hit]
+    out = np.zeros((q, q), dtype=np.min_scalar_type(q - 1))
+    low = out[:, 1:]
+    pv = pw = None                                      # None: every (v, w - 1) pending
+    for beta in range(1, q):
+        uv = tf[u, ctx.x0[beta - 1]] + tf[:, ctx.x1[beta - 1]]          # (v, point)
+        wt = tf[1:, ctx.t[beta - 1]]                                    # (w - 1, point)
+        if pv is None:
+            hit = np.concatenate([_nonzero(ctx.epsx, uv[i:i + vstep, None] + wt)
+                                  for i in range(0, q, vstep)])
+            if hits is not None:
+                hits[:, 1:, beta - 1] = hit
+                hit &= low == 0
             else:
-                break
-        if u == 0 and low[0].any():
-            raise VerificationError(
-                "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
+                pv, pw = np.nonzero(~hit)
+            low[hit] = beta
+        elif pv.size:
+            hit = np.concatenate([
+                _nonzero(ctx.epsx, uv[pv[i:i + step]] + wt[pw[i:i + step]])
+                for i in range(0, pv.size, step)])
+            low[pv[hit], pw[hit]] = beta
+            pv, pw = pv[~hit], pw[~hit]
+        else:
+            break
+    if u == 0 and low[0].any():
+        raise VerificationError(
+            "S(beta) != 0 for u = v = 0: contradicts the exclusion lemma")
+    return out
 
 
-def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
+def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
                   blocks: geometry.BaseBlocks | None = None) -> SpectrumResult:
     """The characters in the spectrum; their number equals dim C_2 of the punctured design.
 
@@ -194,27 +172,22 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec, witness_all: bool = False,
     circle, beta = 1..q-1, for every (v, w != 0) still pending, in chunks that
     fit the working-memory budget. A character leaves the pending set at its
     first nonzero sum, so its witness is the lowest certifying beta, and u = v = 0
-    is scanned on every circle (the exclusion lemma). witness_all keeps every
-    character pending and records all certifying betas. While every pair is
+    is scanned on every circle (the exclusion lemma). While every pair is
     pending, a block of v is summed against every w by broadcast; after that the
     pending pairs are gathered. Every sum is a sum of three trace values looked
     up in epsx, then xor-reduced. When the base blocks have the multiplier group
-    M = GF(q)* and witness_all is off, only u = 0 and 1 are evaluated here
-    (SpectrumResult). The S(beta) criterion holds for normal f only; FieldError
-    otherwise. `blocks` is base_blocks(f, setup), built here when None.
+    M = GF(q)*, only u = 0 and 1 are evaluated here (SpectrumResult). The S(beta)
+    criterion holds for normal f only; FieldError otherwise. `blocks` is
+    base_blocks(f, setup), built here when None.
     """
     if not is_normal(f):
         raise FieldError("spectrum engine requires a normal f")
     blocks = geometry.base_blocks(f, setup) if blocks is None else blocks
     ctx = make_spectrum_ctx(blocks)
     base, q = setup.tower.base, setup.tower.base.n
-    reduced = blocks.size == q - 1 and not witness_all
-    lowest = np.zeros((2 if reduced else q, q, q), dtype=np.min_scalar_type(q - 1))
-    certifying = (np.zeros((q, q, q, (q + 6) // 8), dtype=np.uint8)
-                  if witness_all else None)
-    _scan(ctx, lowest, certifying)
-    return SpectrumResult(q=q, slices=lowest, base=base, d=blocks.d,
-                          ctx=ctx if reduced else None, certifying=certifying)
+    lowest = np.stack([_scan(ctx, u) for u in range(2 if blocks.size == q - 1 else q)])
+    lowest.setflags(write=False)
+    return SpectrumResult(q=q, slices=lowest, base=base, d=blocks.d, ctx=ctx)
 
 
 def bounds(q: int, p: int, m: int) -> dict:

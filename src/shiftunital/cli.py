@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 # RSS of every command (tests/test_imports.py keeps the order).
 from . import geometry, planar      # charspec, gf2rank, kloosterman: imported where used
 from .geometry import _atomic_write_chunks
-from .fields import (ThetaSetup, TowerCtx, construct_theta, make_field, make_tower,
-                     prime_power, theta_setup)
+from .fields import (ThetaSetup, TowerCtx, _check_degree, construct_theta, make_field,
+                     make_tower, prime_power, theta_setup)
 from .errors import DesignError, FieldError, VerificationError
 
 import numpy as np
@@ -227,9 +227,18 @@ def _cached_row(path: str, config: dict) -> dict | None:
     return {k: row[k] for k in _ROW_KEYS}
 
 
-def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
-                setup: ThetaSetup, run_gf2: bool, run_spectrum: bool,
-                witness_all: bool = False) -> tuple[dict, SpectrumResult | None]:
+def _cache_entry(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
+                 setup: ThetaSetup) -> tuple[dict, str]:
+    """The configuration fields of the row and the path of its cached result.json."""
+    mod = _joined(tower.ext.modulus)
+    config = {"q": tower.base.n, "p": cfg.p, "m": cfg.m, "modulus": mod, "f": f.name,
+              "theta_index": setup.theta}
+    key = f"p{cfg.p}m{cfg.m}_b{_joined(tower.base.modulus)}_e{mod}_f{f.name}_t{setup.theta}"
+    return config, os.path.join(cfg.cache_dir, key, "result.json")
+
+
+def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec, setup: ThetaSetup,
+                run_gf2: bool, run_spectrum: bool) -> tuple[dict, SpectrumResult | None]:
     """One report row, served from the result cache when it matches the configuration.
 
     An engine runs only when its rank is requested and not already in the cached
@@ -243,11 +252,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
     blocks, built once per row; neither builds the block array.
     """
     q = tower.base.n
-    config = {"q": q, "p": cfg.p, "m": cfg.m, "modulus": _joined(tower.ext.modulus),
-              "f": f.name, "theta_index": setup.theta}
-    key = (f"p{cfg.p}m{cfg.m}_b{_joined(tower.base.modulus)}_e{config['modulus']}"
-           f"_f{f.name}_t{setup.theta}")
-    result_path = os.path.join(cfg.cache_dir, key, "result.json")
+    config, result_path = _cache_entry(cfg, tower, f, setup)
     cached = _cached_row(result_path, config)
     stored = cached or {"rank_gf2": None, "rank_spectrum": None, "wall_ms": 0}
     rank_gf2, rank_spec = stored["rank_gf2"], stored["rank_spectrum"]
@@ -262,7 +267,7 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
         rank_gf2, by_character = rank2_by_characters(blocks)
     if run_spectrum:
         from .charspec import spectrum_size
-        spectrum = spectrum_size(setup, f, witness_all=witness_all, blocks=blocks)
+        spectrum = spectrum_size(setup, f, blocks=blocks)
         rank_spec = spectrum.size
     if run_gf2 and run_spectrum:
         counts = spectrum.counts
@@ -287,6 +292,20 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec,
         raise VerificationError(fault)
     _write_json(result_path, row)
     return row, spectrum
+
+
+def _spectrum_of(row: dict, spectrum: SpectrumResult | None, cfg: RunConfig,
+                 tower: TowerCtx, f: planar.PlanarSpec, setup: ThetaSetup) -> SpectrumResult:
+    """spectrum, else evaluated here; then each rank in row must equal its size."""
+    if spectrum is None:
+        from .charspec import spectrum_size
+        spectrum = spectrum_size(setup, f)
+        for rank in (row["rank_gf2"], row["rank_spectrum"]):
+            if rank not in (None, spectrum.size):
+                raise VerificationError(
+                    f"cache disagreement at q = {tower.base.n}, f = {f.name}: rank {rank} in "
+                    f"{_cache_entry(cfg, tower, f, setup)[1]} != spectrum {spectrum.size}")
+    return spectrum
 
 
 def _instance(cfg: RunConfig, with_theta: bool = True) -> tuple:
@@ -352,36 +371,39 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_csv(result: SpectrumResult):
-    """The witness CSV, one u-slice of q^2 lines per chunk."""
+def _witness_csv(result: SpectrumResult, witness_all: bool):
+    """The witness CSV, one u-slice of q^2 lines per chunk, each evaluated here: an error
+    where its membership (w != 0) is not members_of(u), which the bitmap packs."""
     q = result.q
     vw = [f"{v},{w}," for v in range(q) for w in range(q)]
     tail = [f"1,{b}\n" for b in range(q)] + ["0,\n"]      # by lowest beta; q: no member
     yield "u,v,w,member,witness_beta\n"
     for u in range(q):
-        code = np.where(result.members[u], result.lowest[u], q).ravel().tolist()
-        tails = [tail[c] for c in code]
-        if result.certifying is not None:
-            for i, betas in enumerate(result.certifying_sets(u)):
-                if betas:
-                    tails[i] = f"1,{';'.join(map(str, betas))}\n"
+        member = result.members_of(u)
+        if witness_all:
+            sets = result.certifying_sets(u)
+            low = np.array([s[:1] or (0,) for s in sets]).reshape(q, q)   # lowest betas
+        else:
+            low = result.lowest_of(u)
+        if not np.array_equal(low[:, 1:] > 0, member[:, 1:]):
+            raise VerificationError(
+                f"witness scan disagrees with the spectrum's members at q = {q}, u = {u}")
+        tails = [tail[c] for c in np.where(member, low, q).ravel().tolist()]
+        if witness_all:
+            tails = [f"1,{';'.join(map(str, s))}\n" if s else t for s, t in zip(sets, tails)]
         head = f"{u},"
         yield head + head.join(map(str.__add__, vw, tails))
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     tower, f, setup, head = _instance(cfg)
-    q, witness_all = tower.base.n, args.witness_all
-    row, result = compute_row(cfg, tower, f, setup, False, True, witness_all=witness_all)
-    if result is None:
-        from .charspec import spectrum_size
-        result = spectrum_size(setup, f, witness_all=witness_all)
-    bitmap_hex = format(result.bitmap, "x")
-    doc = {"config": head, "rows": [row], "bitmap_hex": bitmap_hex}
-    path = os.path.join(cfg.out_dir, f"spectrum_q{q}_{f.name}.json")
-    _write_json(path, doc)
+    q = tower.base.n
+    row, result = compute_row(cfg, tower, f, setup, False, True)
+    result = _spectrum_of(row, result, cfg, tower, f, setup)
     csv_path = os.path.join(cfg.out_dir, f"spectrum_witness_q{q}_{f.name}.csv")
-    _atomic_write_chunks(csv_path, _witness_csv(result))
+    _atomic_write_chunks(csv_path, _witness_csv(result, args.witness_all))
+    path = os.path.join(cfg.out_dir, f"spectrum_q{q}_{f.name}.json")
+    _write_json(path, {"config": head, "rows": [row], "bitmap_hex": format(result.bitmap, "x")})
     print(f"spectrum size {result.size} -> {path}, {csv_path}")
     return 0
 
@@ -403,12 +425,13 @@ def cmd_kloosterman(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .charspec import spectrum_size
     from .kloosterman import count_classes, criterion_grid, kloosterman_table
     q_list = [_parse_int(s, "q") for s in args.q.split(",")]
     if len(set(q_list)) != len(q_list):
         raise FieldError(f"report takes no repeated q (got {','.join(map(str, q_list))})")
     powers = [prime_power(q) for q in q_list]      # every q resolves before any output
+    for p, m in powers:
+        _check_degree(p, 2 * m)                    # and its tower GF(q^2)
     _print_header({"q_list": ",".join(str(q) for q in q_list), "engine": cfg.engine,
                    "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir})
     rows = []
@@ -423,15 +446,13 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             row, res = compute_row(sub, tower, f, setup, *resolve_engines(sub, q))
             rows.append(row)
             if p == 3 and f.family == "square" and q >= 9:
-                if res is None:
-                    res = spectrum_size(setup, f)
+                res = _spectrum_of(row, res, sub, tower, f, setup)
                 met = criterion_grid(setup, table)[:, 1:, 1:]
                 members = np.stack([[res.members_of(u)[0, 1:] for u in range(1, q)],
                                     res.members_of(0)[1:, 1:]])
                 bad = int(np.count_nonzero(met & ~members))
                 if bad:
-                    raise VerificationError(
-                        f"criterion counterexamples at q = {q}: {bad}")
+                    raise VerificationError(f"criterion counterexamples at q = {q}: {bad}")
                 criterion_checks.append({"q": q, "checked": met.size,
                                          "met": int(np.count_nonzero(met)),
                                          "counterexamples": 0})
@@ -497,7 +518,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         refuse_unread(args.command, cfg)
         return _COMMANDS[args.command][0](cfg, args)
-    except (DesignError, FieldError, VerificationError, OSError) as exc:
+    except (DesignError, FieldError, VerificationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

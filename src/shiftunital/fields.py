@@ -129,13 +129,15 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def _check_degree(p: int, m: int) -> None:
-    """FieldError unless p is an odd prime, at most 32767 (int16 digits), and m >= 1."""
+    """FieldError unless p is an odd prime <= 32767 (int16 digits), m >= 1, p^m < 2^31."""
     if p > 32767:
         raise FieldError(f"p must be at most 32767 (int16 digits), got {p}")
     if p % 2 == 0 or _factorize(p) != [p]:
         raise FieldError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise FieldError(f"extension degree must be positive, got {m}")
+    if m >= 31 or p**m >= 2**31:          # m first: p**m of a huge m would not end
+        raise FieldError(f"field GF({p}^{m}) exceeds the int32 indices (p^m must be below 2^31)")
 
 
 # Bytes of working memory that one chunk of a kernel may take. Every chunked kernel

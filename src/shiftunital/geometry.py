@@ -390,8 +390,11 @@ def _atomic_write_chunks(path: str, chunks) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            os.remove(tmp)          # a chunk that raises leaves no partial file
+            raise
     os.replace(tmp, path)
 
 

@@ -35,22 +35,36 @@ def recompose(tower: TowerCtx, x0: int, x1: int) -> int:
 
 
 def member(res: SpectrumResult, u: int, v: int, w: int) -> bool:
-    return bool(res.members[u, v, w])
+    """members_of(u)[v, w]; for w != 0 it must equal lowest_of(u)[v, w] > 0."""
+    out = bool(res.members_of(u)[v, w])
+    assert w == 0 or out == (res.lowest_of(u)[v, w] > 0), (u, v, w)
+    return out
 
 
-def witnesses(res: SpectrumResult) -> dict:
+def members(res: SpectrumResult) -> np.ndarray:
+    """members_of(u) of every u, indexed [u, v, w]; for w != 0 it must equal lowest_of(u) > 0."""
+    out = np.stack([res.members_of(u) for u in range(res.q)])
+    for u in range(res.q):
+        assert np.array_equal(out[u, :, 1:], res.lowest_of(u)[:, 1:] > 0), u
+    return out
+
+
+def witnesses(res: SpectrumResult, witness_all: bool = False) -> dict:
     """Character index (u*q + v)*q + w -> witness, for every member in index order.
 
     The witness is the lowest certifying beta, 0 for w = 0; with witness_all,
     members with w != 0 map to the tuple of every certifying beta. One entry
-    per member: q^3 - q + 1 of them when the upper bound is met.
+    per member: q^3 - q + 1 of them when the upper bound is met. Members are
+    read off members_of(u) and must be the w != 0 entries with lowest_of(u) > 0.
     """
     q = res.q
     out = {}
     for u in range(q):
-        idx = np.flatnonzero(res.members[u])
-        vals = res.lowest[u].ravel()[idx].tolist()
-        if res.certifying is not None:
+        mem, low = res.members_of(u), res.lowest_of(u)
+        assert np.array_equal(mem[:, 1:], low[:, 1:] > 0), u
+        idx = np.flatnonzero(mem)
+        vals = low.ravel()[idx].tolist()
+        if witness_all:
             sets = res.certifying_sets(u)
             vals = [sets[i] or low for i, low in zip(idx.tolist(), vals)]
         out.update(zip((idx + u * q * q).tolist(), vals))

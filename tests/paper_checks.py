@@ -13,7 +13,7 @@ from shiftunital.geometry import fiber_map
 from shiftunital.gf2rank import RankAccumulator, row_int
 from shiftunital.kloosterman import CyclotomicInt
 
-from oracles import canonical, chi_array
+from oracles import canonical, chi_array, members
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +186,7 @@ def verify_trace_criterion(setup: ThetaSetup, f: PlanarSpec) -> dict:
     qualifies = trace_table(base)[ratio] != 0
     qualifying = int(qualifies.sum())
     zero_trace = qualifies.size - qualifying
-    counterexamples = int((qualifies & ~result.members[:, :, 1:]).sum())
+    counterexamples = int((qualifies & ~members(result)[:, :, 1:]).sum())
     if counterexamples:
         raise VerificationError(
             f"{counterexamples} qualifying characters are missing from the spectrum")

@@ -5,12 +5,13 @@ buffer, so the traced peak of one call is the memory it holds at once. It may ho
 a few chunk temporaries of at most the budget each, plus what stays resident: its
 outputs and the arrays of a size fixed by q (the spectrum's u-slices 0 and 1).
 """
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from shiftunital import (construct_theta, fields, geometry, make_field, make_tower,
+from shiftunital import (cli, construct_theta, fields, geometry, make_field, make_tower,
                          spectrum_size, square_spec)
 from shiftunital.gf2rank import rank2_by_characters
 from shiftunital.kloosterman import _trace_counts
@@ -110,3 +111,30 @@ def test_spectrum_count_holds_no_q3_array():
     size, peak = traced_peak(lambda: spectrum_size(setup, f).size)
     assert size == 243**3 - 243 + 1
     assert peak < 243**3
+
+
+def test_spectrum_bitmap_holds_no_q3_array():
+    # bitmap packs members_of(u) eight u-slices at a time: q^3 bits, not q^3 bytes
+    f, setup, _ = _square(3, 5)
+    bitmap, peak = traced_peak(lambda: spectrum_size(setup, f).bitmap)
+    assert bitmap.bit_count() == 243**3 - 243 + 1
+    assert peak < 243**3
+
+
+def test_witness_all_csv_holds_one_u_slice_at_a_time():
+    # certifying_sets evaluates each u on every circle as its chunk is written, so a
+    # pass holds one u-slice's arrays and lines: neither the result nor the chunks
+    # before hold q^3 (q + 6)/8 bytes of certifying bits
+    f, setup, _ = _square(3, 3)
+    q = 27
+    certifying = q**3 * (q + 6) // 8
+
+    def write(res, n):
+        return max(map(len, itertools.islice(cli._witness_csv(res, True), n)))
+
+    res = spectrum_size(setup, f)
+    _, first = traced_peak(lambda: write(res, 3))
+    _, streamed = traced_peak(lambda: write(res, q + 1))
+    _, evaluated = traced_peak(lambda: write(spectrum_size(setup, f), q + 1))
+    assert streamed - first < certifying / 2
+    assert evaluated - streamed < certifying / 2

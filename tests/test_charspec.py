@@ -81,16 +81,14 @@ def test_witnesses_certify_membership(instances):
     for ch in all_chars(q):
         idx = (ch[0] * q + ch[1]) * q + ch[2]
         assert (idx in wits) == member(res, *ch)
-    with pytest.raises(FieldError, match="witness_all"):
-        res.certifying_sets(0)
 
 
 def test_witness_all_lists_every_nonzero_beta(instances):
     tower, f, setup, design = instances[3, "square"]
-    res = spectrum_size(setup, f, witness_all=True)
+    res = spectrum_size(setup, f)
     ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
     q = 3
-    for idx, wit in witnesses(res).items():
+    for idx, wit in witnesses(res, witness_all=True).items():
         w = idx % q
         if w == 0:
             continue
@@ -190,21 +188,40 @@ def test_spectrum_keeps_no_reference_to_setup():
     assert ref() is None
 
 
-def test_spectrum_drops_its_context_once_every_u_is_evaluated(tower9):
+def _trivial(blocks):
+    """The base blocks with the multiplier group M = {1}, which is one for any block set."""
+    return dataclasses.replace(blocks, size=1, d=0, rows=np.arange(len(blocks.x)))
+
+
+def test_lowest_of_evaluates_the_other_u(tower9):
+    # M = GF(q)*: only u = 0 and 1 are stored, and lowest_of evaluates the others
+    # one at a time; they equal the slices that M = {1} stores
     f = square_spec(tower9.ext)
     setup = construct_theta(tower9)
-    fresh, res = spectrum_size(setup, f), spectrum_size(setup, f)
-    assert len(res.slices) == 2                 # M = GF(q)*: a context for the other u
-    ref = weakref.ref(res.ctx)
-    assert res.lowest.shape == (9, 9, 9)
-    gc.collect()
-    assert ref() is None and res.ctx is None
-    # the reduced slices still read as reduced once the context is gone
-    assert res.size == fresh.size == 9**3 - 9 + 1
-    assert np.array_equal(res.counts, fresh.counts)
+    blocks = base_blocks(f, setup)
+    res, full = spectrum_size(setup, f, blocks=blocks), spectrum_size(setup, f, _trivial(blocks))
+    assert len(res.slices) == 2 and len(full.slices) == 9
+    assert res.size == full.size == 9**3 - 9 + 1 and res.bitmap == full.bitmap
+    assert np.array_equal(res.counts, full.counts)
     for u in range(9):
-        assert np.array_equal(res.members_of(u), fresh.members_of(u))
-        assert np.array_equal(res.members_of(u), res.members[u])
+        assert np.array_equal(res.lowest_of(u), full.slices[u])
+        assert np.array_equal(res.members_of(u), full.members_of(u))
+    assert len(res.slices) == 2                 # an evaluated u is not kept
+
+
+def test_spectrum_result_holds_no_cubic_array(tower27):
+    # every public read, each u-slice included, leaves the result O(q^2)-sized
+    f = square_spec(tower27.ext)
+    setup = construct_theta(tower27)
+    q = 27
+    res = spectrum_size(setup, f)
+    assert res.size == q**3 - q + 1 and res.counts.shape == (q, q)
+    assert bin(res.bitmap).count("1") == res.size
+    for u in range(q):
+        res.members_of(u), res.lowest_of(u), res.certifying_sets(u)
+    held = [*vars(res).values(), *vars(res.ctx).values()]
+    sizes = [a.size for a in held if isinstance(a, np.ndarray)]
+    assert sizes and max(sizes) <= 2 * q**2
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
@@ -219,7 +236,7 @@ def test_slice_one_maps_certifying_sets(p, m):
         setup = find_thetas(f, tower)[0]
         blocks = base_blocks(f, setup)
         assert blocks.size == q - 1
-        full = spectrum_size(setup, f, witness_all=True, blocks=blocks)
+        full = spectrum_size(setup, f, blocks=blocks)
         ones = full.certifying_sets(1)
         for u in range(2, q):
             v1, w1 = charspec.slice_one(base, full.d, u, ar[:, None], ar[None, 1:])
@@ -294,26 +311,27 @@ def _check_against_full_scan(setup, f):
     assert not nonzero[0, 0].any()                     # the exclusion lemma
     lowest = np.where(nonzero.any(axis=3), nonzero.argmax(axis=3) + 1, 0)
     res = spectrum_size(setup, f)
-    assert np.array_equal(res.members[:, :, 1:], lowest > 0)
-    assert np.array_equal(res.lowest[:, :, 1:], lowest)
-    full = spectrum_size(setup, f, witness_all=True)
-    assert full.bitmap == res.bitmap and np.array_equal(full.lowest, res.lowest)
+    assert np.array_equal(oracles.members(res)[:, :, 1:], lowest > 0)
     q = setup.tower.base.n
+    assert np.array_equal(np.stack([res.lowest_of(u) for u in range(q)])[:, :, 1:], lowest)
+    # M = {1}: every u-slice evaluated by spectrum_size itself
+    full = spectrum_size(setup, f, _trivial(base_blocks(f, setup)))
+    assert full.bitmap == res.bitmap and np.array_equal(full.slices[:, :, 1:], lowest)
     for u in range(q):
-        sets = full.certifying_sets(u)
+        sets = res.certifying_sets(u)
         for v in range(q):
             assert sets[v * q] == ()
             for w in range(1, q):
                 assert sets[v * q + w] == tuple(
                     (np.flatnonzero(nonzero[u, v, w - 1]) + 1).tolist())
-    return nonzero, lowest, res, full
+    return nonzero, lowest, res
 
 
 def test_witness_is_lowest_certifying_circle_q27(tower27):
     # at q = 27 the lowest witnesses reach beta 6-7
     f = square_spec(tower27.ext)
     setup = construct_theta(tower27)
-    nonzero, lowest, res, full = _check_against_full_scan(setup, f)
+    nonzero, lowest, res = _check_against_full_scan(setup, f)
     q = 27
     assert res.size == q**3 - q + 1
     ctx = charspec.make_spectrum_ctx(base_blocks(f, setup))
@@ -328,7 +346,7 @@ def test_witness_is_lowest_certifying_circle_q27(tower27):
         else:
             assert wit == 0
     assert lowest.max() >= 6
-    for idx, wit in witnesses(full).items():
+    for idx, wit in witnesses(res, witness_all=True).items():
         u, rest = divmod(idx, q * q)
         v, w = divmod(rest, q)
         if w:
@@ -377,7 +395,8 @@ def test_wide_trace_sums_q89():
     res = spectrum_size(setup, f)
     assert res.size == q**3 - q + 1
     for u, v, w in rng.integers(1, q, (40, 3)).tolist():
-        wit = int(res.lowest[u, v, w])
+        assert member(res, u, v, w)
+        wit = int(res.lowest_of(u)[v, w])
         assert direct(u, v, w, wit) != 0
         assert all(direct(u, v, w, b) == 0 for b in range(1, wit))
 

@@ -128,6 +128,28 @@ def test_cached_row_nested_too_deep_is_recomputed(workdir, capsys):
         {k: good[k] for k in ROW_KEYS if k != "wall_ms"}
 
 
+@pytest.mark.parametrize("first, forged, argv", [
+    ("spectrum", "rank_spectrum", ["spectrum", "--p", "3", "--m", "2"]),
+    ("spectrum", "rank_spectrum", ["report", "--q", "9", "--engine", "spectrum"]),
+    ("gf2", "rank_gf2", ["report", "--q", "9", "--engine", "gf2"])],
+    ids=["spectrum", "report", "report-gf2"])
+def test_cached_rank_must_equal_the_spectrum_evaluated_beside_it(workdir, capsys, first,
+                                                                 forged, argv):
+    # 720 lies inside the proven window at q = 9 and conjecture_match follows it, so
+    # the row check serves it; the spectrum that spectrum evaluates for its bitmap,
+    # or report for its criterion check, counts 721 and refuses the row
+    assert main(["rank", "--p", "3", "--m", "2", "--engine", first]) == 0
+    result_path = workdir / "cache" / "p3m2_b2,1,1_e2,0,0,1,1_fsquare_t32" / "result.json"
+    row = json.loads(result_path.read_text())
+    result_path.write_text(json.dumps({**row, forged: 720, "conjecture_match": False}))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cache disagreement at q = 9, f = square: rank 720 in "
+        f"{os.path.join('cache', result_path.parent.name, 'result.json')} != spectrum 721\n")
+    assert not (workdir / "out" / "spectrum_q9_square.json").exists()
+
+
 @pytest.mark.parametrize("engine, planted", [
     ("spectrum", {"rank_spectrum": 5}),                        # below the window
     ("spectrum", {"rank_spectrum": 26}),                       # above it
@@ -316,6 +338,49 @@ def test_spectrum_artifacts_pinned(workdir, m):
         doc = json.loads((out / f"spectrum_q{q}_square.json").read_text())
         digest = hashlib.sha256(doc["bitmap_hex"].encode()).hexdigest()
         assert digest == SPECTRUM_DIGESTS[m, "bitmap"]
+
+
+# the same for f = L(x)^2, L(x) = x + a x^3 at q = 9, whose base blocks take M = {1}
+# (test_user_table_without_the_symmetry_runs_every_layer), recorded from the
+# engine that kept a q^3 array of the lowest certifying betas
+USER_TABLE_DIGESTS = {
+    "": "86e04b3a99e79292294d161e13300a0050dcc6aab4e6465ecec79230f568f654",
+    "--witness-all": "d37ac2b820b187c150696fa1d97d3271b0139ffbd22fa95a9df4a57aebbc4e6b",
+    "bitmap": "f253dbd90f3a62b886f4f43f3f2777c9633f57948543eadf32d871cfcf21439e",
+}
+
+
+@pytest.mark.parametrize("flag", ["", "--witness-all"], ids=["plain", "witness-all"])
+def test_user_table_spectrum_artifacts_pinned(workdir, tower9, flag):
+    ext = tower9.ext
+    a = 3
+    (workdir / "lsq.do").write_text(f"0 0 1\n0 1 {ext.mul(2, a)}\n1 1 {ext.mul(a, a)}\n")
+    argv = ["spectrum", "--p", "3", "--m", "2", "--f", "user:lsq.do"]
+    assert main(argv + ([flag] if flag else [])) == 0
+    out = workdir / "out"
+    (csv,) = out.glob("spectrum_witness_q9_do-*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == USER_TABLE_DIGESTS[flag]
+    (doc,) = out.glob("spectrum_q9_do-*.json")
+    digest = hashlib.sha256(json.loads(doc.read_text())["bitmap_hex"].encode()).hexdigest()
+    assert digest == USER_TABLE_DIGESTS["bitmap"]
+
+
+@pytest.mark.parametrize("flag", [[], ["--witness-all"]], ids=["plain", "witness-all"])
+def test_witness_csv_must_agree_with_the_bitmap(workdir, capsys, monkeypatch, flag):
+    # the CSV evaluates each u-slice afresh and the bitmap packs members_of(u): a
+    # slice that differs in one character is an error, and no artifact is written
+    real = charspec.SpectrumResult.members_of
+
+    def flipped(self, u):
+        out = real(self, u)
+        out[1, 1] ^= u == 2
+        return out
+
+    monkeypatch.setattr(charspec.SpectrumResult, "members_of", flipped)
+    assert main(["spectrum", "--p", "3", "--m", "1", *flag]) == 1
+    assert capsys.readouterr().err == (
+        "error: witness scan disagrees with the spectrum's members at q = 3, u = 2\n")
+    assert not any((workdir / "out").iterdir())
 
 
 def test_kloosterman_command(workdir, capsys):
@@ -556,10 +621,18 @@ def test_cache_key_includes_modulus(workdir, capsys):
     (["rank", "--p", "3", "--m", "1", "--theta", "5"], "fiber condition fails"),
     (["verify", "--p", "1000003", "--m", "1"], "p must be at most 32767"),
     (["report", "--q", "32771"], "p must be at most 32767"),
+    (["verify", "--p", "3", "--m", "40"], "field GF(3^40) exceeds the int32 indices"),
+    (["kloosterman", "--p", "3", "--m", "40"], "field GF(3^40) exceeds the int32 indices"),
+    (["kloosterman", "--p", "3", "--m", "20"], "field GF(3^20) exceeds the int32 indices"),
+    (["verify", "--p", "3", "--m", "10"], "field GF(3^20) exceeds the int32 indices"),
+    (["report", "--q", "3486784401"], "field GF(3^20) exceeds the int32 indices"),
+    (["report", "--q", "3,59049"], "field GF(3^20) exceeds the int32 indices"),
 ], ids=["cm-suffix", "theta-range", "theta-zero", "theta-int", "modulus-int",
         "q-int", "q-one", "config-bytes", "m-negative", "p-flag-int", "m-flag-int",
         "engine-flag", "engine-config", "q-even", "q-list-even", "verify-theta-zero",
-        "verify-theta-fiber", "rank-theta-fiber", "p-above-int16", "q-above-int16"])
+        "verify-theta-fiber", "rank-theta-fiber", "p-above-int16", "q-above-int16",
+        "verify-m-40", "kloosterman-m-40", "kloosterman-above-int32", "verify-tower-above-int32",
+        "report-q-above-int32", "report-q2-above-int32"])
 def test_bad_input_exits_with_error(workdir, capsys, argv, message):
     (workdir / "binary.cfg").write_bytes(b"p=3\xff\n")
     (workdir / "engine.cfg").write_text("p=3\nm=1\nengine=bogus\n")
@@ -567,6 +640,18 @@ def test_bad_input_exits_with_error(workdir, capsys, argv, message):
     out, err = capsys.readouterr()
     assert err.startswith("error:") and message in err
     assert not out
+
+
+def test_memory_error_exits_with_error(workdir, capsys, monkeypatch):
+    # verify --p 32749 --m 1 asks numpy for 8 GB of tower tables; a refused
+    # allocation is one error line, not a traceback (simulated: nothing is allocated)
+    def refused(cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "make_context", refused)
+    assert main(["verify", "--p", "32749", "--m", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: Unable to allocate 8.00 GiB for an array\n" and not out
 
 
 def _refuse_blocks(*args, **kwargs):

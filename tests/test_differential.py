@@ -10,6 +10,8 @@ from shiftunital import (base_blocks, build_unital, do_spec, find_thetas, is_nor
 from shiftunital.fields import _is_irreducible, prime_power
 from shiftunital.gf2rank import rank2_by_characters
 
+from oracles import members
+
 
 def _ext_moduli(p: int, m: int) -> list[tuple[int, ...]]:
     """Every monic irreducible of degree 2m over GF(p): the moduli of GF(q^2)."""
@@ -48,4 +50,4 @@ def test_engines_agree_on_random_instances(data):
     if is_normal(f):
         res = spectrum_size(setup, f)
         assert res.size == rank
-        assert ranks.tolist() == res.members.sum(axis=1).tolist()
+        assert ranks.tolist() == members(res).sum(axis=1).tolist()

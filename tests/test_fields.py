@@ -532,3 +532,16 @@ def test_fields_and_char_fields_share_the_odd_prime_check(p):
         make_field(p, 1)
     with pytest.raises(FieldError, match="odd prime"):
         make_char_field(p)
+
+
+
+@pytest.mark.parametrize("p, m", [(3, 20), (3, 40), (3, 10**9), (32749, 3)])
+def test_fields_beyond_the_int32_indices_are_refused(p, m):
+    # before any table or modulus search: default_modulus at m = 40 does not end
+    with pytest.raises(FieldError, match="int32"):
+        make_field(p, m)
+
+
+def test_a_tower_beyond_the_int32_indices_is_refused():
+    with pytest.raises(FieldError, match=r"GF\(3\^20\) exceeds the int32"):
+        make_tower(make_field(3, 10))

@@ -19,7 +19,7 @@ from shiftunital.geometry import _cover_exactly_once, beta_of_table, circles_of,
 from shiftunital.gf2rank import rank2_by_characters
 
 from oracles import (ShiftPlane, _verify_plane_small, difference_counts,
-                     difference_family_fault, theta_multiples)
+                     difference_family_fault, members, theta_multiples)
 from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
 
@@ -485,7 +485,7 @@ def test_a_table_without_the_symmetry_takes_the_trivial_group(tower9):
     assert len(res.slices) == 9 and res.size == 721
     total, ranks = rank2_by_characters(blocks)
     assert total == 721
-    assert ranks.tolist() == res.counts.tolist() == res.members.sum(axis=1).tolist()
+    assert ranks.tolist() == res.counts.tolist() == members(res).sum(axis=1).tolist()
 
 
 def plant_on_block_orbit(setup, x, t, d, j, point):

@@ -16,6 +16,7 @@ from shiftunital.geometry import BaseBlocks, _multiplier
 from shiftunital.gf2rank import RankAccumulator, _eliminate, rank2_by_characters, row_int
 
 from conftest import gf2_rank_dense
+from oracles import members
 from paper_checks import verify_dual_ovals
 from test_geometry import ODD_Q_UP_TO_81
 
@@ -230,7 +231,7 @@ def test_character_ranks_match_spectrum_counts(instances, tower27):
     cases.append((27, f, find_thetas(f, tower27)[0]))
     for q, f, setup in cases:
         total, ranks = rank2_by_characters(base_blocks(f, setup))
-        counts = spectrum_size(setup, f).members.sum(axis=1)
+        counts = members(spectrum_size(setup, f)).sum(axis=1)
         assert ranks.tolist() == counts.tolist(), (q, f.name)
         assert (ranks[0, 1:] == q - 1).all() and (ranks[1:, 1:] == q).all()
         assert total == int(ranks.sum()) == q**3 - q + 1
@@ -260,7 +261,7 @@ def test_orbit_reduced_engines_equal_the_unreduced(q):
     for f, setup, blocks, counts, ranks in cases:
         full = spectrum_size(setup, f, blocks=blocks)
         assert len(full.slices) == q
-        assert counts.tolist() == full.members.sum(axis=1).tolist(), (f.name, setup.theta)
+        assert counts.tolist() == members(full).sum(axis=1).tolist(), (f.name, setup.theta)
         if with_gf2:
             assert ranks.tolist() == rank2_by_characters(blocks)[1].tolist(), (
                 f.name, setup.theta)
