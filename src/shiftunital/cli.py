@@ -9,11 +9,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-# Every module imports the package's own modules before numpy, higher layers first,
-# so that a fresh process compiles each eagerly loaded source before numpy's import
-# allocates: with no bytecode cache, a module compiled after numpy raises the peak
-# RSS of every command (tests/test_imports.py keeps the order).
-from . import geometry, planar      # charspec, gf2rank, kloosterman: imported where used
+# numpy loads on its first use (see __init__), so every source imported before a
+# command builds its first field compiles before numpy's import allocates: with no
+# bytecode cache, a module compiled after numpy raises the peak RSS of the run. Each
+# command imports the engines it runs before that (tests/test_imports.py checks it).
+from . import geometry, planar      # charspec, gf2rank, kloosterman: imported per command
 from .geometry import _atomic_write_chunks
 from .fields import (ThetaSetup, TowerCtx, _check_degree, construct_theta, make_field,
                      make_tower, prime_power, theta_setup)
@@ -143,6 +143,13 @@ def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool]:
     if cfg.engine == "auto":
         return _ENGINES["both" if q <= 9 else "spectrum"]
     return _ENGINES[cfg.engine]
+
+
+def _import_engines(run_gf2: bool) -> None:
+    """Import charspec, which every row check reads, and gf2rank if run_gf2."""
+    from . import charspec
+    if run_gf2:
+        from . import gf2rank
 
 
 def _joined(coeffs: tuple[int, ...]) -> str:
@@ -360,9 +367,12 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _check_degree(cfg.p, cfg.m)             # p^m of a huge m would not end
+    engines = resolve_engines(cfg, cfg.p**cfg.m)
+    _import_engines(engines[0])
     tower, f, setup, head = _instance(cfg)
     q = tower.base.n
-    row, _ = compute_row(cfg, tower, f, setup, *resolve_engines(cfg, q))
+    row, _ = compute_row(cfg, tower, f, setup, *engines)
     doc = {"config": head, "rows": [row]}
     path = os.path.join(cfg.out_dir, f"rank_q{q}_{f.name}.json")
     _write_json(path, doc)
@@ -396,6 +406,7 @@ def _witness_csv(result: SpectrumResult, witness_all: bool):
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _import_engines(False)
     tower, f, setup, head = _instance(cfg)
     q = tower.base.n
     row, result = compute_row(cfg, tower, f, setup, False, True)
@@ -432,6 +443,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     powers = [prime_power(q) for q in q_list]      # every q resolves before any output
     for p, m in powers:
         _check_degree(p, 2 * m)                    # and its tower GF(q^2)
+    _import_engines(any(resolve_engines(cfg, q)[0] for q in q_list))
     _print_header({"q_list": ",".join(str(q) for q in q_list), "engine": cfg.engine,
                    "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir})
     rows = []

@@ -170,8 +170,8 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
     times in the rows. Else the message names (0, least dt) or the least code z^k q + dt'
     of a wrong label, and how often its phi^j-images, j < (q - 1)/|rows|, arise in the
     rows: with M = {1}, the least code with a wrong count in all blocks. The labels are
-    counted one chunk of rows at a time (_chunk_rows), q^3 - q of them with M = {1},
-    and the chunks' counts added; a failure reads the chunks again.
+    counted one chunk of rows at a time (_chunk_rows) into one count per label, q^3 - q
+    of them with M = {1}; a failure reads the chunks again.
     """
     tower = setup.tower
     base, ext, q = tower.base, tower.ext, tower.base.n
@@ -194,8 +194,11 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
         log_dx = ext.log[dx]
         k = log_dx % n_classes
         c_to_minus_d = tower.unembed[ext.exp[(log_dx - k) * -d % (q * q - 1)]]
-        counts += np.bincount((k * q + base.vmul(c_to_minus_d, dt)).ravel(),
-                              minlength=counts.size)
+        labels = (k * q + base.vmul(c_to_minus_d, dt)).ravel()
+        if labels.size < counts.size:       # no count-sized temporary per chunk
+            np.add.at(counts, labels, 1)
+        else:
+            counts += np.bincount(labels, minlength=counts.size)
     else:
         wrong = np.flatnonzero(counts != rows.size * size // (q - 1))
         if not wrong.size:
@@ -415,13 +418,17 @@ def write_design(design: UnitalDesign, path: str) -> None:
 def read_design(path: str) -> UnitalDesign:
     """Parse the canonical text format; field contexts are not reconstructed.
 
-    DesignError on a missing or non-integer header entry, points != q^3 + 1, or a
-    body other than `blocks` rows of q + 1 point ids in range(points): np.loadtxt reads
-    one row more, and a blank line, on which it only warns, raises too.
+    DesignError on text that is not UTF-8, a missing or non-integer header entry,
+    points != q^3 + 1, or a body other than `blocks` rows of q + 1 point ids in
+    range(points): np.loadtxt reads one row more, and a blank line, on which it only
+    warns, raises too.
     """
-    with open(path) as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
-        head = [fh.readline().rstrip("\n") for _ in range(3)]
+        try:
+            head = [fh.readline().rstrip("\n") for _ in range(3)]
+        except UnicodeDecodeError as exc:
+            raise DesignError(f"{path}: not a text file ({exc.reason})") from None
         if head[0] != "UNITAL v1":
             raise DesignError(f"{path}: not a design file")
         meta = dict(tok.partition("=")[::2] for line in head[1:] for tok in line.split())

@@ -76,14 +76,13 @@ def test_kernel_peak_within_the_budget(kernels, name):
 
 def test_trivial_multiplier_counts_the_labels_a_chunk_at_a_time():
     # given M = {1}, the exact-cover check reads every row; it holds one chunk of
-    # differences and labels, and two int64 counts per label: the sum so far and
-    # one chunk's np.bincount
+    # differences and labels, and one int64 count per label, which each chunk adds to
     _, setup, blocks = _square(7, 2)
     q = setup.tower.base.n
     trivial = (1, 0, np.arange(q - 1))
     _, peak = traced_peak(
         lambda: geometry._check_difference_family(setup, blocks.x, blocks.t, trivial))
-    bound = 2 * fields._WORK_BYTES + 16 * (q**3 - q)
+    bound = 2 * fields._WORK_BYTES + 8 * (q**3 - q)
     assert peak <= bound, f"traced peak {peak} B above {bound} B"
 
 

@@ -649,3 +649,6 @@ def test_read_design_rejects_garbage(tmp_path, design3):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(DesignError):
             read_design(str(path))
+    path.write_bytes(b"UNITAL v1\n\xff\xfe bad\n")                          # not UTF-8
+    with pytest.raises(DesignError):
+        read_design(str(path))

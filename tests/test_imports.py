@@ -10,65 +10,91 @@ import pytest
 import shiftunital
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(shiftunital.__file__)))
-# prints, as its last line, the package modules, hashlib and fractions loaded by
-# `import shiftunital` or, given an argv, by one command run through cli.main
+# Prints two lines: the package sources compiled, in order, with "numpy" where numpy's
+# import begins (its first module import, numpy itself or a numpy.* submodule: the
+# package puts a numpy in sys.modules that loads on first use, so no `import numpy`
+# statement starts the import); then the package modules, hashlib and fractions
+# loaded. The run is one of
+#   cli ARGV...   one command through cli.main;
+#   module NAME   import NAME, then read a numpy attribute, which loads numpy;
+#   library       the library path of a spectrum_size caller, one call;
+#   (nothing)     import shiftunital.
 _PROBE = """
-import sys
-if sys.argv[1:]:
-    from shiftunital.cli import main
-    assert main(sys.argv[1:]) == 0, sys.argv
-else:
-    import shiftunital
-print(" ".join(sorted(name for name in sys.modules
-                      if name.startswith("shiftunital.") or name in ("hashlib", "fractions"))))
-"""
-BASE = {"cli", "errors", "fields", "planar", "geometry"}
-# imports argv[1] and prints, in order, the package sources it compiles and "numpy"
-# where numpy's import begins
-_COMPILE_PROBE = """
 import importlib, os, sys
 events = []
 
 def hook(event, args):
     if event == "compile" and os.path.basename(os.path.dirname(str(args[1]))) == "shiftunital":
         events.append(os.path.basename(args[1]).removesuffix(".py"))
-    elif event == "import" and args[0] == "numpy" and "numpy" not in events:
+    elif (event == "import" and args[0].partition(".")[0] == "numpy"
+          and "numpy" not in events):
         events.append("numpy")
 
 sys.addaudithook(hook)
-importlib.import_module(sys.argv[1])
+mode, *rest = sys.argv[1:] or [None]
+if mode == "cli":
+    from shiftunital.cli import main
+    assert main(rest) == 0, rest
+elif mode == "module":
+    importlib.import_module(rest[0])
+    import numpy
+    numpy.ndarray
+elif mode == "library":
+    from shiftunital import make_field, make_tower, spectrum_size
+    from shiftunital import construct_theta, square_spec
+    tower = make_tower(make_field(3, 1))
+    assert spectrum_size(construct_theta(tower), square_spec(tower.ext)).size == 25
+else:
+    import shiftunital
 print(" ".join(events))
-print(" ".join(name.removeprefix("shiftunital.") for name in sys.modules
-               if name.startswith("shiftunital.")))
+print(" ".join(sorted(name.removeprefix("shiftunital.") for name in sys.modules
+                      if name.startswith("shiftunital.") or name in ("hashlib", "fractions"))))
 """
+BASE = {"cli", "errors", "fields", "planar", "geometry"}
 
 
-def _loaded(cwd, *argv) -> set[str]:
-    """The modules a fresh process loads, compiling from source as benchmark children do."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": SRC}
+@pytest.fixture(scope="module")
+def package(tmp_path_factory):
+    """A copy of the package without __pycache__, so every source a run loads compiles."""
+    root = tmp_path_factory.mktemp("src")
+    shutil.copytree(os.path.join(SRC, "shiftunital"), root / "shiftunital",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _run(package, cwd, *argv) -> tuple[list[str], set[str]]:
+    """(events, loaded) of the probe in a fresh process that writes no bytecode, as
+    benchmark children run."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(package)}
     env.pop("UNITAL_CACHE_DIR", None)
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
-    return {name.removeprefix("shiftunital.") for name in done.stdout.splitlines()[-1].split()}
+    events, loaded = (line.split() for line in done.stdout.splitlines()[-2:])
+    return events, set(loaded)
+
+
+def _assert_compiled_before_numpy(events, loaded):
+    # every loaded package source compiles once, and all before numpy's import begins
+    assert events[-1] == "numpy", events
+    assert sorted(events[:-1]) == sorted({"__init__", *loaded} - {"hashlib", "fractions"})
 
 
 @pytest.mark.parametrize("module", ["cli", *shiftunital._EXPORTS])
-def test_package_sources_compile_before_numpy(tmp_path, module):
-    # a copy without __pycache__, so every package source compiles
-    shutil.copytree(os.path.join(SRC, "shiftunital"), tmp_path / "shiftunital",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tmp_path)}
-    done = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, f"shiftunital.{module}"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-    events, loaded = (line.split() for line in done.stdout.splitlines()[-2:])
-    assert set(events) - {"numpy"} == {"__init__", *loaded}
+def test_package_sources_compile_before_numpy(package, tmp_path, module):
+    events, loaded = _run(package, tmp_path, "module", f"shiftunital.{module}")
     assert module in loaded
-    # every package source compiles before numpy's import begins; errors loads no numpy
-    assert events[-1] == ("errors" if module == "errors" else "numpy"), events
+    _assert_compiled_before_numpy(events, loaded)
 
 
-def test_bare_import_loads_no_submodule(tmp_path):
-    assert _loaded(tmp_path) == set()
+def test_library_path_compiles_before_numpy(package, tmp_path):
+    events, loaded = _run(package, tmp_path, "library")
+    assert loaded == {"errors", "fields", "planar", "geometry", "charspec"}
+    _assert_compiled_before_numpy(events, loaded)
+
+
+def test_bare_import_loads_no_submodule(package, tmp_path):
+    # and no numpy
+    assert _run(package, tmp_path) == (["__init__"], set())
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -80,17 +106,23 @@ def test_bare_import_loads_no_submodule(tmp_path):
     (["rank", "--p", "3", "--m", "1", "--engine", "gf2"], {"charspec", "gf2rank"}),
     (["report", "--q", "3"], {"charspec", "gf2rank", "kloosterman"}),
 ], ids=["verify", "find-theta", "build", "kloosterman", "spectrum", "rank-gf2", "report"])
-def test_command_loads_only_what_it_runs(tmp_path, argv, extra):
-    # no command names a user: table, so none loads hashlib; none loads fractions
-    assert _loaded(tmp_path, *argv) == BASE | extra
+def test_command_loads_only_what_it_runs(package, tmp_path, argv, extra):
+    # cold, then warm on the cache the cold run left; no command names a user: table,
+    # so none loads hashlib; none loads fractions
+    for _ in ("cold", "warm"):
+        events, loaded = _run(package, tmp_path, "cli", *argv)
+        assert loaded == BASE | extra
+        _assert_compiled_before_numpy(events, loaded)
 
 
-def test_spectrum_rank_loads_no_gf2_or_kloosterman_cold_or_warm(tmp_path):
-    argv = ["rank", "--p", "3", "--m", "2", "--engine", "spectrum"]
-    cold = _loaded(tmp_path, *argv)
+def test_spectrum_rank_loads_no_gf2_or_kloosterman_cold_or_warm(package, tmp_path):
+    argv = ["cli", "rank", "--p", "3", "--m", "2", "--engine", "spectrum"]
+    cold = _run(package, tmp_path, *argv)
     assert list(tmp_path.glob("cache/*/result.json"))
-    warm = _loaded(tmp_path, *argv)
-    assert cold == warm == BASE | {"charspec"}
+    warm = _run(package, tmp_path, *argv)
+    for events, loaded in (cold, warm):
+        assert loaded == BASE | {"charspec"}
+        _assert_compiled_before_numpy(events, loaded)
 
 
 def test_every_export_resolves_and_is_listed():
