@@ -13,7 +13,9 @@ def _defer_numpy() -> None:
     """Put a numpy in sys.modules that imports itself on its first attribute read.
 
     importlib.util.LazyLoader makes the stub; the import statement reads __spec__
-    of a module found in sys.modules, so that one read does not load numpy.
+    of a module found in sys.modules, so that one read does not load numpy. Any
+    other read first restores the LazyLoader class, which the loader of Python
+    3.12.3 and later must see to load, then reads through it, which loads numpy.
     """
     spec = importlib.util.find_spec("numpy")
     if spec is None:
@@ -22,12 +24,14 @@ def _defer_numpy() -> None:
     numpy = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = numpy
     spec.loader.exec_module(numpy)
+    lazy = type(numpy)
 
-    class _Stub(type(numpy)):
+    class _Stub(lazy):
         def __getattribute__(self, name):
             if name == "__spec__":
                 return types.ModuleType.__getattribute__(self, name)
-            return super().__getattribute__(name)
+            object.__setattr__(self, "__class__", lazy)
+            return getattr(self, name)
 
     numpy.__class__ = _Stub
 

@@ -125,6 +125,32 @@ def test_spectrum_rank_loads_no_gf2_or_kloosterman_cold_or_warm(package, tmp_pat
         _assert_compiled_before_numpy(events, loaded)
 
 
+_LOADER_PROBE = """
+import importlib.util
+lazy = importlib.util._LazyModule
+stock, seen = lazy.__getattribute__, []
+
+def spy(self, name):
+    seen.append((name, object.__getattribute__(self, "__class__") is lazy))
+    return stock(self, name)
+
+lazy.__getattribute__ = spy
+import shiftunital
+import numpy
+assert numpy.ndarray is numpy.asarray(0).__class__
+print(*seen[0])
+"""
+
+
+def test_stub_hands_numpy_to_the_stock_lazy_loader(package, tmp_path):
+    # the stock loader runs with the module's class exactly _LazyModule, as the loader
+    # of Python 3.12.3 and later needs to load it, and only after the first read
+    env = {**os.environ, "PYTHONPATH": str(package)}
+    done = subprocess.run([sys.executable, "-c", _LOADER_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["ndarray", "True"]
+
+
 def test_every_export_resolves_and_is_listed():
     listed = dir(shiftunital)
     assert len(set(shiftunital.__all__)) == len(shiftunital.__all__)
