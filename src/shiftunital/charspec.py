@@ -6,8 +6,7 @@ from functools import cached_property
 
 from . import geometry
 from .planar import PlanarSpec, is_normal
-from .fields import (FieldCtx, ThetaSetup, _chunk_rows, make_char_field,
-                     trace_form_table)
+from .fields import ThetaSetup, _chunk_rows, make_char_field, trace_form_table
 from .errors import FieldError, VerificationError
 
 import numpy as np
@@ -45,59 +44,57 @@ def make_spectrum_ctx(blocks: geometry.BaseBlocks) -> SpectrumCtx:
                        x1=tower.dec1[blocks.x], t=blocks.t, epsx=np.tile(eps, 3), e=cf.e)
 
 
-def slice_one(base: FieldCtx, d: int, u, v, w):
-    """The indices (v/u, w u^-d) of chi_{u,v,w}, u != 0, in slice u = 1; broadcasts.
+def slice_of(blocks: geometry.BaseBlocks, u, v, w):
+    """(s, v', w'): the stored slice s that decides chi_{u,v,w}, and its indices there.
 
-    phi_c (geometry.base_blocks) maps D_beta onto D_(c^d beta), so chi_{u,v,w} sums over
-    D_(c^d beta) as chi_{cu,cv,c^d w} does over D_beta. With c = 1/u, chi_{u,v,w} is a
-    member iff its image in slice 1 is, and its certifying betas are u^-d times those
-    of the image.
+    Broadcasts. With M = {1} every u is stored: the identity. With M = GF(q)*, phi_c
+    maps D_beta onto D_(c^d beta) (geometry.base_blocks), so chi_{u,v,w} sums over
+    D_(c^d beta) as chi_{cu,cv,c^d w} does over D_beta. With c = 1/u (1 at u = 0) it
+    is a member iff its image in slice uc is, and its certifying betas are u^-d times
+    those of the image.
     """
-    return base.vmul(base.vpow(u, -1), v), base.vmul(base.vpow(u, -d), w)
+    if blocks.size == 1:
+        return u, v, w
+    base = blocks.setup.tower.base
+    c = base.vadd(base.vpow(u, -1), base.vsub(1, base.vpow(u, base.n - 1)))
+    return base.vmul(u, c), base.vmul(c, v), base.vmul(base.vpow(c, blocks.d), w)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Membership of the q^3 characters chi_{u,v,w}, read off the evaluated u-slices.
 
-    slices[u, v, w] holds the lowest certifying beta of each member with w != 0 and
-    0 elsewhere, for every u, or for u = 0 and 1 only when the multiplier group M of
-    the base blocks is GF(q)* (geometry.base_blocks): phi_c permutes the blocks, so
-    chi_{u,v,w} is a member iff chi_{cu,cv,c^d w} is, and c = 1/u sends slice u onto
-    slice 1 (slice_one). Nothing held is q^3-sized: other u are evaluated from ctx.
+    slices[s, v, w] holds the lowest certifying beta of each member with w != 0 and
+    0 elsewhere, for the u-slices that spectrum_size evaluated: one per orbit of the
+    multiplier group M of the blocks on u (geometry.base_blocks). slice_of sends each
+    character to its slice. Nothing held is q^3-sized: other u are evaluated from ctx.
     """
 
     q: int
     slices: np.ndarray = field(repr=False)
-    base: FieldCtx = field(repr=False)
-    d: int
+    blocks: geometry.BaseBlocks = field(repr=False)
     ctx: SpectrumCtx = field(repr=False)
 
     @cached_property
     def size(self) -> int:
-        q, n = self.q, np.count_nonzero(self.slices.reshape(len(self.slices), -1), axis=1)
-        # chi_{u,v,0} for every (u, v), then the members with w != 0
-        return q * q + int(n.sum() if len(n) == q else n[0] + (q - 1) * n[1])
+        n = np.count_nonzero(self.slices.reshape(len(self.slices), -1), axis=1).tolist()
+        # chi_{u,v,0} for every (u, v), then w != 0: slice 0, and q - 1 u read the rest
+        return self.q * self.q + n[0] + (self.q - 1) * sum(n[1:]) // (len(n) - 1)
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """Members chi_{u,v,w} over v, indexed [u, w]: row u != 0 is row 1 at w u^-d."""
+        """Members chi_{u,v,w} over v, indexed [u, w]: the count of its slice (slice_of)."""
         q = self.q
         counts = np.count_nonzero(self.slices, axis=1)
         counts[:, 0] = q
-        if len(counts) == q:
-            return counts
-        _, w = slice_one(self.base, self.d, np.arange(1, q)[:, None], 0, np.arange(q))
-        return np.concatenate([counts[:1], counts[1][w]])
+        ar = np.arange(q)
+        s, _, w = slice_of(self.blocks, ar[:, None], 0, ar)
+        return counts[s, w]
 
     def members_of(self, u: int) -> np.ndarray:
         """Membership of chi_{u,v,w} as a bool array indexed [v, w], from the slices."""
-        if u < len(self.slices):
-            low = self.slices[u]
-        else:
-            ar = np.arange(self.q)
-            low = self.slices[1][slice_one(self.base, self.d, u, ar[:, None], ar)]
-        out = low > 0
+        ar = np.arange(self.q)
+        out = self.slices[slice_of(self.blocks, u, ar[:, None], ar)] > 0
         out[:, 0] = True
         return out
 
@@ -176,7 +173,7 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
     pending, a block of v is summed against every w by broadcast; after that the
     pending pairs are gathered. Every sum is a sum of three trace values looked
     up in epsx, then xor-reduced. When the base blocks have the multiplier group
-    M = GF(q)*, only u = 0 and 1 are evaluated here (SpectrumResult). The S(beta)
+    M = GF(q)*, only u = 0 and 1 are evaluated here (slice_of). The S(beta)
     criterion holds for normal f only; FieldError otherwise. `blocks` is
     base_blocks(f, setup), built here when None.
     """
@@ -184,10 +181,10 @@ def spectrum_size(setup: ThetaSetup, f: PlanarSpec,
         raise FieldError("spectrum engine requires a normal f")
     blocks = geometry.base_blocks(f, setup) if blocks is None else blocks
     ctx = make_spectrum_ctx(blocks)
-    base, q = setup.tower.base, setup.tower.base.n
-    lowest = np.stack([_scan(ctx, u) for u in range(2 if blocks.size == q - 1 else q)])
+    q = setup.tower.base.n
+    lowest = np.stack([_scan(ctx, u) for u in range(1 + (q - 1) // blocks.size)])
     lowest.setflags(write=False)
-    return SpectrumResult(q=q, slices=lowest, base=base, d=blocks.d, ctx=ctx)
+    return SpectrumResult(q=q, slices=lowest, blocks=blocks, ctx=ctx)
 
 
 def bounds(q: int, p: int, m: int) -> dict:

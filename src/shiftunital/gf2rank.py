@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .charspec import make_spectrum_ctx, slice_one
+from .charspec import make_spectrum_ctx, slice_of
 from . import geometry
 from .fields import _chunk_rows
 from .errors import FieldError, VerificationError
@@ -168,15 +168,13 @@ def rank2_by_characters(blocks: geometry.BaseBlocks) -> tuple[int, np.ndarray]:
     width = -(-q // slots)
     eps = ctx.epsx.astype(np.uint64)
     # one (u, w) per orbit with w != 0: the least u q + w over the x2 images of its
-    # M-orbit representative rep, (1, w u^-d) (slice_one) for u != 0 and (0, w') with
-    # log w' = log w mod gcd(d, q - 1) for u = 0; with M = {1}, rep is the identity
+    # M-orbit representative rep, slice_of's (s, w') for u != 0 and (0, w') with
+    # log w' = log w mod gcd(d, q - 1) for u = 0 (w' = w when M = {1}, d = 0)
     pair = np.arange(q * q).reshape(q, q)[:, 1:].ravel()
     rep = np.arange(q * q)
-    if blocks.size == q - 1:
-        d = blocks.d
-        _, w1 = slice_one(base, d, np.arange(q)[:, None], 0, np.arange(1, q))   # [u, w - 1]
-        rep[pair] = np.where(pair < q, base.exp[base.log[pair % q] % math.gcd(d, q - 1)],
-                             q + w1.ravel())
+    s, _, w1 = slice_of(blocks, np.arange(1, q)[:, None], 0, np.arange(1, q))   # [u - 1, w - 1]
+    rep[pair[q - 1:]] = (s * q + w1).ravel()
+    rep[1:q] = base.exp[base.log[1:q] % math.gcd(blocks.d, q - 1)]
     double = base.vmul(2 % p, np.arange(q))
     least = img = rep[pair]             # a gather, so np.minimum never writes into rep
     for _ in range(e - 1):

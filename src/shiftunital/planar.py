@@ -31,7 +31,8 @@ def coulter_matthews_spec(ext: FieldCtx, k: int) -> PlanarSpec:
         raise FieldError("Coulter-Matthews functions require characteristic 3")
     if k < 1 or math.gcd(k, 2 * ext.m) != 1:
         raise FieldError(f"x^((3^{k}+1)/2) is not planar on GF(3^{ext.m})")
-    d = (3**k + 1) // 2
+    # (3^k + 1)/2 mod 3^e - 1, all that vpow reads, without forming 3^k
+    d = (pow(3, k, 2 * (ext.n - 1)) + 1) // 2
     tbl = ext.vpow(np.arange(ext.n), d)
     return PlanarSpec(name=f"cm{k}", family="coulter_matthews", field=ext,
                       table=tbl, param=k)

@@ -224,10 +224,27 @@ def test_spectrum_result_holds_no_cubic_array(tower27):
     assert sizes and max(sizes) <= 2 * q**2
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_slice_of_is_the_identity_under_the_trivial_group(m):
+    # M = {1} stores every u-slice, so each character reads its own; the certified
+    # M = GF(q)* stores slices 0 and 1, and u <= 1 reads its own there too
+    tower = make_tower(make_field(3, m))
+    q = tower.base.n
+    u, v, w = np.meshgrid(*[np.arange(q)] * 3, indexing="ij")
+    f = square_spec(tower.ext)
+    blocks = base_blocks(f, construct_theta(tower))
+    assert blocks.size == q - 1
+    for got, want in zip(charspec.slice_of(_trivial(blocks), u, v, w), (u, v, w)):
+        assert np.array_equal(got, want)
+    s, v1, w1 = charspec.slice_of(blocks, u, v, w)
+    assert np.array_equal(s, np.minimum(u, 1))
+    assert np.array_equal(v1[:2], v[:2]) and np.array_equal(w1[:2], w[:2])
+
+
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
-def test_slice_one_maps_certifying_sets(p, m):
+def test_slice_of_maps_certifying_sets(p, m):
     # phi_c maps D_beta onto D_(c^d beta), so with c = 1/u the certifying betas of
-    # chi_{u,v,w} are u^-d times those of chi_{1,v',w'}, (v', w') = slice_one(u, v, w);
+    # chi_{u,v,w} are u^-d times those of chi_{1,v',w'}, (1, v', w') = slice_of(u, v, w);
     # the sets differ between characters even where every count is maximal
     tower = make_tower(make_field(p, m))
     base, q = tower.base, tower.base.n
@@ -239,8 +256,9 @@ def test_slice_one_maps_certifying_sets(p, m):
         full = spectrum_size(setup, f, blocks=blocks)
         ones = full.certifying_sets(1)
         for u in range(2, q):
-            v1, w1 = charspec.slice_one(base, full.d, u, ar[:, None], ar[None, 1:])
-            scale = base.vpow(u, -full.d)
+            s, v1, w1 = charspec.slice_of(blocks, u, ar[:, None], ar[None, 1:])
+            assert s == 1
+            scale = base.vpow(u, -blocks.d)
             got = [tuple(sorted(base.vmul(scale, np.array(ones[k], dtype=np.int64)).tolist()))
                    for k in (v1 * q + w1).ravel().tolist()]
             sets = full.certifying_sets(u)

@@ -503,6 +503,21 @@ def test_refusal_table_is_the_readme_table():
     assert set(REFUSES) == set(cli._COMMANDS)
 
 
+def test_readme_library_example_runs(tmp_path):
+    # README's one python block, in a fresh process, so the library text stays true
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    src = os.path.dirname(os.path.dirname(shiftunital.__file__))
+    subprocess.run([sys.executable, "-c", example], cwd=tmp_path,
+                   env={**os.environ, "PYTHONPATH": src}, check=True)
+
+
+def test_a_huge_cm_k_answers(workdir, capsys):
+    # 3^k is never formed: k reads as k mod 2e (test_planar)
+    assert main(["verify", "--p", "3", "--m", "1", "--f", "cm:99999999999999999999"]) == 0
+    assert "cm99999999999999999999" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", sorted(REFUSES))
 def test_refuse_unread_follows_the_refusal_table(command):
     # every option the command reads may be set at once

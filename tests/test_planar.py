@@ -1,4 +1,6 @@
 """Planar function specs, planarity witnesses, and coordinate components."""
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ def test_coulter_matthews_gf81(tower9):
     # the function differs from every scaled square, so the plane is new
     sq = square_spec(tower9.ext)
     assert not np.array_equal(f.table, sq.table)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_coulter_matthews_tables_equal_the_unreduced_power(m):
+    ext = make_tower(make_field(3, m)).ext
+    xs = np.arange(ext.n)
+    for k in range(1, 4 * m + 3, 2):
+        if math.gcd(k, 4 * m) == 1:         # planar: gcd(k, 2e) = 1, e = 2m
+            assert np.array_equal(coulter_matthews_spec(ext, k).table,
+                                  ext.vpow(xs, (3**k + 1) // 2)), k
+
+
+def test_coulter_matthews_takes_a_huge_k(tower3):
+    # 3^(2e) = 1 mod 2(3^e - 1), so k reads as k mod 2e; 3^k is never formed
+    k = 99999999999999999999
+    f = coulter_matthews_spec(tower3.ext, k)
+    assert f.name == f"cm{k}"
+    assert np.array_equal(f.table, coulter_matthews_spec(tower3.ext, k % 4).table)
 
 
 def test_coulter_matthews_rejects_bad_k(tower9):
