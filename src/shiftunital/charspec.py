@@ -1,8 +1,8 @@
 """The character context of both rank engines; the spectrum engine over GF(2^e); rank bounds."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import geometry
 from .planar import PlanarSpec, is_normal
@@ -11,8 +11,7 @@ from .errors import FieldError, VerificationError
 
 import numpy as np
 
-@dataclass(frozen=True, eq=False)
-class SpectrumCtx:
+class SpectrumCtx(NamedTuple):
     """The character data of one unital's base blocks, read by both rank engines.
 
     Tr is additive, so chi_{u,v,w}(x, t) = eps^(Tr(u*x0) + Tr(v*x1) + Tr(w*t)), and
@@ -21,12 +20,12 @@ class SpectrumCtx:
     eps_pows tiled three times, so a sum of three traces indexes it directly.
     """
 
-    trace_form: np.ndarray = field(repr=False)  # (q, q) Tr(a*b)
-    x0: np.ndarray = field(repr=False)        # (q - 1, q + 1) x0 of each point of D_beta
-    x1: np.ndarray = field(repr=False)        # (q - 1, q + 1) x1 of each point of D_beta
-    t: np.ndarray = field(repr=False)         # (q - 1, q + 1) t of each point of D_beta
-    epsx: np.ndarray = field(repr=False)      # (3p,) eps^(k mod p)
-    e: int                                    # eps lies in GF(2^e), e = ord_p(2)
+    trace_form: np.ndarray    # (q, q) Tr(a*b)
+    x0: np.ndarray            # (q - 1, q + 1) x0 of each point of D_beta
+    x1: np.ndarray            # (q - 1, q + 1) x1 of each point of D_beta
+    t: np.ndarray             # (q - 1, q + 1) t of each point of D_beta
+    epsx: np.ndarray          # (3p,) eps^(k mod p)
+    e: int                    # eps lies in GF(2^e), e = ord_p(2)
 
 
 def make_spectrum_ctx(blocks: geometry.BaseBlocks) -> SpectrumCtx:
@@ -56,11 +55,10 @@ def slice_of(blocks: geometry.BaseBlocks, u, v, w):
     if blocks.size == 1:
         return u, v, w
     base = blocks.setup.tower.base
-    c = base.vadd(base.vpow(u, -1), base.vsub(1, base.vpow(u, base.n - 1)))
+    c = base.vpow(np.where(u == 0, 1, u), -1)
     return base.vmul(u, c), base.vmul(c, v), base.vmul(base.vpow(c, blocks.d), w)
 
 
-@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Membership of the q^3 characters chi_{u,v,w}, read off the evaluated u-slices.
 
@@ -68,12 +66,15 @@ class SpectrumResult:
     0 elsewhere, for the u-slices that spectrum_size evaluated: one per orbit of the
     multiplier group M of the blocks on u (geometry.base_blocks). slice_of sends each
     character to its slice. Nothing held is q^3-sized: other u are evaluated from ctx.
+    The four fields are read-only; the cached properties fill in on first read.
     """
 
-    q: int
-    slices: np.ndarray = field(repr=False)
-    blocks: geometry.BaseBlocks = field(repr=False)
-    ctx: SpectrumCtx = field(repr=False)
+    def __init__(self, q: int, slices: np.ndarray, blocks: geometry.BaseBlocks,
+                 ctx: SpectrumCtx):
+        self.__dict__.update(q=q, slices=slices, blocks=blocks, ctx=ctx)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
     @cached_property
     def size(self) -> int:

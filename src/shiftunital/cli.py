@@ -6,26 +6,28 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # numpy loads on its first use (see __init__), so every source imported before a
 # command builds its first field compiles before numpy's import allocates: with no
 # bytecode cache, a module compiled after numpy raises the peak RSS of the run. Each
-# command imports the engines it runs before that (tests/test_imports.py checks it).
-from . import geometry, planar      # charspec, gf2rank, kloosterman: imported per command
-from .geometry import _atomic_write_chunks
-from .fields import (ThetaSetup, TowerCtx, _check_degree, construct_theta, make_field,
-                     make_tower, prime_power, theta_setup)
+# command imports the modules it runs before that (tests/test_imports.py checks it):
+# geometry and planar in every command but kloosterman, and charspec, gf2rank and
+# kloosterman where they run.
+from .fields import (ThetaSetup, TowerCtx, _atomic_write_chunks, _check_degree,
+                     construct_theta, make_field, make_tower, prime_power, theta_setup)
 from .errors import DesignError, FieldError, VerificationError
 
 import numpy as np
 
 if TYPE_CHECKING:
+    from . import planar
     from .charspec import SpectrumResult
 
-@dataclass
+
 class RunConfig:
+    """The options of one run; a keyword names an option, the class holds the defaults."""
+
     p: int = 3
     m: int = 1
     modulus: tuple[int, ...] | None = None   # extension-field modulus override
@@ -34,6 +36,12 @@ class RunConfig:
     engine: str = "auto"                     # gf2 | spectrum | both | auto
     out_dir: str = "out"
     cache_dir: str = "cache"
+
+    def __init__(self, **options):
+        unknown = options.keys() - _CONFIG_KEYS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig takes no option {sorted(unknown)[0]!r}")
+        self.__dict__.update(options)
 
 
 def refuse_unread(command: str, cfg: RunConfig) -> None:
@@ -111,6 +119,7 @@ def make_context(cfg: RunConfig) -> TowerCtx:
 
 
 def resolve_f(cfg: RunConfig, tower: TowerCtx) -> planar.PlanarSpec:
+    from . import planar
     sel = cfg.f
     if sel == "square":
         return planar.square_spec(tower.ext)
@@ -126,6 +135,7 @@ def resolve_f(cfg: RunConfig, tower: TowerCtx) -> planar.PlanarSpec:
 
 
 def resolve_theta(cfg: RunConfig, f: planar.PlanarSpec, tower: TowerCtx) -> ThetaSetup:
+    from . import geometry
     if cfg.theta == "auto":
         if f.family == "square":
             return construct_theta(tower)
@@ -269,8 +279,9 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec, setup: Th
     t0 = time.monotonic()
     spectrum = blocks = None
     if run_gf2:
+        from .geometry import base_blocks
         from .gf2rank import rank2_by_characters
-        blocks = geometry.base_blocks(f, setup)
+        blocks = base_blocks(f, setup)
         rank_gf2, by_character = rank2_by_characters(blocks)
     if run_spectrum:
         from .charspec import spectrum_size
@@ -326,6 +337,7 @@ def _instance(cfg: RunConfig, with_theta: bool = True) -> tuple:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import geometry, planar
     tower, f, setup, _ = _instance(cfg)
     rep = geometry.verify_plane(f)          # DesignError unless f is planar
     normal = planar.is_normal(f)
@@ -345,6 +357,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_find_theta(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import geometry
     tower, f, _, head = _instance(cfg, with_theta=False)
     setups = geometry.find_thetas(f, tower)
     rows = [{"theta_index": s.theta, "theta0": s.theta0, "theta1": s.theta1}
@@ -357,6 +370,7 @@ def cmd_find_theta(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import geometry
     _, f, setup, _ = _instance(cfg)
     design = geometry.build_unital(f, setup)
     path = os.path.join(cfg.out_dir, f"design_q{design.q}_{f.name}_t{setup.theta}.txt")
@@ -436,6 +450,7 @@ def cmd_kloosterman(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import planar
     from .kloosterman import count_classes, criterion_grid, kloosterman_table
     q_list = [_parse_int(s, "q") for s in args.q.split(",")]
     if len(set(q_list)) != len(q_list):

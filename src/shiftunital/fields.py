@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import os
+from typing import NamedTuple
 
 from .errors import FieldError
 
@@ -151,6 +152,19 @@ _WORK_BYTES = 1 << 18
 def _chunk_rows(row_bytes: int) -> int:
     """Rows of row_bytes each that one chunk holds within _WORK_BYTES; at least 1."""
     return max(1, _WORK_BYTES // row_bytes)
+
+
+def _atomic_write_chunks(path: str, chunks) -> None:
+    """Write the text chunks to a temporary file beside path, then os.replace it there."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            os.remove(tmp)          # a chunk that raises leaves no partial file
+            raise
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +338,8 @@ class FieldCtx:
 
     def vpow(self, a, e: int):
         a = np.asarray(a)
+        if e < 0 and np.any(a == 0):
+            raise FieldError("zero to a negative power")
         # reduce e first: a huge exponent, such as a cm:k power, overflows int64
         out = self.exp[(self.log[a] * (e % (self.n - 1))) % (self.n - 1)].astype(np.int32)
         return np.where(a == 0, 0 if e else 1, out)
@@ -390,18 +406,17 @@ def quadratic_character(ctx: FieldCtx, x: int) -> int:
 # Quadratic tower GF(q^2) = GF(q)(xi), xi = omega^((q+1)/2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerCtx:
+class TowerCtx(NamedTuple):
     """GF(q) together with GF(q^2) and the coordinate split x = x0 + x1*xi."""
 
     base: FieldCtx
     ext: FieldCtx
     xi: int                       # ext index, xi = omega_ext^((q+1)/2); xi^q = -xi
     alpha: int                    # base index of xi^2, a nonsquare generator of GF(q)*
-    embed: np.ndarray = field(repr=False)    # base index -> ext index
-    unembed: np.ndarray = field(repr=False)  # ext index -> base index or -1
-    dec0: np.ndarray = field(repr=False)     # ext index -> base index of x0
-    dec1: np.ndarray = field(repr=False)     # ext index -> base index of x1
+    embed: np.ndarray             # base index -> ext index
+    unembed: np.ndarray           # ext index -> base index or -1
+    dec0: np.ndarray              # ext index -> base index of x0
+    dec1: np.ndarray              # ext index -> base index of x1
 
     def decompose(self, x: int) -> tuple[int, int]:
         return int(self.dec0[x]), int(self.dec1[x])
@@ -451,8 +466,7 @@ def make_tower(base: FieldCtx, ext_modulus: tuple[int, ...] | None = None) -> To
                     embed=embed, unembed=unembed, dec0=dec0, dec1=dec1)
 
 
-@dataclass(frozen=True)
-class ThetaSetup:
+class ThetaSetup(NamedTuple):
     """A direction theta = theta0 + theta1*xi defining the unital's t-axis."""
 
     tower: TowerCtx
@@ -538,8 +552,7 @@ def _gf2_irreducible(poly: int) -> bool:
                                 for r in _factorize(n))
 
 
-@dataclass(frozen=True)
-class CharFieldCtx:
+class CharFieldCtx(NamedTuple):
     """GF(2^e), e = ord_2 mod p, holding a fixed primitive p-th root of unity eps."""
 
     p: int

@@ -3,18 +3,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .planar import PlanarSpec, is_normal, planarity_witness
-from .fields import ThetaSetup, TowerCtx, _chunk_rows, theta_setup
+from .fields import ThetaSetup, TowerCtx, _atomic_write_chunks, _chunk_rows, theta_setup
 from .errors import DesignError, FieldError, VerificationError
 
 import numpy as np
 
-@dataclass(frozen=True, eq=False)
-class UnitalDesign:
+class UnitalDesign(NamedTuple):
     """A 2-(q^3+1, q+1, 1) design; point (x, t) has index x*q + t, infinity is last."""
 
     q: int
@@ -23,8 +21,8 @@ class UnitalDesign:
     f_name: str
     theta_index: int
     modulus: tuple[int, ...]
-    blocks: np.ndarray = field(repr=False, default=None)
-    setup: ThetaSetup | None = field(default=None, repr=False)
+    blocks: np.ndarray = None
+    setup: ThetaSetup | None = None
 
     @property
     def n_points(self) -> int:
@@ -106,8 +104,7 @@ def _t_axis(setup: ThetaSetup) -> tuple[int, int]:
     return (1, setup.theta1) if setup.theta1 != 0 else (0, setup.theta0)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BaseBlocks:
+class BaseBlocks(NamedTuple):
     """The checked base blocks of U_theta (base_blocks) and their multiplier group M."""
 
     setup: ThetaSetup
@@ -386,19 +383,6 @@ def verify_transitivity(blocks: BaseBlocks) -> dict:
     q = blocks.setup.tower.base.n
     return {"group_order": q**3, "regular": True, "blocks_closed": "exhaustive",
             "ok": True}
-
-
-def _atomic_write_chunks(path: str, chunks) -> None:
-    """Write the text chunks to a temporary file beside path, then os.replace it there."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        try:
-            fh.writelines(chunks)
-        except BaseException:
-            os.remove(tmp)          # a chunk that raises leaves no partial file
-            raise
-    os.replace(tmp, path)
 
 
 def write_design(design: UnitalDesign, path: str) -> None:

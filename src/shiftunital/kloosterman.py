@@ -1,7 +1,7 @@
 """Exact Kloosterman sums as cyclotomic integers, with the p = 3 mod-4 classification."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import FieldCtx, ThetaSetup, _chunk_rows, quadratic_character, trace_table
 from .errors import FieldError, VerificationError
@@ -24,8 +24,7 @@ class CyclotomicInt:
         return f"CyclotomicInt(p={self.p}, counts={self.counts})"
 
 
-@dataclass(frozen=True, eq=False)
-class KloostermanRecord:
+class KloostermanRecord(NamedTuple):
     a: int
     value: object                 # int for p = 3, CyclotomicInt otherwise
     cyclotomic: CyclotomicInt
@@ -45,16 +44,15 @@ def _trace_counts(fld: FieldCtx, a) -> np.ndarray:
     seq = np.tile(trace_table(fld)[fld.exp].astype(np.int16), 2)
     win = np.lib.stride_tricks.sliding_window_view(seq, n - 1)   # win[j, k] = Tr(omega^(j+k))
     inv_tr = seq[(-np.arange(n - 1)) % (n - 1)]                  # Tr(1/x) at x = omega^k
-    counts = np.empty((len(a), p), dtype=np.int64)
+    counts = np.zeros((len(a), p), dtype=np.int64)
     step = _chunk_rows(2 * (n - 1))               # int16 trace values, n - 1 per row
     for lo in range(0, len(a), step):
         rows = a[lo:lo + step]
         tr = win[fld.log[rows]]
         tr[rows == 0] = 0
-        tr += inv_tr
-        tr %= p
-        for j in range(p):
-            counts[lo:lo + step, j] = np.count_nonzero(tr == j, axis=1)
+        tr += inv_tr                              # 0..2p - 2: counted without a modulo
+        for j in range(2 * p - 1):
+            counts[lo:lo + step, j % p] += np.count_nonzero(tr == j, axis=1)
     bad = (counts != counts[:, (-np.arange(p)) % p]).any(axis=1)
     if p == 3:
         bad |= (counts[:, 0] - counts[:, 1]) ** 2 > 4 * n
@@ -78,8 +76,7 @@ def kloosterman(fld: FieldCtx, a: int) -> KloostermanRecord:
 CASES = ("odd_square_trace", "case_b", "case_c")
 
 
-@dataclass(frozen=True, eq=False)
-class KloostermanTable:
+class KloostermanTable(NamedTuple):
     """K(a) for every a of one field; for p = 3 also each a's case and lowest witness."""
 
     fld: FieldCtx
@@ -90,16 +87,29 @@ class KloostermanTable:
 
 
 def kloosterman_table(fld: FieldCtx) -> KloostermanTable:
-    """Every K(a) in one pass; for p = 3 each a's mod-4 case, asserted against K.
+    """Every K(a), one _trace_counts row per Frobenius orbit; for p = 3 each a's mod-4
+    case, asserted against K.
 
-    The cases: odd_square_trace when a = 0 or a = r^2 with Tr(r) != 0 (Tr(-r) =
+    x -> x^p permutes GF(q)* and fixes Tr, so N_j(a^p) = N_j(a) (Lidl-Niederreiter,
+    Finite Fields, ch. 5): the rows are counted at a = 0 and at one a = omega^r per
+    orbit, r the least j p^i mod (q - 1) of its logs j, and copied to the orbit. The
+    cases: odd_square_trace when a = 0 or a = r^2 with Tr(r) != 0 (Tr(-r) =
     -Tr(r), so either root answers); case_b when a = t^2 - t^3 for some t not in
     {0, 1} with eta(t) = 1 or eta(1 - t) = 1; case_c for the other such a. Each a
     must fall in exactly one case, and K(a) must be odd, = 2m + 2 or = 2m mod 4
     in the three cases; VerificationError names the first a that does not.
     """
     n, m = fld.n, fld.m
-    counts = _trace_counts(fld, np.arange(n))
+    least = np.arange(n - 1, dtype=np.min_scalar_type((n - 1) * fld.p))
+    conj = least.copy()
+    for _ in range(m):              # j p^i mod (q - 1), i = 1..m; i = m is j again
+        conj *= fld.p
+        conj %= n - 1
+        np.minimum(least, conj, out=least)
+    reps = np.flatnonzero(least == conj)                   # each orbit's least log
+    row_of = np.full(n, reps.size, dtype=least.dtype)      # a -> its row; a = 0: the last
+    row_of[fld.exp] = np.searchsorted(reps, least)
+    counts = _trace_counts(fld, np.append(fld.exp[reps], 0))[row_of]
     if fld.p != 3:
         return KloostermanTable(fld=fld, counts=counts)
     value = counts[:, 0] - counts[:, 1]

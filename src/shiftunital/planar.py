@@ -2,21 +2,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fields import FieldCtx, _chunk_rows
 from .errors import DesignError, FieldError
 
 import numpy as np
 
-@dataclass(frozen=True, eq=False)
-class PlanarSpec:
+class PlanarSpec(NamedTuple):
     """A candidate planar function, tabulated densely over its field."""
 
     name: str
     family: str                  # "square" | "coulter_matthews" | "dembowski_ostrom"
     field: FieldCtx
-    table: np.ndarray = field(repr=False, default=None)
+    table: np.ndarray = None
     param: int | None = None     # k for Coulter-Matthews
 
 

@@ -379,6 +379,17 @@ def test_vpow_matches_pow():
         assert np.array_equal(fld.vpow(xs, e), want)
 
 
+def test_vpow_of_zero_to_a_negative_power_raises_as_pow_does():
+    fld = make_field(3, 2)
+    units = np.arange(1, fld.n)
+    assert np.array_equal(fld.vpow(units, -1), [fld.inv(int(x)) for x in units])
+    for a in (0, np.arange(fld.n), np.array([[1, 2], [0, 3]])):
+        with pytest.raises(FieldError, match="zero to a negative power"):
+            fld.vpow(a, -1)
+    with pytest.raises(FieldError, match="zero to a negative power"):
+        fld.pow(0, -1)
+
+
 @pytest.mark.parametrize("q, pm", [(3, (3, 1)), (17, (17, 1)), (25, (5, 2)),
                                    (243, (3, 5))])
 def test_prime_power_factors_exactly(q, pm):

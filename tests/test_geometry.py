@@ -1,5 +1,4 @@
 """Unital construction, plane axioms, incidence verifications, file round trips."""
-import dataclasses
 import hashlib
 import math
 import re
@@ -257,13 +256,13 @@ def test_unital_in_plane_rejects_a_table_off_the_design(setup9, square9):
     tbl = square9.table.copy()
     tbl[5] = square9.field.add(int(tbl[5]), 1)
     with pytest.raises(VerificationError, match="meets the unital"):
-        verify_unital_in_plane(dataclasses.replace(square9, table=tbl), setup9)
+        verify_unital_in_plane(square9._replace(table=tbl), setup9)
     # f translated by delta with beta(delta) != 0: g shifts by beta(delta), so every
     # line still meets U in 1 or q+1 points, but the tangents are the b with beta(b) = beta(delta)
     delta = int(np.flatnonzero(beta_of_table(setup9))[0])
     tbl = square9.field.vadd(square9.table, delta)
     with pytest.raises(VerificationError, match="tangency does not align"):
-        verify_unital_in_plane(dataclasses.replace(square9, table=tbl), setup9)
+        verify_unital_in_plane(square9._replace(table=tbl), setup9)
 
 
 def test_ovals(instances):
@@ -355,7 +354,7 @@ def test_base_blocks_cannot_be_edited_under_their_certificate(instances):
     for a in (blocks.x, blocks.t):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         blocks.t = blocks.t.copy()
 
 

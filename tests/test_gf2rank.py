@@ -1,5 +1,4 @@
 """GF(2) ranks: the per-character engine and the row accumulator against dense oracles."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -256,7 +255,7 @@ def test_orbit_reduced_engines_equal_the_unreduced(q):
             res = spectrum_size(setup, f, blocks=blocks)
             assert len(res.slices) == 2, (f.name, setup.theta)
             ranks = rank2_by_characters(blocks)[1] if with_gf2 else None
-            trivial = dataclasses.replace(blocks, size=1, d=0, rows=np.arange(q - 1))
+            trivial = blocks._replace(size=1, d=0, rows=np.arange(q - 1))
             cases.append((f, setup, trivial, res.counts, ranks))
     for f, setup, blocks, counts, ranks in cases:
         full = spectrum_size(setup, f, blocks=blocks)

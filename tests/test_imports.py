@@ -1,5 +1,6 @@
-"""Each command loads only the modules it runs, and compiles them before numpy; the package
-exports resolve on first use."""
+"""Each command loads only the modules it runs, and compiles them before numpy; no process
+loads dataclasses; the package exports resolve on first use."""
+import ast
 import os
 import shutil
 import subprocess
@@ -13,8 +14,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(shiftunital.__file__)))
 # Prints two lines: the package sources compiled, in order, with "numpy" where numpy's
 # import begins (its first module import, numpy itself or a numpy.* submodule: the
 # package puts a numpy in sys.modules that loads on first use, so no `import numpy`
-# statement starts the import); then the package modules, hashlib and fractions
-# loaded. The run is one of
+# statement starts the import); then the package modules, hashlib, fractions and
+# dataclasses loaded. The run is one of
 #   cli ARGV...   one command through cli.main;
 #   module NAME   import NAME, then read a numpy attribute, which loads numpy;
 #   library       the library path of a spectrum_size caller, one call;
@@ -48,7 +49,8 @@ else:
     import shiftunital
 print(" ".join(events))
 print(" ".join(sorted(name.removeprefix("shiftunital.") for name in sys.modules
-                      if name.startswith("shiftunital.") or name in ("hashlib", "fractions"))))
+                      if name.startswith("shiftunital.")
+                      or name in ("hashlib", "fractions", "dataclasses"))))
 """
 BASE = {"cli", "errors", "fields", "planar", "geometry"}
 
@@ -74,7 +76,9 @@ def _run(package, cwd, *argv) -> tuple[list[str], set[str]]:
 
 
 def _assert_compiled_before_numpy(events, loaded):
-    # every loaded package source compiles once, and all before numpy's import begins
+    # every loaded package source compiles once, and all before numpy's import begins;
+    # no package record generates its methods through dataclasses
+    assert "dataclasses" not in loaded
     assert events[-1] == "numpy", events
     assert sorted(events[:-1]) == sorted({"__init__", *loaded} - {"hashlib", "fractions"})
 
@@ -97,22 +101,37 @@ def test_bare_import_loads_no_submodule(package, tmp_path):
     assert _run(package, tmp_path) == (["__init__"], set())
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (["verify", "--p", "3", "--m", "2"], set()),
-    (["find-theta", "--p", "3", "--m", "1", "--f", "cm:3"], set()),
-    (["build", "--p", "3", "--m", "1"], set()),
-    (["kloosterman", "--p", "3", "--m", "2"], {"kloosterman"}),
-    (["spectrum", "--p", "3", "--m", "1"], {"charspec"}),
-    (["rank", "--p", "3", "--m", "1", "--engine", "gf2"], {"charspec", "gf2rank"}),
-    (["report", "--q", "3"], {"charspec", "gf2rank", "kloosterman"}),
+@pytest.mark.parametrize("argv, modules", [
+    (["verify", "--p", "3", "--m", "2"], BASE),
+    (["find-theta", "--p", "3", "--m", "1", "--f", "cm:3"], BASE),
+    (["build", "--p", "3", "--m", "1"], BASE),
+    (["kloosterman", "--p", "3", "--m", "2"], {"cli", "errors", "fields", "kloosterman"}),
+    (["spectrum", "--p", "3", "--m", "1"], BASE | {"charspec"}),
+    (["rank", "--p", "3", "--m", "1", "--engine", "gf2"], BASE | {"charspec", "gf2rank"}),
+    (["report", "--q", "3"], BASE | {"charspec", "gf2rank", "kloosterman"}),
 ], ids=["verify", "find-theta", "build", "kloosterman", "spectrum", "rank-gf2", "report"])
-def test_command_loads_only_what_it_runs(package, tmp_path, argv, extra):
+def test_command_loads_only_what_it_runs(package, tmp_path, argv, modules):
     # cold, then warm on the cache the cold run left; no command names a user: table,
-    # so none loads hashlib; none loads fractions
+    # so none loads hashlib; none loads fractions or dataclasses
     for _ in ("cold", "warm"):
         events, loaded = _run(package, tmp_path, "cli", *argv)
-        assert loaded == BASE | extra
+        assert loaded == modules
         _assert_compiled_before_numpy(events, loaded)
+
+
+def test_no_package_source_imports_dataclasses():
+    # the records are NamedTuples and plain classes: dataclasses would generate and
+    # exec their methods in every process that imports them
+    for name in sorted(os.listdir(os.path.join(SRC, "shiftunital"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "shiftunital", name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert "dataclasses" not in imported, name
 
 
 def test_spectrum_rank_loads_no_gf2_or_kloosterman_cold_or_warm(package, tmp_path):

@@ -1,6 +1,7 @@
 """Kloosterman sums, mod-4 classification, and the membership criterion."""
-import dataclasses
 import hashlib
+import importlib
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from shiftunital import (FieldError, VerificationError, construct_theta, count_c
                          kloosterman, kloosterman_table, make_atlas, make_char_field,
                          make_field, make_tower, quadratic_character, spectrum_size,
                          thm_membership_criterion)
-from shiftunital.kloosterman import CASES, CyclotomicInt, criterion_grid
+from shiftunital.kloosterman import CASES, CyclotomicInt, _trace_counts, criterion_grid
 
 from oracles import (chi_array, cyclotomic_add, cyclotomic_key, is_real, member, to_int,
                      trace)
 from paper_checks import lambda_vanishes_mod2
+
+kloosterman_mod = importlib.import_module("shiftunital.kloosterman")   # the export shadows it
 
 
 def slow_kloosterman_counts(fld, a):
@@ -131,6 +134,24 @@ def test_table_matches_scalar_scans(m):
     assert got == [slow_case(fld, a) for a in range(fld.n)]
 
 
+@pytest.mark.parametrize("p,m", [*((3, m) for m in range(1, 8)),
+                                 *((p, m) for p in (5, 7) for m in (1, 2, 3))])
+def test_table_over_frobenius_orbits_equals_the_unreduced_counts(p, m, monkeypatch):
+    # N_j(a^p) = N_j(a): one row per orbit of x -> x^p on GF(q)*, plus a = 0, is read,
+    # Burnside's count of (1/m) sum over d | m of phi(d) (p^(m/d) - 1) orbits
+    fld = make_field(p, m)
+    read = []
+    monkeypatch.setattr(kloosterman_mod, "_trace_counts",
+                        lambda fld, a: read.append(len(a)) or _trace_counts(fld, a))
+    table = kloosterman_table(fld)
+    def phi(d):
+        return sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+
+    orbits = sum(phi(d) * (p**(m // d) - 1) for d in range(1, m + 1) if m % d == 0) // m
+    assert read == [1 + orbits]
+    assert np.array_equal(table.counts, _trace_counts(fld, np.arange(fld.n)))
+
+
 # sha256 of make_atlas text, recorded from the per-a classifier that preceded the table.
 ATLAS_DIGESTS = {
     (3, 1): "e96e85a39092f38a2a6b5fcf6d04191737a2a422224e37e39a291d7b27c892c9",
@@ -159,7 +180,7 @@ def test_count_classes_rejects_one_a_moved_from_case_c_to_b(m):
     case = table.case.copy()
     case[np.flatnonzero(case == CASES.index("case_c"))[0]] = CASES.index("case_b")
     with pytest.raises(VerificationError, match=f"m = {m}: tallies"):
-        count_classes(dataclasses.replace(table, case=case))
+        count_classes(table._replace(case=case))
 
 
 def test_cyclotomic_int_identities():
