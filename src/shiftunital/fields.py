@@ -130,9 +130,9 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def _check_degree(p: int, m: int) -> None:
-    """FieldError unless p is an odd prime <= 32767 (int16 digits), m >= 1, p^m < 2^31."""
+    """FieldError unless p is an odd prime <= 32767 (int16 traces), m >= 1, p^m < 2^31."""
     if p > 32767:
-        raise FieldError(f"p must be at most 32767 (int16 digits), got {p}")
+        raise FieldError(f"p must be at most 32767 (int16 traces), got {p}")
     if p % 2 == 0 or _factorize(p) != [p]:
         raise FieldError(f"p must be an odd prime, got {p}")
     if m < 1:
@@ -187,20 +187,11 @@ class FieldCtx:
         self.modulus = modulus
 
         n = self.n
-        self._pows = np.array([p**i for i in range(m)], dtype=np.int64)
-        digits = np.empty((n, m), dtype=np.int16)
-        idx = np.arange(n)
-        for i in range(m):
-            digits[:, i] = (idx // int(self._pows[i])) % p
-        self._digits = digits
-
+        self._pows = np.array([p**i for i in range(m)], dtype=np.int32)
         self.omega = self._find_primitive()
-        self.exp, self.log = self._build_logs()
-        # exp doubled so products of two logs index without a modulo
-        self._exp2 = np.concatenate([self.exp, self.exp])
-        self.neg_table = np.zeros(n, dtype=np.int32)
-        for i in range(m):
-            self.neg_table += (p - digits[:, i]) % p * np.int32(p**i)
+        # exp doubled so products of two logs index without a modulo; exp is its first half
+        self._exp2, self.log = self._build_logs()
+        self.exp = self._exp2[:n - 1]
         # a = lo + p^h hi: the low h = ceil(m/2) digits and the high m - h both add
         # through one (p^h, p^h) table of digit-wise sums, built one digit per level:
         # T_{k+1}[a, b] = ((a_k + b_k) mod p) p^k + T_k[a mod p^k, b mod p^k]
@@ -212,14 +203,18 @@ class FieldCtx:
             tbl = level.reshape(p**(k + 1), p**(k + 1))
         self._add_tbl = tbl
         self._half = p**h
-        self._hi, self._lo = (a.astype(np.int32) for a in np.divmod(idx, self._half))
+        self._hi, self._lo = np.divmod(np.arange(n, dtype=np.int32), self._half)
         self._hi_row, self._lo_row = self._hi * self._half, self._lo * self._half
+        # -a = -lo + p^h (-hi), both halves negated digit-wise by one p^h-entry table
+        low = np.arange(self._half, dtype=np.int32)[:, None] // self._pows[:h] % p
+        neg_half = -low % p @ self._pows[:h]
+        self.neg_table = neg_half[self._hi] * self._half + neg_half[self._lo]
 
     # -- construction internals -------------------------------------------
 
     def _poly(self, a: int) -> list[int]:
-        """Digit polynomial of a, constant term first."""
-        return self._digits[a].tolist()
+        """Digit polynomial of a, constant term first: digit i is a // p^i % p."""
+        return [int(a) // p_i % self.p for p_i in self._pows.tolist()]
 
     def _find_primitive(self) -> int:
         mod = list(self.modulus)
@@ -238,25 +233,27 @@ class FieldCtx:
         omega^(kB + B - 1) are W^B times those of the block before, mod p: one
         (m, m) by (m, B) product per block. FieldError unless omega^(n-1) = 1 and
         exp hits every nonzero element exactly once, that is, omega is primitive.
+        The exp returned is doubled: omega^k at k and at k + n - 1.
         """
         n, p = self.n, self.p
         size = math.isqrt(n - 2) + 1
         w = self._mul_matrix(self.omega)
         block = np.empty((self.m, size), dtype=np.int64)
-        block[:, 0] = self._digits[1]
+        block[:, 0] = self._poly(1)
         for j in range(1, size):
             block[:, j] = w @ block[:, j - 1] % p
         step = self._mul_matrix(int(self._pows @ (w @ block[:, -1] % p)))   # W^B
-        exp = np.empty(n - 1, dtype=np.int32)
+        exp = np.empty(2 * (n - 1), dtype=np.int32)
         for lo in range(0, n - 1, size):
             hi = min(lo + size, n - 1)
             exp[lo:hi] = self._pows @ block[:, :hi - lo]
             last = block[:, hi - lo - 1]
             block = step @ block % p
         log = np.full(n, -1, dtype=np.int64)
-        log[exp] = np.arange(n - 1)
+        log[exp[:n - 1]] = np.arange(n - 1)
         if int(self._pows @ (w @ last % p)) != 1 or np.any(log[1:] < 0):
             raise FieldError("primitive element has wrong order")
+        exp[n - 1:] = exp[:n - 1]
         return exp, log
 
     # -- scalar arithmetic --------------------------------------------------
@@ -311,7 +308,7 @@ class FieldCtx:
 
     def addition_witness(self) -> str | None:
         """Where + fails to be the digit-wise group (Z/p)^m with inverse neg, or None."""
-        low = self._digits[:self._half].astype(np.int64)
+        low = np.arange(self._half)[:, None] // self._pows % self.p
         sums = (low[:, None, :] + low[None, :, :]) % self.p @ self._pows
         bad = np.argwhere(self._add_tbl != sums)
         if bad.size:
@@ -327,7 +324,7 @@ class FieldCtx:
     def vmul(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
-        out = self._exp2[self.log[a] + self.log[b]].astype(np.int32)
+        out = self._exp2[self.log[a] + self.log[b]]
         if a.ndim == 0 and b.ndim == 0:
             if a == 0 or b == 0:
                 return np.int32(0)
@@ -341,7 +338,7 @@ class FieldCtx:
         if e < 0 and np.any(a == 0):
             raise FieldError("zero to a negative power")
         # reduce e first: a huge exponent, such as a cm:k power, overflows int64
-        out = self.exp[(self.log[a] * (e % (self.n - 1))) % (self.n - 1)].astype(np.int32)
+        out = self.exp[(self.log[a] * (e % (self.n - 1))) % (self.n - 1)]
         return np.where(a == 0, 0 if e else 1, out)
 
     def __repr__(self) -> str:
@@ -369,9 +366,9 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> FieldC
 def trace_table(ctx: FieldCtx) -> np.ndarray:
     """Vectorized trace of every element onto GF(p): the digit sum of its m conjugates."""
     acc = np.zeros((ctx.n, ctx.m), dtype=np.int32)
-    y = np.arange(ctx.n)
+    y = np.arange(ctx.n, dtype=np.int32)
     for _ in range(ctx.m):
-        acc += ctx._digits[y]
+        acc += y[:, None] // ctx._pows % ctx.p
         y = ctx.vpow(y, ctx.p)
     acc %= ctx.p
     if acc[:, 1:].any():
@@ -407,14 +404,16 @@ def quadratic_character(ctx: FieldCtx, x: int) -> int:
 # ---------------------------------------------------------------------------
 
 class TowerCtx(NamedTuple):
-    """GF(q) together with GF(q^2) and the coordinate split x = x0 + x1*xi."""
+    """GF(q) together with GF(q^2) and the coordinate split x = x0 + x1*xi.
+
+    x lies in GF(q) exactly when dec1[x] == 0, and dec0[x] is then its base index.
+    """
 
     base: FieldCtx
     ext: FieldCtx
     xi: int                       # ext index, xi = omega_ext^((q+1)/2); xi^q = -xi
     alpha: int                    # base index of xi^2, a nonsquare generator of GF(q)*
     embed: np.ndarray             # base index -> ext index
-    unembed: np.ndarray           # ext index -> base index or -1
     dec0: np.ndarray              # ext index -> base index of x0
     dec1: np.ndarray              # ext index -> base index of x1
 
@@ -445,25 +444,20 @@ def make_tower(base: FieldCtx, ext_modulus: tuple[int, ...] | None = None) -> To
     ks = np.arange(q - 1, dtype=np.int64)
     embed[base.exp] = ext.exp[(j * ks) % (ext.n - 1)]
 
-    unembed = np.full(ext.n, -1, dtype=np.int32)
-    unembed[embed] = np.arange(q)
-
     xi = int(ext.exp[(q + 1) // 2])
-    alpha = int(unembed[ext.mul(xi, xi)])
-    if alpha < 0:
-        raise FieldError("xi^2 did not land in the base field")  # pragma: no cover
-
-    grid0, grid1 = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    idx = ext.vadd(embed[grid0.ravel()], ext.vmul(embed[grid1.ravel()], xi))
+    idx = ext.vadd(embed[:, None], ext.vmul(embed, xi)[None, :])    # x0 + x1*xi at [x0, x1]
     dec0 = np.full(ext.n, -1, dtype=np.int32)
-    dec1 = np.full(ext.n, -1, dtype=np.int32)
-    dec0[idx] = grid0.ravel()
-    dec1[idx] = grid1.ravel()
-    if np.any(np.bincount(idx, minlength=ext.n) != 1):
+    dec1 = np.empty(ext.n, dtype=np.int32)
+    dec0[idx] = np.arange(q)[:, None]
+    dec1[idx] = np.arange(q)
+    if np.any(dec0 < 0):        # q^2 writes fill the q^2 slots only if idx is a bijection
         raise FieldError("coordinate split is not a bijection")  # pragma: no cover
 
-    return TowerCtx(base=base, ext=ext, xi=xi, alpha=alpha,
-                    embed=embed, unembed=unembed, dec0=dec0, dec1=dec1)
+    xi2 = ext.mul(xi, xi)
+    if dec1[xi2] != 0:
+        raise FieldError("xi^2 did not land in the base field")  # pragma: no cover
+    return TowerCtx(base=base, ext=ext, xi=xi, alpha=int(dec0[xi2]),
+                    embed=embed, dec0=dec0, dec1=dec1)
 
 
 class ThetaSetup(NamedTuple):
@@ -503,8 +497,8 @@ def construct_theta(tower: TowerCtx) -> ThetaSetup:
             raise FieldError("no theta0 with theta0^2 - alpha a nonsquare")
         theta = ext.add(int(tower.embed[theta0]), tower.xi)
     setup = theta_setup(tower, theta)
-    norm = int(tower.unembed[ext.pow(theta, q + 1)])
-    if norm < 0 or quadratic_character(base, norm) != -1:
+    norm = ext.pow(theta, q + 1)
+    if tower.dec1[norm] != 0 or quadratic_character(base, int(tower.dec0[norm])) != -1:
         raise FieldError("theta^(q+1) is not a nonsquare of the base field")
     return setup
 

@@ -190,7 +190,7 @@ def _check_difference_family(setup: ThetaSetup, x: np.ndarray, t: np.ndarray,
             break
         log_dx = ext.log[dx]
         k = log_dx % n_classes
-        c_to_minus_d = tower.unembed[ext.exp[(log_dx - k) * -d % (q * q - 1)]]
+        c_to_minus_d = tower.dec0[ext.exp[(log_dx - k) * -d % (q * q - 1)]]
         labels = (k * q + base.vmul(c_to_minus_d, dt)).ravel()
         if labels.size < counts.size:       # no count-sized temporary per chunk
             np.add.at(counts, labels, 1)

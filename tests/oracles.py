@@ -23,6 +23,11 @@ def theta_multiples(setup: ThetaSetup) -> np.ndarray:
                           np.full(q, setup.theta, dtype=np.int64))
 
 
+def unembed(tower: TowerCtx) -> np.ndarray:
+    """ext index -> base index of an element of GF(q), or -1 outside GF(q)."""
+    return np.where(tower.dec1 == 0, tower.dec0, -1)
+
+
 def vneg(fld: FieldCtx, a) -> np.ndarray:
     """-a elementwise, from the negation table."""
     return fld.neg_table[a].astype(np.int32)

@@ -18,7 +18,7 @@ from shiftunital.geometry import _cover_exactly_once, beta_of_table, circles_of,
 from shiftunital.gf2rank import rank2_by_characters
 
 from oracles import (ShiftPlane, _verify_plane_small, difference_counts,
-                     difference_family_fault, members, theta_multiples)
+                     difference_family_fault, members, theta_multiples, unembed)
 from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
 
@@ -50,7 +50,7 @@ def test_find_thetas_counts(towers, q, expected):
     # for f = x^2 admissibility is exactly eta(theta^(q+1)) = -1
     ext, base = tower.ext, tower.base
     for s in setups:
-        norm = int(tower.unembed[ext.pow(s.theta, q + 1)])
+        norm = int(unembed(tower)[ext.pow(s.theta, q + 1)])
         assert quadratic_character(base, norm) == -1
 
 
@@ -522,7 +522,7 @@ def test_difference_family_rejects_a_fault_on_a_whole_block_orbit(instances, ont
         x, t, d = blocks.x, blocks.t, blocks.d
         # a point of D_1 outside the M-orbit of point 1, whose x the fault repeats
         ratios = tower.ext.vmul(x[0], tower.ext.inv(int(x[0, 1])))
-        new_x = int(x[0, np.argmax(tower.unembed[ratios] < 0)]) if onto_x else int(x[0, 1])
+        new_x = int(x[0, np.argmax(unembed(tower)[ratios] < 0)]) if onto_x else int(x[0, 1])
         xs, ts = plant_on_block_orbit(setup, x, t, d, 1, (new_x, (int(t[0, 1]) + 1) % q))
         assert geometry._multiplier(setup, xs, ts)[:2] == (q - 1, d)
         with pytest.raises(VerificationError) as err:
