@@ -203,12 +203,11 @@ class FieldCtx:
             tbl = level.reshape(p**(k + 1), p**(k + 1))
         self._add_tbl = tbl
         self._half = p**h
-        self._hi, self._lo = np.divmod(np.arange(n, dtype=np.int32), self._half)
-        self._hi_row, self._lo_row = self._hi * self._half, self._lo * self._half
         # -a = -lo + p^h (-hi), both halves negated digit-wise by one p^h-entry table
         low = np.arange(self._half, dtype=np.int32)[:, None] // self._pows[:h] % p
         neg_half = -low % p @ self._pows[:h]
-        self.neg_table = neg_half[self._hi] * self._half + neg_half[self._lo]
+        hi, lo = np.divmod(np.arange(n, dtype=np.int32), self._half)
+        self.neg_table = neg_half[hi] * self._half + neg_half[lo]
 
     # -- construction internals -------------------------------------------
 
@@ -296,14 +295,14 @@ class FieldCtx:
     # -- vector arithmetic on numpy index arrays -----------------------------
 
     def vadd(self, a, b):
-        """Digit-wise sum mod p, each half of the digits gathered from the one table.
-
-        The index tables and the result are int32, and the halves combine in place.
-        """
-        tbl = self._add_tbl.ravel()
-        out = tbl[self._hi_row[a] + self._hi[b]]
-        out *= self._half
-        out += tbl[self._lo_row[a] + self._lo[b]]
+        """Digit-wise sum mod p: the halves a // p^h and a % p^h of both operands, taken as
+        int32 like the result, add through the one table and combine in place."""
+        tbl, half = self._add_tbl.ravel(), self._half
+        out = tbl[np.floor_divide(a, half, dtype=np.int32) * half
+                  + np.floor_divide(b, half, dtype=np.int32)]
+        out *= half
+        out += tbl[np.remainder(a, half, dtype=np.int32) * half
+                   + np.remainder(b, half, dtype=np.int32)]
         return out
 
     def addition_witness(self) -> str | None:

@@ -59,10 +59,12 @@ def fiber_map(setup: ThetaSetup, f: PlanarSpec) -> np.ndarray:
     return g
 
 
-def circles_of(setup: ThetaSetup, f: PlanarSpec) -> dict[int, np.ndarray]:
-    """All circles C_{0,beta} for beta != 0, keyed by beta, each sorted ascending."""
+def circles_of(setup: ThetaSetup, f: PlanarSpec) -> np.ndarray:
+    """The circles C_{0,beta}, beta != 0, at row beta - 1, each ascending: the codes
+    g(x) n + x sorted once, after the one x with g(x) = 0."""
     g = fiber_map(setup, f)
-    return {int(b): np.flatnonzero(g == b) for b in range(1, setup.tower.base.n)}
+    codes = np.sort(g * np.int64(g.size) + np.arange(g.size))
+    return (codes[1:] % g.size).reshape(-1, setup.tower.base.n + 1)
 
 
 def find_thetas(f: PlanarSpec, tower: TowerCtx) -> list[ThetaSetup]:
@@ -124,9 +126,8 @@ def base_blocks(f: PlanarSpec, setup: ThetaSetup) -> BaseBlocks:
     multiplier group computed here once, before they are returned.
     """
     tower, base = setup.tower, setup.tower.base
-    circles = circles_of(setup, f)
+    x = circles_of(setup, f)
     j, theta_j = _t_axis(setup)
-    x = np.stack([circles[beta] for beta in range(1, base.n)]).astype(np.int64)
     fj = (tower.dec1 if j else tower.dec0)[f.table[x]].astype(np.int64)
     t = base.vmul(base.inv(theta_j), fj).astype(np.int64)
     for a in (x, t):   # read-only: the certificate holds only for these blocks
@@ -219,9 +220,8 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
     q, n = base.n, ext.n
     d_beta = base_blocks(f, setup)
     betas = beta_of_table(setup)
-    valid_b = np.flatnonzero(betas != 0)
-    slot_of_b = np.full(n, -1, dtype=np.int64)
-    slot_of_b[valid_b] = np.arange(valid_b.size)
+    slot_of_b = np.cumsum(betas != 0) - 1       # rank of b among the b with beta(b) != 0
+    fibers = (np.sort(betas * np.int64(n) + np.arange(n)) % n).reshape(q, q)  # row k: beta^-1(k)
     j, theta_j = _t_axis(setup)
     t_shift = base.vmul(base.inv(theta_j), tower.dec1 if j else tower.dec0)
 
@@ -235,7 +235,7 @@ def build_unital(f: PlanarSpec, setup: ThetaSetup) -> UnitalDesign:
 
     a_stride = n + a_ids * (n - q)
     for beta in range(1, q):
-        bs = np.flatnonzero(betas == beta)
+        bs = fibers[beta]
         xs = ext.vadd(ext.neg_table[:, None], d_beta.x[beta - 1][None, :]).astype(np.int64)
         ts = base.vsub(d_beta.t[beta - 1][None, :], t_shift[bs][:, None])   # (b, point)
         rows = a_stride[:, None] + slot_of_b[bs][None, :]              # (a, b)

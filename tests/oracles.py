@@ -11,7 +11,7 @@ from shiftunital import (FieldCtx, FieldError, PlanarSpec, SpectrumResult, Theta
                          trace_table)
 from shiftunital.charspec import SpectrumCtx
 from shiftunital.fields import CharFieldCtx
-from shiftunital.geometry import _cover_exactly_once
+from shiftunital.geometry import _cover_exactly_once, fiber_map
 from shiftunital.kloosterman import CyclotomicInt
 
 
@@ -26,6 +26,12 @@ def theta_multiples(setup: ThetaSetup) -> np.ndarray:
 def unembed(tower: TowerCtx) -> np.ndarray:
     """ext index -> base index of an element of GF(q), or -1 outside GF(q)."""
     return np.where(tower.dec1 == 0, tower.dec0, -1)
+
+
+def circles_by_scan(setup: ThetaSetup, f: PlanarSpec) -> np.ndarray:
+    """C_{0,beta} at row beta - 1 for beta = 1..q-1, each by one scan of the fiber map."""
+    g = fiber_map(setup, f)
+    return np.stack([np.flatnonzero(g == b) for b in range(1, setup.tower.base.n)])
 
 
 def vneg(fld: FieldCtx, a) -> np.ndarray:

@@ -87,8 +87,8 @@ def test_trivial_multiplier_counts_the_labels_a_chunk_at_a_time():
 
 
 def test_vadd_holds_three_int32_arrays():
-    # the int32 index tables keep every temporary of a sum at its result's width:
-    # one half of the sum, the other half's indices and their gather
+    # the digit halves, taken from the index as int32, keep every temporary of a sum
+    # at its result's width: one half of the sum, the other half's indices and their gather
     ext = make_tower(make_field(7, 2)).ext
     a = np.arange(256)[:, None]
     b = np.arange(ext.n - 256, ext.n)[None, :]

@@ -431,6 +431,42 @@ def test_add_sub_match_digit_arithmetic(p, m):
         assert [fld.sub(int(a[i]), int(b[i])) for i in pick] == want_sub[pick].tolist()
 
 
+# vadd reads the digit halves off the index: every kind of operand takes the one
+# path, and the sums come back as int32 of the broadcast shape. The context holds no
+# table of n entries beyond log, _exp2 (and its view exp) and neg_table.
+@pytest.mark.parametrize("p,m", [(3, 7), (7, 4), (19, 2)])
+def test_sums_of_every_operand_kind_are_digit_wise(p, m):
+    fld = make_field(p, m)
+    pows = p ** np.arange(m)
+
+    def digit_wise(a, b, sign):
+        da, db = (np.asarray(v)[..., None] // pows % p for v in (a, b))
+        return (da + sign * db) % p @ pows
+
+    rng = np.random.default_rng(p)
+    a, b = (rng.integers(0, fld.n, 60) for _ in range(2))
+    scalars = [(int(a[0]), int(b[0])), (np.int32(a[1]), np.int32(b[1])),
+               (np.int64(a[2]), np.int64(b[2])), (int(a[3]), np.int64(b[3])),
+               (np.int32(a[4]), int(b[4]))]
+    for x, y in scalars:
+        assert fld.add(x, y) == digit_wise(x, y, 1) and fld.sub(x, y) == digit_wise(x, y, -1)
+        for vop, sign in ((fld.vadd, 1), (fld.vsub, -1)):
+            assert np.ndim(vop(x, y)) == 0 and vop(x, y).dtype == np.int32
+            assert vop(x, y) == digit_wise(x, y, sign)
+    arrays = [(a, b), (a.astype(np.int32), b.astype(np.int32)), (a.astype(np.int32), b),
+              (a[:6, None], b[None, :10]), (a.reshape(6, 10), b[:10].astype(np.int32)),
+              (int(a[0]), b), (a.astype(np.int32), np.int64(b[0]))]
+    for x, y in arrays:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        for vop, sign in ((fld.vadd, 1), (fld.vsub, -1)):
+            got = vop(x, y)
+            assert got.dtype == np.int32 and got.shape == shape
+            assert np.array_equal(got, digit_wise(x, y, sign))
+    big = {name for name, v in vars(fld).items()
+           if isinstance(v, np.ndarray) and max(v.shape) >= fld.n - 1}
+    assert big == {"log", "_exp2", "exp", "neg_table"}
+
+
 # q = 81's tower and the table of `kloosterman --p 3 --m 8`, every field built
 # afresh: with one 81^2-entry digit-sum table for GF(3^8), neither nears 8 MB.
 @pytest.mark.parametrize("build", [lambda: make_tower(make_field(3, 4)),
@@ -447,9 +483,11 @@ def test_peak_memory_below_8mb(monkeypatch, build):
     assert peak < 8 * 2**20
 
 
-# The q = 243 tower keeps each table once: exp is a view of _exp2, and no digit or
-# unembed table is stored. Its tables measure 2.7 MiB retained and 3.0 MiB at the
-# peak, against 4.3 and 6.3 MiB when those three were stored too.
+# The q = 243 tower keeps each table once: exp is a view of _exp2, and no digit,
+# unembed or digit-half index table is stored. Its tables measure 1.81 MiB retained
+# and 2.27 MiB at the peak, against 2.72 and 3.04 MiB with the four digit-half
+# index tables of vadd, and 4.3 and 6.3 MiB with the digit table, unembed and a
+# second exp besides.
 def test_tower_q243_retained_and_peak_memory(monkeypatch):
     monkeypatch.setattr(fields, "_FIELD_CACHE", {})
     tracemalloc.start()
@@ -459,7 +497,7 @@ def test_tower_q243_retained_and_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert tower.ext.n == 243**2
-    assert retained < 3 * 2**20 and peak < 4 * 2**20
+    assert retained < 2 * 2**20 and peak < 2.5 * 2**20
 
 
 def test_vmul_vpow_gather_int32_from_one_exp_table():

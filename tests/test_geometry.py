@@ -17,7 +17,7 @@ from shiftunital.fields import FieldCtx, prime_power
 from shiftunital.geometry import _cover_exactly_once, beta_of_table, circles_of, fiber_map
 from shiftunital.gf2rank import rank2_by_characters
 
-from oracles import (ShiftPlane, _verify_plane_small, difference_counts,
+from oracles import (ShiftPlane, _verify_plane_small, circles_by_scan, difference_counts,
                      difference_family_fault, members, theta_multiples, unembed)
 from paper_checks import circle, parametrize_circle
 from test_planar import cube_spec, shifted_square_spec
@@ -363,10 +363,9 @@ def swap_one_point(monkeypatch, b1=1, b2=2):
     real = geometry.circles_of
 
     def swapped(*args):
-        circles = real(*args)
-        one, two = circles[b1].copy(), circles[b2].copy()
-        one[0], two[0] = two[0], one[0]
-        circles[b1], circles[b2] = np.sort(one), np.sort(two)
+        circles = real(*args).copy()
+        circles[[b1 - 1, b2 - 1], 0] = circles[[b2 - 1, b1 - 1], 0]
+        circles[[b1 - 1, b2 - 1]] = np.sort(circles[[b1 - 1, b2 - 1]], axis=1)
         return circles
 
     monkeypatch.setattr(geometry, "circles_of", swapped)
@@ -454,13 +453,15 @@ ODD_Q_UP_TO_81 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47
 @pytest.mark.parametrize("q", ODD_Q_UP_TO_81)
 def test_every_registry_f_takes_the_full_multiplier_group(q):
     # M = {1} gives the same answers, so a broken certificate would hide behind it:
-    # f(cx) = c^d f(x) with d = 2 (square) or (3^k + 1)/2 (cm:k) for c in GF(q)*
+    # f(cx) = c^d f(x) with d = 2 (square) or (3^k + 1)/2 (cm:k) for c in GF(q)*.
+    # The circles, one sort of the fiber map, are those of one scan per beta
     tower = make_tower(make_field(*prime_power(q)))
     for f in registry_list(tower.ext):
         d_f = 2 if f.family == "square" else (3**f.param + 1) // 2
         setups = find_thetas(f, tower)
         for setup in (setups[0], setups[-1]):
             blocks = base_blocks(f, setup)
+            assert np.array_equal(blocks.x, circles_by_scan(setup, f)), (f.name, setup.theta)
             assert (blocks.size, blocks.d) == (q - 1, d_f % (q - 1)), (f.name, setup.theta)
             assert blocks.rows.size == math.gcd(blocks.d, q - 1)
 
@@ -546,14 +547,15 @@ def test_circles(setup3, square3, tower3):
     q = tower3.base.n
     assert len(circ) == q - 1
     seen = set()
-    for beta, pts in circ.items():
-        assert beta != 0
+    g = fiber_map(setup3, square3)
+    for beta, pts in enumerate(circ, start=1):
+        assert np.all(g[pts] == beta)
         assert pts.size == q + 1
         seen.update(int(x) for x in pts)
     assert len(seen) == (q - 1) * (q + 1)
     assert 0 not in seen
     c = circle(setup3, square3, 0, 1)
-    assert np.array_equal(np.sort(np.asarray(c.points)), circ[1])
+    assert np.array_equal(np.sort(np.asarray(c.points)), circ[0])
     # C_{a,beta} = {x : g(x + a) = beta} is the translate of C_{0,beta} by -a
     c2 = circle(setup3, square3, 5, 1)
     want = np.sort(tower3.ext.vsub(np.asarray(c.points), 5))
