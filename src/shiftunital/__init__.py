@@ -1,43 +1,10 @@
 """Unitals in shift planes over GF(q^2): construction, GF(2) code rank, spectra.
 
 Exports resolve on first use (PEP 562): `import shiftunital` loads no submodule.
-numpy loads on first use too: every package source a process imports compiles
-before numpy's import allocates, so no compile adds to the peak RSS of a run.
 """
-import importlib.util
+import importlib
 import sys
 import types
-
-
-def _defer_numpy() -> None:
-    """Put a numpy in sys.modules that imports itself on its first attribute read.
-
-    importlib.util.LazyLoader makes the stub; the import statement reads __spec__
-    of a module found in sys.modules, so that one read does not load numpy. Any
-    other read first restores the LazyLoader class, which the loader of Python
-    3.12.3 and later must see to load, then reads through it, which loads numpy.
-    """
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        return
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    numpy = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = numpy
-    spec.loader.exec_module(numpy)
-    lazy = type(numpy)
-
-    class _Stub(lazy):
-        def __getattribute__(self, name):
-            if name == "__spec__":
-                return types.ModuleType.__getattribute__(self, name)
-            object.__setattr__(self, "__class__", lazy)
-            return getattr(self, name)
-
-    numpy.__class__ = _Stub
-
-
-if "numpy" not in sys.modules:
-    _defer_numpy()
 
 # module -> the names it exports; __all__ is this table's names, in order
 _EXPORTS = {

@@ -8,12 +8,6 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-# numpy loads on its first use (see __init__), so every source imported before a
-# command builds its first field compiles before numpy's import allocates: with no
-# bytecode cache, a module compiled after numpy raises the peak RSS of the run. Each
-# command imports the modules it runs before that (tests/test_imports.py checks it):
-# geometry and planar in every command but kloosterman, and charspec, gf2rank and
-# kloosterman where they run.
 from .fields import (ThetaSetup, TowerCtx, _atomic_write_chunks, _check_degree,
                      construct_theta, make_field, make_tower, prime_power, theta_setup)
 from .errors import DesignError, FieldError, VerificationError
@@ -153,13 +147,6 @@ def resolve_engines(cfg: RunConfig, q: int) -> tuple[bool, bool]:
     if cfg.engine == "auto":
         return _ENGINES["both" if q <= 9 else "spectrum"]
     return _ENGINES[cfg.engine]
-
-
-def _import_engines(run_gf2: bool) -> None:
-    """Import charspec, which every row check reads, and gf2rank if run_gf2."""
-    from . import charspec
-    if run_gf2:
-        from . import gf2rank
 
 
 def _joined(coeffs: tuple[int, ...]) -> str:
@@ -381,12 +368,9 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _check_degree(cfg.p, cfg.m)             # p^m of a huge m would not end
-    engines = resolve_engines(cfg, cfg.p**cfg.m)
-    _import_engines(engines[0])
     tower, f, setup, head = _instance(cfg)
     q = tower.base.n
-    row, _ = compute_row(cfg, tower, f, setup, *engines)
+    row, _ = compute_row(cfg, tower, f, setup, *resolve_engines(cfg, q))
     doc = {"config": head, "rows": [row]}
     path = os.path.join(cfg.out_dir, f"rank_q{q}_{f.name}.json")
     _write_json(path, doc)
@@ -420,7 +404,6 @@ def _witness_csv(result: SpectrumResult, witness_all: bool):
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _import_engines(False)
     tower, f, setup, head = _instance(cfg)
     q = tower.base.n
     row, result = compute_row(cfg, tower, f, setup, False, True)
@@ -440,7 +423,7 @@ def cmd_kloosterman(cfg: RunConfig, args: argparse.Namespace) -> int:
     _print_header(head)
     table = kloosterman_table(fld)
     path = os.path.join(cfg.out_dir, f"kloosterman_p{cfg.p}m{cfg.m}.csv")
-    _atomic_write(path, make_atlas(table))
+    _atomic_write_chunks(path, make_atlas(table))
     if cfg.p == 3:
         counts = count_classes(table)
         print(f"{fld.n} rows, class counts {counts} -> {path}")
@@ -458,7 +441,6 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     powers = [prime_power(q) for q in q_list]      # every q resolves before any output
     for p, m in powers:
         _check_degree(p, 2 * m)                    # and its tower GF(q^2)
-    _import_engines(any(resolve_engines(cfg, q)[0] for q in q_list))
     _print_header({"q_list": ",".join(str(q) for q in q_list), "engine": cfg.engine,
                    "cache_dir": cfg.cache_dir, "out_dir": cfg.out_dir})
     rows = []

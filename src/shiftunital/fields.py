@@ -258,7 +258,9 @@ class FieldCtx:
     # -- scalar arithmetic --------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self.vadd(a, b))
+        """vadd of two scalars, the halves taken by Python divmod: no ufunc call."""
+        (hi_a, lo_a), (hi_b, lo_b) = divmod(a, self._half), divmod(b, self._half)
+        return int(self._add_tbl[hi_a, hi_b]) * self._half + int(self._add_tbl[lo_a, lo_b])
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])

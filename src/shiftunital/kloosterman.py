@@ -158,19 +158,25 @@ def count_classes(table: KloostermanTable) -> dict:
     return {"count_a": count_a, "count_b": count_b, "count_c": count_c}
 
 
-def make_atlas(table: KloostermanTable) -> str:
-    """CSV `a_index,K,K_mod4,case,t_witness`; classification columns only for p = 3."""
+def make_atlas(table: KloostermanTable):
+    """CSV `a_index,K,K_mod4,case,t_witness`, yielded a block of rows at a time;
+    classification columns only for p = 3."""
     fld = table.fld
-    lines = [f"# p={fld.p} m={fld.m} modulus={','.join(str(c) for c in fld.modulus)}",
-             "a_index,K,K_mod4,case,t_witness"]
-    if table.case is None:
-        canonical = (table.counts - table.counts[:, -1:]).tolist()
-        lines += [f"{a},{':'.join(map(str, row))},,," for a, row in enumerate(canonical)]
-    else:
-        for a, (k, c, t) in enumerate(zip(table.value.tolist(), table.case.tolist(),
-                                          table.t_witness.tolist())):
-            lines.append(f"{a},{k},{k % 4},{CASES[c]},{'' if t < 0 else t}")
-    return "\n".join(lines) + "\n"
+    yield (f"# p={fld.p} m={fld.m} modulus={','.join(str(c) for c in fld.modulus)}\n"
+           "a_index,K,K_mod4,case,t_witness\n")
+    step = _chunk_rows(80 * fld.p)  # ~80 B per int of a row: ints, line, list slots
+    for lo in range(0, fld.n, step):
+        rows = slice(lo, lo + step)
+        if table.case is None:
+            canonical = (table.counts[rows] - table.counts[rows, -1:]).tolist()
+            lines = (f"{a},{':'.join(map(str, row))},,,\n"
+                     for a, row in enumerate(canonical, lo))
+        else:
+            cols = zip(table.value[rows].tolist(), table.case[rows].tolist(),
+                       table.t_witness[rows].tolist())
+            lines = (f"{a},{k},{k % 4},{CASES[c]},{'' if t < 0 else t}\n"
+                     for a, (k, c, t) in enumerate(cols, lo))
+        yield "".join(lines)
 
 
 def criterion_constants(setup: ThetaSetup) -> tuple[int, int, int]:

@@ -404,17 +404,17 @@ def test_prime_power_rejects(q):
 
 # Every pair of elements, in fields whose digits split evenly (even m) and
 # unevenly (odd m) between the two halves, and a seeded sample of 2M pairs of
-# GF(3^9). Scalar add and sub wrap vadd; they are checked on every pair up to
-# 243 elements, on 1000 pairs of each chunk above.
+# GF(3^9) and of GF(3^12). Scalar add and sub read the sum table themselves; they
+# are checked on every pair up to 243 elements, on 1000 pairs of each chunk above.
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3),
-                                 (7, 2), (5, 4), (7, 4), (3, 7), (3, 9)])
+                                 (7, 2), (5, 4), (7, 4), (3, 7), (3, 9), (3, 12)])
 def test_add_sub_match_digit_arithmetic(p, m):
     fld = fields.FieldCtx(p, m, default_modulus(p, m))
     n = fld.n
     pows = p ** np.arange(m)
     rng = np.random.default_rng(9)
     chunk = 1 << 18
-    if m == 9:
+    if m >= 9:
         chunks = ((rng.integers(0, n, chunk), rng.integers(0, n, chunk)) for _ in range(8))
     else:
         rows = max(1, chunk // n)

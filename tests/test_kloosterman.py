@@ -2,6 +2,7 @@
 import hashlib
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from shiftunital import (FieldError, VerificationError, construct_theta, count_c
                          kloosterman, kloosterman_table, make_atlas, make_char_field,
                          make_field, make_tower, quadratic_character, spectrum_size,
                          thm_membership_criterion)
+from shiftunital.fields import _WORK_BYTES, _atomic_write_chunks
 from shiftunital.kloosterman import CASES, CyclotomicInt, _trace_counts, criterion_grid
 
 from oracles import (chi_array, cyclotomic_add, cyclotomic_key, is_real, member, to_int,
@@ -152,7 +154,9 @@ def test_table_over_frobenius_orbits_equals_the_unreduced_counts(p, m, monkeypat
     assert np.array_equal(table.counts, _trace_counts(fld, np.arange(fld.n)))
 
 
-# sha256 of make_atlas text, recorded from the per-a classifier that preceded the table.
+# sha256 of make_atlas text, recorded from the per-a classifier that preceded the table;
+# (5, 5), more than one block of rows without the classification, from the atlas built
+# as one string. The blocks joined must give that text.
 ATLAS_DIGESTS = {
     (3, 1): "e96e85a39092f38a2a6b5fcf6d04191737a2a422224e37e39a291d7b27c892c9",
     (3, 2): "6704fd688f96e5070d19dd997446d1c27ecc001cd8d4886a9620beb29195944f",
@@ -163,12 +167,13 @@ ATLAS_DIGESTS = {
     (3, 7): "910373b83700565ac6a9b639448ec4f81aac957fb16f14c1c7094315f556f150",
     (5, 2): "aa22fe4137de0a4ff10ba69408f5b7433d013ce1b4248d02b3b27c13cc8541c0",
     (7, 2): "a21de42348a02a67b27612c259d25c7564dd35dfe842400cf00daa3b3db898cf",
+    (5, 5): "81cf19785faabadb57993283a57f47ba0176fb1e4ba77702bba78e14e8177afd",
 }
 
 
 @pytest.mark.parametrize("p,m", ATLAS_DIGESTS)
 def test_atlas_pinned(p, m):
-    atlas = make_atlas(kloosterman_table(make_field(p, m)))
+    atlas = "".join(make_atlas(kloosterman_table(make_field(p, m))))
     assert hashlib.sha256(atlas.encode()).hexdigest() == ATLAS_DIGESTS[p, m]
 
 
@@ -218,13 +223,28 @@ def test_lambda_vanishes_mod2_matches_gf4_sum():
 
 def test_atlas_format():
     fld = make_field(3, 2)
-    atlas = make_atlas(kloosterman_table(fld))
+    atlas = "".join(make_atlas(kloosterman_table(fld)))
     lines = atlas.splitlines()
     assert lines[0] == "# p=3 m=2 modulus=2,1,1"
     assert lines[1] == "a_index,K,K_mod4,case,t_witness"
     assert len(lines) == 2 + fld.n
     assert lines[2].startswith("0,-1,3,odd_square_trace,")
-    assert make_atlas(kloosterman_table(fld)) == atlas
+    assert "".join(make_atlas(kloosterman_table(fld))) == atlas
+
+
+@pytest.mark.parametrize("p,m", [(3, 9), (5, 5)])
+def test_atlas_writes_a_block_of_rows_at_a_time(tmp_path, p, m):
+    # the CSV goes to the file block by block, so writing it holds one block's lines,
+    # not every line of the atlas (2.8 MB traced at (3, 9) when it was one string)
+    table = kloosterman_table(make_field(p, m))
+    tracemalloc.start()
+    try:
+        _atomic_write_chunks(str(tmp_path / "atlas.csv"), make_atlas(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _WORK_BYTES
+    assert (tmp_path / "atlas.csv").read_text().count("\n") == 2 + p**m
 
 
 def test_atlas_p5_degrades_gracefully():
@@ -233,7 +253,7 @@ def test_atlas_p5_degrades_gracefully():
     assert isinstance(rec.value, CyclotomicInt)
     assert is_real(rec.value)
     assert rec.mod4 is None
-    atlas = make_atlas(kloosterman_table(fld))
+    atlas = "".join(make_atlas(kloosterman_table(fld)))
     for line in atlas.splitlines()[2:]:
         fields = line.split(",")
         assert fields[2] == fields[3] == fields[4] == ""
