@@ -3,8 +3,6 @@
 Exports resolve on first use (PEP 562): `import shiftunital` loads no submodule.
 """
 import importlib
-import sys
-import types
 
 # module -> the names it exports; __all__ is this table's names, in order
 _EXPORTS = {
@@ -19,8 +17,8 @@ _EXPORTS = {
                  "verify_transitivity", "verify_unital_in_plane", "write_design"),
     "gf2rank": ("rank2_of_unital",),
     "charspec": ("SpectrumResult", "bounds", "make_spectrum_ctx", "spectrum_size"),
-    "kloosterman": ("KloostermanTable", "count_classes", "kloosterman", "kloosterman_table",
-                    "make_atlas", "thm_membership_criterion"),
+    "kloosterman": ("KloostermanTable", "count_classes", "kloosterman_table", "make_atlas",
+                    "thm_membership_criterion"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
@@ -38,13 +36,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(types.ModuleType):
-    """Keeps an export bound when its namesake submodule (kloosterman) is imported."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if not (name in _MODULE_OF and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -31,13 +31,11 @@ class SpectrumCtx(NamedTuple):
 def make_spectrum_ctx(blocks: geometry.BaseBlocks) -> SpectrumCtx:
     """The character data of the checked base blocks.
 
-    FieldError when a character value needs more than 64 bits (e > 64).
+    FieldError when a character value needs more than 64 bits (make_char_field).
     """
     tower = blocks.setup.tower
     base = tower.base
     cf = make_char_field(base.p)
-    if cf.e > 64:
-        raise FieldError(f"character values of GF(2^{cf.e}) do not fit in 64 bits")
     eps = np.array(cf.eps_pows, dtype=np.min_scalar_type((1 << cf.e) - 1))
     return SpectrumCtx(trace_form=trace_form_table(base), x0=tower.dec0[blocks.x],
                        x1=tower.dec1[blocks.x], t=blocks.t, epsx=np.tile(eps, 3), e=cf.e)

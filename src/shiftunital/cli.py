@@ -263,15 +263,17 @@ def compute_row(cfg: RunConfig, tower: TowerCtx, f: planar.PlanarSpec, setup: Th
     run_gf2 = run_gf2 and rank_gf2 is None
     run_spectrum = run_spectrum and rank_spec is None
 
+    if run_gf2:                 # imported before t0: wall_ms counts the compute only
+        from .geometry import base_blocks
+        from .gf2rank import rank2_by_characters
+    if run_spectrum:
+        from .charspec import spectrum_size
     t0 = time.monotonic()
     spectrum = blocks = None
     if run_gf2:
-        from .geometry import base_blocks
-        from .gf2rank import rank2_by_characters
         blocks = base_blocks(f, setup)
         rank_gf2, by_character = rank2_by_characters(blocks)
     if run_spectrum:
-        from .charspec import spectrum_size
         spectrum = spectrum_size(setup, f, blocks=blocks)
         rank_spec = spectrum.size
     if run_gf2 and run_spectrum:

@@ -573,7 +573,11 @@ _CHAR_CACHE: dict[int, CharFieldCtx] = {}
 
 
 def make_char_field(p: int) -> CharFieldCtx:
-    """GF(2^e) with the smallest-bitmask modulus and smallest eps of order p."""
+    """GF(2^e) with the smallest-bitmask modulus and smallest eps of order p.
+
+    FieldError when a character value needs more than 64 bits (e > 64), before any
+    search of GF(2^e).
+    """
     _check_degree(p, 1)
     ctx = _CHAR_CACHE.get(p)
     if ctx is not None:
@@ -582,6 +586,8 @@ def make_char_field(p: int) -> CharFieldCtx:
     while t != 1:
         t = (2 * t) % p
         e += 1
+    if e > 64:
+        raise FieldError(f"character values of GF(2^{e}) do not fit in 64 bits")
     poly = next((1 << e) | low for low in range(1 << e) if _gf2_irreducible((1 << e) | low))
     tmp = CharFieldCtx(p=p, e=e, poly=poly, eps=0, eps_pows=())
     # the order-p elements are the powers z0^k, k = 1..p-1, of any one of them

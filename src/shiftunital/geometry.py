@@ -21,7 +21,7 @@ class UnitalDesign(NamedTuple):
     f_name: str
     theta_index: int
     modulus: tuple[int, ...]
-    blocks: np.ndarray = None
+    blocks: np.ndarray
     setup: ThetaSetup | None = None
 
     @property

@@ -75,9 +75,9 @@ def rank2_of_unital(design: geometry.UnitalDesign, include_infinity: bool = True
     blocks = design.blocks
     # The rank does not depend on block order, and elimination never overshoots,
     # so reaching the proven bound certifies it. A seeded shuffle reaches the
-    # bound after about `bound` blocks (q=27: 19,658 of 551,124); the a-major
+    # bound after about `bound` blocks (q=27: 19,658 of 512,487); the a-major
     # order needs far more.
-    order = np.random.default_rng(_ORDER_SEED).permutation(blocks.shape[0])
+    order = _seeded_order(blocks.shape[0])
     nbytes = (width + 7) >> 3
     for lo in range(0, blocks.shape[0], 4096):
         for row in blocks[order[lo:lo + 4096]].tolist():

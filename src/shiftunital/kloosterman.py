@@ -1,4 +1,4 @@
-"""Exact Kloosterman sums as cyclotomic integers, with the p = 3 mod-4 classification."""
+"""Exact Kloosterman sums as count rows, with the p = 3 mod-4 classification."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -7,29 +7,6 @@ from .fields import FieldCtx, ThetaSetup, _chunk_rows, quadratic_character, trac
 from .errors import FieldError, VerificationError
 
 import numpy as np
-
-class CyclotomicInt:
-    """Sum of N_j * zeta_p^j with integer counts; counts that differ by a constant agree."""
-
-    __slots__ = ("p", "counts")
-
-    def __init__(self, p: int, counts):
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != p:
-            raise FieldError(f"expected {p} counts, got {len(counts)}")
-        self.p = p
-        self.counts = counts
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInt(p={self.p}, counts={self.counts})"
-
-
-class KloostermanRecord(NamedTuple):
-    a: int
-    value: object                 # int for p = 3, CyclotomicInt otherwise
-    cyclotomic: CyclotomicInt
-    mod4: int | None = None
-
 
 def _trace_counts(fld: FieldCtx, a) -> np.ndarray:
     """The (len(a), p) histogram N_j(a) = #{x != 0 : Tr(1/x + a*x) = j} for an int array a.
@@ -63,14 +40,10 @@ def _trace_counts(fld: FieldCtx, a) -> np.ndarray:
     return counts
 
 
-def kloosterman(fld: FieldCtx, a: int) -> KloostermanRecord:
-    """K(a) = sum over x != 0 of lambda(1/x + a*x), exactly."""
-    counts = _trace_counts(fld, [a])[0].tolist()
-    cyc = CyclotomicInt(fld.p, counts)
-    if fld.p != 3:
-        return KloostermanRecord(a=a, value=cyc, cyclotomic=cyc)
-    value = counts[0] - counts[1]
-    return KloostermanRecord(a=a, value=value, cyclotomic=cyc, mod4=value % 4)
+def kloosterman(fld: FieldCtx, a: int) -> tuple[int, ...]:
+    """K(a) = sum over x != 0 of lambda(1/x + a*x), exactly: the counts N_j(a) of
+    _trace_counts, the value sum N_j zeta_p^j; for p = 3, K(a) = N_0 - N_1."""
+    return tuple(_trace_counts(fld, [a])[0].tolist())
 
 
 CASES = ("odd_square_trace", "case_b", "case_c")
@@ -230,6 +203,7 @@ def thm_membership_criterion(setup: ThetaSetup, u: int, v: int, w: int) -> dict:
     base = setup.tower.base
     c, s = (c_u, u) if v == 0 else (c_v, v)
     arg = base.div(base.mul(c, base.pow(s, 4)), base.mul(w, w))
-    rec = kloosterman(base, arg)
-    return {"criterion_met": rec.mod4 != bad, "k_argument": arg, "k_value": rec.value,
-            "k_value_mod4": rec.mod4}
+    n0, n1, _ = kloosterman(base, arg)
+    k = n0 - n1
+    return {"criterion_met": k % 4 != bad, "k_argument": arg, "k_value": k,
+            "k_value_mod4": k % 4}

@@ -15,8 +15,7 @@ class PlanarSpec(NamedTuple):
     name: str
     family: str                  # "square" | "coulter_matthews" | "dembowski_ostrom"
     field: FieldCtx
-    table: np.ndarray = None
-    param: int | None = None     # k for Coulter-Matthews
+    table: np.ndarray
 
 
 def square_spec(ext: FieldCtx) -> PlanarSpec:
@@ -33,12 +32,12 @@ def coulter_matthews_spec(ext: FieldCtx, k: int) -> PlanarSpec:
     # (3^k + 1)/2 mod 3^e - 1, all that vpow reads, without forming 3^k
     d = (pow(3, k, 2 * (ext.n - 1)) + 1) // 2
     tbl = ext.vpow(np.arange(ext.n), d)
-    return PlanarSpec(name=f"cm{k}", family="coulter_matthews", field=ext,
-                      table=tbl, param=k)
+    return PlanarSpec(name=f"cm{k}", family="coulter_matthews", field=ext, table=tbl)
 
 
-def do_spec(ext: FieldCtx, entries: list[tuple[int, int, int]], name: str | None = None) -> PlanarSpec:
-    """Dembowski-Ostrom polynomial sum of a_ij x^(p^i + p^j); rejected unless planar."""
+def do_spec(ext: FieldCtx, entries: list[tuple[int, int, int]]) -> PlanarSpec:
+    """Dembowski-Ostrom polynomial sum of a_ij x^(p^i + p^j), named do-<sha1 of the
+    sorted entries>; rejected unless planar."""
     idx = np.arange(ext.n)
     tbl = np.zeros(ext.n, dtype=np.int32)
     for i, j, a in entries:
@@ -49,12 +48,10 @@ def do_spec(ext: FieldCtx, entries: list[tuple[int, int, int]], name: str | None
         if a:
             term = ext.vmul(np.full(ext.n, a, dtype=np.int32), ext.vpow(idx, ext.p**i + ext.p**j))
             tbl = ext.vadd(tbl, term)
-    if name is None:
-        import hashlib      # loads OpenSSL; only this name needs it
-        digest = hashlib.sha1(
-            ",".join(f"{i}:{j}:{a}" for i, j, a in sorted(entries)).encode()).hexdigest()[:8]
-        name = f"do-{digest}"
-    spec = PlanarSpec(name=name, family="dembowski_ostrom", field=ext, table=tbl)
+    import hashlib          # loads OpenSSL; only this name needs it
+    digest = hashlib.sha1(
+        ",".join(f"{i}:{j}:{a}" for i, j, a in sorted(entries)).encode()).hexdigest()[:8]
+    spec = PlanarSpec(name=f"do-{digest}", family="dembowski_ostrom", field=ext, table=tbl)
     w = planarity_witness(spec)
     if w is not None:
         raise DesignError(

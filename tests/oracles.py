@@ -12,7 +12,6 @@ from shiftunital import (FieldCtx, FieldError, PlanarSpec, SpectrumResult, Theta
 from shiftunital.charspec import SpectrumCtx
 from shiftunital.fields import CharFieldCtx
 from shiftunital.geometry import _cover_exactly_once, fiber_map
-from shiftunital.kloosterman import CyclotomicInt
 
 
 def theta_multiples(setup: ThetaSetup) -> np.ndarray:
@@ -82,31 +81,34 @@ def witnesses(res: SpectrumResult, witness_all: bool = False) -> dict:
     return out
 
 
-def canonical(c: CyclotomicInt) -> tuple[int, ...]:
+# A Kloosterman sum is the tuple of its counts N_j, the value sum N_j zeta_p^j with
+# p = len(counts); counts that differ by a constant give the same value.
+def canonical(counts: tuple[int, ...]) -> tuple[int, ...]:
     """The counts shifted so that N_{p-1} = 0; equal values have equal canonical forms."""
-    return tuple(n - c.counts[-1] for n in c.counts)
+    return tuple(n - counts[-1] for n in counts)
 
 
-def cyclotomic_key(c: CyclotomicInt) -> tuple:
+def cyclotomic_key(counts: tuple[int, ...]) -> tuple:
     """(p, canonical form): equal exactly when the two values are equal."""
-    return c.p, canonical(c)
+    return len(counts), canonical(counts)
 
 
-def cyclotomic_add(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    if a.p != b.p:
+def cyclotomic_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) != len(b):
         raise FieldError("mixed cyclotomic orders")
-    return CyclotomicInt(a.p, [x + y for x, y in zip(a.counts, b.counts)])
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def is_real(c: CyclotomicInt) -> bool:
+def is_real(counts: tuple[int, ...]) -> bool:
     """Whether the value is fixed by complex conjugation: N_j = N_{p-j} for every j."""
-    return all(c.counts[j] == c.counts[c.p - j] for j in range(1, c.p))
+    p = len(counts)
+    return all(counts[j] == counts[p - j] for j in range(1, p))
 
 
-def to_int(c: CyclotomicInt) -> int:
-    can = canonical(c)
+def to_int(counts: tuple[int, ...]) -> int:
+    can = canonical(counts)
     if any(can[1:]):
-        raise FieldError(f"{c!r} is not a rational integer")
+        raise FieldError(f"{counts} is not a rational integer")
     return can[0]
 
 

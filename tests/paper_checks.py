@@ -11,7 +11,6 @@ from shiftunital import (FieldCtx, FieldError, PlanarSpec, ThetaSetup, UnitalDes
 from shiftunital.fields import prime_power
 from shiftunital.geometry import fiber_map
 from shiftunital.gf2rank import RankAccumulator, row_int
-from shiftunital.kloosterman import CyclotomicInt
 
 from oracles import canonical, chi_array, members
 
@@ -366,4 +365,4 @@ def lambda_vanishes_mod2(fld: FieldCtx, values) -> bool:
     """Whether sum of lambda(c) over the multiset lies in 2*Z[zeta_p], coefficientwise."""
     traces = trace_table(fld)[np.asarray(list(values), dtype=np.int64)]
     counts = np.bincount(traces, minlength=fld.p)
-    return all(c % 2 == 0 for c in canonical(CyclotomicInt(fld.p, counts.tolist())))
+    return all(c % 2 == 0 for c in canonical(tuple(counts.tolist())))

@@ -10,6 +10,7 @@ from shiftunital import (FieldCtx, FieldError, VerificationError, base_blocks, b
                          make_tower, rank2_of_unital, registry_list, spectrum_size,
                          square_spec)
 from shiftunital import charspec
+from shiftunital.gf2rank import rank2_by_characters
 
 import oracles
 from oracles import chi_array, chi_block, in_spectrum_by_scan, member, s_beta, witnesses
@@ -433,13 +434,15 @@ def test_spectrum_makes_no_field_additions_per_u(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_character_values_beyond_64_bits_are_refused(instances, monkeypatch):
-    tower, f, setup, design = instances[3, "square"]
-    wide = charspec.make_char_field(3)
-    monkeypatch.setattr(charspec, "make_char_field",
-                        lambda p: wide._replace(e=65))
-    with pytest.raises(FieldError, match="64 bits"):
+def test_character_values_beyond_64_bits_are_refused():
+    # q = 83: e = ord_83(2) = 82, refused by both engines
+    tower = make_tower(make_field(83, 1))
+    setup = construct_theta(tower)
+    f = square_spec(tower.ext)
+    with pytest.raises(FieldError, match=r"GF\(2\^82\) do not fit in 64 bits"):
         spectrum_size(setup, f)
+    with pytest.raises(FieldError, match=r"GF\(2\^82\) do not fit in 64 bits"):
+        rank2_by_characters(base_blocks(f, setup))
 
 
 def test_spectrum_checks_difference_family(instances, monkeypatch):

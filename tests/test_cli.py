@@ -785,3 +785,25 @@ def test_commands_import_neither_numpy_ma_nor_numpy_random(workdir):
     done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=workdir, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+_CLOCK_PROBE = """
+import sys, types
+from shiftunital import cli
+engines = ("shiftunital.charspec", "shiftunital.gf2rank")
+loaded = []
+cli.time = types.SimpleNamespace(
+    monotonic=lambda: loaded.append([m for m in engines if m in sys.modules]) or 0.0)
+assert cli.main(["rank", "--p", "3", "--m", "1", "--engine", "both"]) == 0
+print(loaded[0])
+"""
+
+
+def test_wall_ms_starts_after_the_engine_imports(workdir):
+    # a fresh process: the row's clock starts once both engines are loaded, so
+    # wall_ms counts no import
+    src = os.path.dirname(os.path.dirname(shiftunital.__file__))
+    done = subprocess.run([sys.executable, "-c", _CLOCK_PROBE], cwd=workdir,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "['shiftunital.charspec', 'shiftunital.gf2rank']"

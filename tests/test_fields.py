@@ -317,6 +317,16 @@ def test_char_field_e52_in_under_a_second():
     assert all(fields._gf2_polymod(cf.poly, div) for div in range(2, 1 << 11))
 
 
+def test_char_field_refuses_e_above_64_before_any_search(monkeypatch):
+    # e = ord_1019(2) = 1018: the modulus search alone took minutes
+    def no_search(poly):
+        raise AssertionError("searched GF(2^e) for a modulus")
+
+    monkeypatch.setattr(fields, "_gf2_irreducible", no_search)
+    with pytest.raises(FieldError, match=r"GF\(2\^1018\) do not fit in 64 bits"):
+        make_char_field(1019)
+
+
 def test_chi_is_multiplicative_character_of_addition():
     cf = make_char_field(3)
     fld = make_field(3, 2)

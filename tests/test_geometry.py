@@ -457,7 +457,7 @@ def test_every_registry_f_takes_the_full_multiplier_group(q):
     # The circles, one sort of the fiber map, are those of one scan per beta
     tower = make_tower(make_field(*prime_power(q)))
     for f in registry_list(tower.ext):
-        d_f = 2 if f.family == "square" else (3**f.param + 1) // 2
+        d_f = 2 if f.family == "square" else (3**int(f.name[2:]) + 1) // 2
         setups = find_thetas(f, tower)
         for setup in (setups[0], setups[-1]):
             blocks = base_blocks(f, setup)

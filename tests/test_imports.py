@@ -79,19 +79,30 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
     assert _run(tmp_path, "cli", *argv) == modules - {"gf2rank"}
 
 
+def _package_trees():
+    """(file name, AST) of each package source."""
+    for name in sorted(os.listdir(os.path.join(SRC, "shiftunital"))):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, "shiftunital", name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_no_package_source_imports_dataclasses():
     # the records are NamedTuples and plain classes: dataclasses would generate and
     # exec their methods in every process that imports them
-    for name in sorted(os.listdir(os.path.join(SRC, "shiftunital"))):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, "shiftunital", name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _package_trees():
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names}
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert "dataclasses" not in imported, name
+
+
+def test_no_package_source_reads_numpy_random():
+    # one fixed shuffle, gf2rank._seeded_order, serves every seeded order
+    for name, tree in _package_trees():
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "random" not in attrs, name
 
 
 def test_spectrum_rank_loads_no_gf2_or_kloosterman_cold_or_warm(tmp_path):
@@ -101,12 +112,19 @@ def test_spectrum_rank_loads_no_gf2_or_kloosterman_cold_or_warm(tmp_path):
     assert _run(tmp_path, *argv) == BASE | {"charspec"}
 
 
-def test_every_export_resolves_and_is_listed():
+def test_every_export_resolves_and_is_listed(tmp_path):
     listed = dir(shiftunital)
     assert len(set(shiftunital.__all__)) == len(shiftunital.__all__)
     for name in shiftunital.__all__:
         obj = getattr(shiftunital, name)
         assert obj.__name__ == name and name in listed
-    assert callable(shiftunital.kloosterman)     # the function, not its module
     with pytest.raises(AttributeError):
         shiftunital.no_such_name
+    # no export shares a submodule's name, so the package is a plain module and
+    # shiftunital.kloosterman is the submodule
+    assert "kloosterman" not in shiftunital.__all__
+    probe = ("import sys, types; import shiftunital.kloosterman; "
+             "pkg = sys.modules['shiftunital']; assert type(pkg) is types.ModuleType, type(pkg); "
+             "assert shiftunital.kloosterman is sys.modules['shiftunital.kloosterman']")
+    subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, check=True,
+                   env={**os.environ, "PYTHONPATH": SRC})

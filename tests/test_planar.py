@@ -1,4 +1,5 @@
 """Planar function specs, planarity witnesses, and coordinate components."""
+import hashlib
 import math
 
 import numpy as np
@@ -17,14 +18,13 @@ def shifted_square_spec(ext):
     """f(x) = x^2 + x: planar but not normal, for fallback-path tests."""
     xs = np.arange(ext.n)
     tbl = ext.vadd(ext.vpow(xs, 2), xs)
-    return PlanarSpec(name="square-shifted", family="custom", field=ext,
-                      table=tbl, param=None)
+    return PlanarSpec(name="square-shifted", family="custom", field=ext, table=tbl)
 
 
 def cube_spec(ext):
     """f(x) = x^3 is additive in characteristic 3, hence never planar."""
     return PlanarSpec(name="cube", family="custom", field=ext,
-                      table=ext.vpow(np.arange(ext.n), 3), param=None)
+                      table=ext.vpow(np.arange(ext.n), 3))
 
 
 def test_square_spec_planar_and_normal(tower3, tower5, tower9):
@@ -41,7 +41,6 @@ def test_square_spec_planar_and_normal(tower3, tower5, tower9):
 def test_coulter_matthews_gf81(tower9):
     f = coulter_matthews_spec(tower9.ext, 3)
     assert f.name == "cm3"
-    assert f.param == 3
     assert is_planar(f)
     assert is_normal(f)
     # exponent (3^3 + 1) / 2 = 14
@@ -108,15 +107,14 @@ def reference_witness(spec):
 
 def power_spec(ext, d, name):
     return PlanarSpec(name=name, family="custom", field=ext,
-                      table=ext.vpow(np.arange(ext.n), d), param=None)
+                      table=ext.vpow(np.arange(ext.n), d))
 
 
 def corrupted_square_spec(ext, x, delta):
     """x^2 with f(x) moved by delta: no longer multiplicative, so it takes the scan."""
     tbl = square_spec(ext).table.copy()
     tbl[x] = ext.add(int(tbl[x]), delta)
-    return PlanarSpec(name="square-corrupted", family="custom", field=ext,
-                      table=tbl, param=None)
+    return PlanarSpec(name="square-corrupted", family="custom", field=ext, table=tbl)
 
 
 def test_planarity_witness_cube_q9(tower9):
@@ -157,9 +155,9 @@ def test_planarity_scan_finds_a_late_witness(tower9, monkeypatch):
 
 def test_do_spec_square(tower3):
     ext = tower3.ext
-    f = do_spec(ext, [(0, 0, 1)], name="do-square")
+    f = do_spec(ext, [(0, 0, 1)])
     assert np.array_equal(f.table, square_spec(ext).table)
-    assert f.name == "do-square"
+    assert f.name == "do-" + hashlib.sha1(b"0:0:1").hexdigest()[:8]
 
 
 def test_do_spec_rejects_nonplanar(tower3):
